@@ -3,82 +3,43 @@
 Pools the trajectories of several trackers, merges the ones that agree
 spatio-temporally, suppresses redundant boxes and short leftovers, and
 ships with CLEAR/IDF1 evaluation plus a synthetic scenario harness.
+
+The package exports what a user of the whole pipeline needs. The single
+stages, geometry and random streams stay importable from their modules
+(``trackfuse.ensemble``, ``trackfuse.geometry``, ``trackfuse.metrics``,
+``trackfuse.synth``, ``trackfuse.rng``).
 """
 
-from .ensemble import (
-    EnsembleConfig,
-    MergeMode,
-    ensemble_pipeline,
-    length_filter,
-    length_nms,
-    merge_group,
-    merge_groups,
-    merge_trajectories,
-    mix,
-)
-from .geometry import IoUProfile, box_iou, spatial_iou_profile, st_iou
+from .ensemble import EnsembleConfig, MergeMode, ensemble_pipeline
 from .interpolate import linear_interpolate
 from .io import ParseError, load_trackset, parse_trackset, save_trackset, serialize_trackset
-from .metrics import (
-    ClearScores,
-    EvalReport,
-    IdentityScores,
-    clear_mot,
-    evaluate,
-    idf1,
-    solve_assignment,
-)
+from .metrics import ClearScores, EvalReport, IdentityScores, evaluate
 from .model import BoundingBox, Detection, TrackSet, Trajectory
-from .rng import SplitMix64, stream
-from .synth import (
-    DEFAULT_DEGRADATION,
-    ScenarioSpec,
-    TrackerDegradation,
-    complementary_pair,
-    generate_scenario,
-    parse_scenario_config,
-)
+from .synth import ScenarioSpec, TrackerDegradation, complementary_pair, generate_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundingBox",
     "ClearScores",
-    "DEFAULT_DEGRADATION",
     "Detection",
     "EnsembleConfig",
     "EvalReport",
     "IdentityScores",
-    "IoUProfile",
     "MergeMode",
     "ParseError",
     "ScenarioSpec",
-    "SplitMix64",
     "TrackSet",
     "TrackerDegradation",
     "Trajectory",
-    "box_iou",
-    "clear_mot",
     "complementary_pair",
     "ensemble_pipeline",
     "evaluate",
     "generate_scenario",
-    "idf1",
-    "length_filter",
-    "length_nms",
     "linear_interpolate",
     "load_trackset",
-    "merge_group",
-    "merge_groups",
-    "merge_trajectories",
-    "mix",
-    "parse_scenario_config",
     "parse_trackset",
     "save_trackset",
     "serialize_trackset",
-    "solve_assignment",
-    "spatial_iou_profile",
-    "st_iou",
-    "stream",
     "__version__",
 ]

@@ -83,16 +83,17 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _report_rows(report: EvalReport) -> List[tuple[str, object]]:
+    clear, ident = report.clear, report.identity
     return [
-        ("num_gt", report.num_gt),
-        ("FP", report.fp),
-        ("FN", report.fn),
-        ("IDSW", report.idsw),
-        ("MOTA", report.mota),
-        ("IDTP", report.idtp),
-        ("IDFP", report.idfp),
-        ("IDFN", report.idfn),
-        ("IDF1", report.idf1),
+        ("num_gt", clear.num_gt),
+        ("FP", clear.fp),
+        ("FN", clear.fn),
+        ("IDSW", clear.idsw),
+        ("MOTA", clear.mota),
+        ("IDTP", ident.idtp),
+        ("IDFP", ident.idfp),
+        ("IDFN", ident.idfn),
+        ("IDF1", ident.idf1),
     ]
 
 

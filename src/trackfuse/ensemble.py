@@ -117,13 +117,6 @@ def merge_groups(pool: Sequence[Trajectory], thr_s: float, thr_t: float) -> List
     return groups
 
 
-def merge_trajectories(
-    pool: Sequence[Trajectory], thr_s: float, thr_t: float, mode: MergeMode
-) -> List[Trajectory]:
-    """Merge the pooled trajectories; see ``merge_groups`` for the grouping."""
-    return [merge_group(group, mode) for group in merge_groups(pool, thr_s, thr_t)]
-
-
 def length_nms(tracks: Sequence[Trajectory], thr_nms: float) -> List[Trajectory]:
     """Per-frame non-maximum suppression ranked by trajectory length.
 
@@ -175,7 +168,8 @@ def ensemble_pipeline(tracksets: Sequence[TrackSet], cfg: EnsembleConfig | None 
     if cfg is None:
         cfg = EnsembleConfig()
     pool = mix(tracksets)
-    merged = merge_trajectories(pool, cfg.thr_s, cfg.thr_t, cfg.merge_mode)
+    groups = merge_groups(pool, cfg.thr_s, cfg.thr_t)
+    merged = [merge_group(group, cfg.merge_mode) for group in groups]
     pruned = length_nms(merged, cfg.thr_nms)
     kept = length_filter(pruned, cfg.thr_len)
     relabeled = [t.with_id(i) for i, t in enumerate(kept, start=1)]

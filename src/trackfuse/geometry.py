@@ -1,34 +1,8 @@
-"""Overlap geometry: box IoU, per-frame IoU profiles and spatio-temporal IoU."""
+"""Overlap geometry: box IoU and spatio-temporal IoU."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 from .model import BoundingBox, Trajectory
-
-
-@dataclass(frozen=True)
-class IoUProfile:
-    """Frame-level spatial IoU of two trajectories over their common frames."""
-
-    entries: Tuple[Tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        prev = None
-        for frame, iou in self.entries:
-            if prev is not None and frame <= prev:
-                raise ValueError("profile frames must be strictly increasing")
-            if not 0.0 <= iou <= 1.0:
-                raise ValueError(f"iou outside [0, 1]: {iou}")
-            prev = frame
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def count_above(self, threshold: float) -> int:
-        """Number of frames whose IoU strictly exceeds the threshold."""
-        return sum(1 for _, iou in self.entries if iou > threshold)
 
 
 def box_iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -46,15 +20,6 @@ def box_iou(a: BoundingBox, b: BoundingBox) -> float:
     return min(inter / (a.area + b.area - inter), 1.0)
 
 
-def spatial_iou_profile(ti: Trajectory, tj: Trajectory) -> IoUProfile:
-    """Per-frame IoU at every frame where both trajectories have a box."""
-    common = sorted(ti.detections.keys() & tj.detections.keys())
-    entries = tuple(
-        (f, box_iou(ti.detections[f].box, tj.detections[f].box)) for f in common
-    )
-    return IoUProfile(entries)
-
-
 def st_iou(ti: Trajectory, tj: Trajectory, thr_s: float) -> float:
     """Spatio-temporal IoU of two trajectories.
 
@@ -65,8 +30,6 @@ def st_iou(ti: Trajectory, tj: Trajectory, thr_s: float) -> float:
     """
     if ti.stop < tj.start or tj.stop < ti.start:
         return 0.0
-    profile = spatial_iou_profile(ti, tj)
-    if not profile.entries:
-        return 0.0
-    inter = profile.count_above(thr_s)
+    di, dj = ti.detections, tj.detections
+    inter = sum(1 for f in di.keys() & dj.keys() if box_iou(di[f].box, dj[f].box) > thr_s)
     return inter / min(ti.length, tj.length)

@@ -18,6 +18,16 @@ from typing import List
 
 from .model import BoundingBox, Detection, TrackSet, Trajectory
 
+# Decimal places of every written coordinate and confidence.
+DECIMALS = 2
+# The smallest positive size the output can write. The parser rejects boxes
+# below it, so every box it accepts is written back as a positive size, even
+# after averaging or interpolation moves it by float rounding error.
+MIN_BOX_SIZE = 10.0**-DECIMALS
+_NUM = f"{{:.{DECIMALS}f}}"
+# frame, id, x, y, w, h, confidence, then the three unused columns
+_LINE = ",".join(["{}", "{}", *[_NUM] * 5, "-1", "-1", "-1"])
+
 
 class ParseError(ValueError):
     """Malformed input line, with the 1-based line number it came from."""
@@ -46,9 +56,9 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
         One Trajectory per distinct id, detections sorted by frame.
 
     Raises:
-        ParseError: malformed number, non-positive frame/id, non-positive
-            box size, or a duplicate (frame, id) pair, each reported with
-            its line number.
+        ParseError: malformed number, non-positive frame/id, box width or
+            height below ``MIN_BOX_SIZE``, or a duplicate (frame, id) pair,
+            each reported with its line number.
     """
     per_id: dict[int, List[Detection]] = {}
     seen: set[tuple[int, int]] = set()
@@ -72,10 +82,10 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
         frame = _positive_index(values[0], "frame", line_no)
         track_id = _positive_index(values[1], "id", line_no)
         x, y, w, h = values[2:6]
-        if w <= 0:
-            raise ParseError(line_no, f"non-positive box width {w}")
-        if h <= 0:
-            raise ParseError(line_no, f"non-positive box height {h}")
+        if w < MIN_BOX_SIZE:
+            raise ParseError(line_no, f"box width {w} below {MIN_BOX_SIZE}")
+        if h < MIN_BOX_SIZE:
+            raise ParseError(line_no, f"box height {h} below {MIN_BOX_SIZE}")
 
         if is_ground_truth:
             if len(values) >= 7 and values[6] == 0:
@@ -108,8 +118,8 @@ def serialize_trackset(ts: TrackSet) -> str:
     """Render a TrackSet in MOTChallenge result format.
 
     Lines are sorted by (frame, id); coordinates and confidence are written
-    with two decimal places, so a parse/serialize round trip preserves
-    values to within 0.005.
+    with ``DECIMALS`` decimal places, so a parse/serialize round trip
+    preserves values to within half a unit of the last place.
     """
     rows = []
     for traj in ts.trajectories:
@@ -117,8 +127,7 @@ def serialize_trackset(ts: TrackSet) -> str:
             rows.append((frame, traj.id, det))
     rows.sort(key=lambda r: (r[0], r[1]))
     lines = [
-        f"{frame},{tid},{d.box.x:.2f},{d.box.y:.2f},{d.box.w:.2f},{d.box.h:.2f},"
-        f"{d.confidence:.2f},-1,-1,-1"
+        _LINE.format(frame, tid, d.box.x, d.box.y, d.box.w, d.box.h, d.confidence)
         for frame, tid, d in rows
     ]
     return "\n".join(lines) + ("\n" if lines else "")

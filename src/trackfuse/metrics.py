@@ -10,7 +10,7 @@ assignment between ground-truth and predicted identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -50,28 +50,8 @@ class IdentityScores:
 class EvalReport:
     """Combined CLEAR and identity scores for one prediction/ground-truth pair."""
 
-    num_gt: int
-    fp: int
-    fn: int
-    idsw: int
-    mota: Optional[float]
-    idtp: int
-    idfp: int
-    idfn: int
-    idf1: Optional[float]
-
-
-def solve_assignment(cost: Sequence[Sequence[float]] | np.ndarray) -> List[Tuple[int, int]]:
-    """Minimum-total-cost one-to-one assignment on a rectangular cost matrix.
-
-    Returns min(rows, cols) (row, column) pairs; an empty matrix yields an
-    empty assignment. Costs must be finite.
-    """
-    arr = np.asarray(cost, dtype=float)
-    if arr.size == 0:
-        return []
-    rows, cols = linear_sum_assignment(arr)
-    return list(zip(rows.tolist(), cols.tolist()))
+    clear: ClearScores
+    identity: IdentityScores
 
 
 def _boxes_by_frame(ts: TrackSet) -> Dict[int, List[Tuple[int, BoundingBox]]]:
@@ -139,7 +119,7 @@ def clear_mot(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> ClearScor
                 [1.0 - iou if iou >= iou_match else _FORBIDDEN for iou in row]
                 for row in ious
             ]
-            for r, c in solve_assignment(cost):
+            for r, c in zip(*linear_sum_assignment(cost)):
                 if ious[r][c] >= iou_match:
                     gid = rem_gts[r][0]
                     pid = rem_preds[c][0]
@@ -203,7 +183,7 @@ def idf1(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> IdentityScores
     cost[G:, P:] = 0.0
 
     idtp = 0
-    for r, c in solve_assignment(cost):
+    for r, c in zip(*linear_sum_assignment(cost)):
         if r < G and c < P:
             idtp += int(overlap[r, c])
 
@@ -216,16 +196,4 @@ def idf1(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> IdentityScores
 
 def evaluate(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> EvalReport:
     """Full report: CLEAR scores plus identity scores."""
-    clear = clear_mot(gt, pred, iou_match)
-    ident = idf1(gt, pred, iou_match)
-    return EvalReport(
-        num_gt=clear.num_gt,
-        fp=clear.fp,
-        fn=clear.fn,
-        idsw=clear.idsw,
-        mota=clear.mota,
-        idtp=ident.idtp,
-        idfp=ident.idfp,
-        idfn=ident.idfn,
-        idf1=ident.idf1,
-    )
+    return EvalReport(clear_mot(gt, pred, iou_match), idf1(gt, pred, iou_match))

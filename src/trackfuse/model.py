@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,6 @@ class Trajectory:
 
     def frames(self) -> List[int]:
         return list(self.detections)
-
-    def box_at(self, frame: int) -> Optional[BoundingBox]:
-        det = self.detections.get(frame)
-        return None if det is None else det.box
 
     def with_id(self, new_id: int) -> "Trajectory":
         return Trajectory(new_id, self.detections)

@@ -7,6 +7,7 @@ import random
 import time
 
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from trackfuse import (
     EnsembleConfig,
@@ -14,22 +15,17 @@ from trackfuse import (
     TrackSet,
     ScenarioSpec,
     TrackerDegradation,
-    box_iou,
     complementary_pair,
     ensemble_pipeline,
     evaluate,
     generate_scenario,
-    length_nms,
     load_trackset,
-    merge_groups,
-    merge_trajectories,
-    mix,
     save_trackset,
     serialize_trackset,
-    solve_assignment,
-    st_iou,
 )
 from trackfuse.cli import main
+from trackfuse.ensemble import length_nms, merge_group, merge_groups, mix
+from trackfuse.geometry import box_iou, st_iou
 
 from oracles import (
     brute_force_min_cost,
@@ -82,13 +78,14 @@ def test_merge_algorithm_fixture():
 
         groups = merge_groups([a, b, c], 0.5, 0.5)
         assert [[t.id for t in g] for g in groups] == [[1, 2], [3]]
-        merged = merge_trajectories([a, b, c], 0.5, 0.5, MergeMode.DROP)
+        merged = [merge_group(g, MergeMode.DROP) for g in groups]
         assert canonical([merged[0]]) == canonical([a])
         assert canonical([merged[1]]) == canonical([c])
 
         once = serialize_trackset(TrackSet("s", merged))
+        regrouped = merge_groups([a, b, c], 0.5, 0.5)
         again = serialize_trackset(
-            TrackSet("s", merge_trajectories([a, b, c], 0.5, 0.5, MergeMode.DROP))
+            TrackSet("s", [merge_group(g, MergeMode.DROP) for g in regrouped])
         )
         assert once == again
 
@@ -108,7 +105,7 @@ def test_nms_invariant_on_random_pooled_frames():
                     for f, d in t.detections.items():
                         input_boxes.add((f, d.box.x, d.box.y, d.box.w, d.box.h))
             pool = mix([ts_a, ts_b])
-            merged = merge_trajectories(pool, 0.5, 0.5, MergeMode.DROP)
+            merged = [merge_group(g, MergeMode.DROP) for g in merge_groups(pool, 0.5, 0.5)]
             survivors = length_nms(merged, 0.7)
             by_frame = {}
             for t in survivors:
@@ -139,20 +136,20 @@ def test_metric_fixtures_and_solver():
         gt = TrackSet("gt", [const_track(1, 1, 10)])
 
         half = evaluate(gt, TrackSet("p", [const_track(1, 1, 5)]))
-        assert (half.fn, half.fp, half.idsw) == (5, 0, 0)
-        assert half.mota == 0.5
+        assert (half.clear.fn, half.clear.fp, half.clear.idsw) == (5, 0, 0)
+        assert half.clear.mota == 0.5
 
         split = evaluate(gt, TrackSet("p", [const_track(1, 1, 5), const_track(2, 6, 10)]))
-        assert (split.fn, split.fp, split.idsw) == (0, 0, 1)
-        assert split.mota == pytest.approx(0.9)
-        assert (split.idtp, split.idfp, split.idfn) == (5, 5, 5)
-        assert split.idf1 == 0.5
+        assert (split.clear.fn, split.clear.fp, split.clear.idsw) == (0, 0, 1)
+        assert split.clear.mota == pytest.approx(0.9)
+        assert (split.identity.idtp, split.identity.idfp, split.identity.idfn) == (5, 5, 5)
+        assert split.identity.idf1 == 0.5
 
         rng = random.Random(31337)
         for _ in range(200):
             rows, cols = rng.randint(1, 6), rng.randint(1, 6)
             cost = [[rng.uniform(0, 10) for _ in range(cols)] for _ in range(rows)]
-            pairs = solve_assignment(cost)
+            pairs = list(zip(*linear_sum_assignment(cost)))
             assert len(pairs) == min(rows, cols)
             got = sum(cost[r][c] for r, c in pairs)
             assert got == pytest.approx(brute_force_min_cost(cost))
@@ -168,10 +165,11 @@ def test_synthetic_ensemble_gain():
             report_a = evaluate(gt, tracker_a)
             report_b = evaluate(gt, tracker_b)
             report = evaluate(gt, fused)
-            best_idf1 = max(report_a.idf1, report_b.idf1)
-            assert report.idf1 >= best_idf1 + 0.05, f"seed {seed}: gain too small"
-            assert report.idsw == 0, f"seed {seed}: fused output switched ids"
-            assert report.mota >= max(report_a.mota, report_b.mota), f"seed {seed}"
+            best_idf1 = max(report_a.identity.idf1, report_b.identity.idf1)
+            assert report.identity.idf1 >= best_idf1 + 0.05, f"seed {seed}: gain too small"
+            assert report.clear.idsw == 0, f"seed {seed}: fused output switched ids"
+            best_mota = max(report_a.clear.mota, report_b.clear.mota)
+            assert report.clear.mota >= best_mota, f"seed {seed}"
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"seed sweep took {elapsed:.2f}s"
 
@@ -194,8 +192,8 @@ def test_interpolation_composition(tmp_path):
                          "--interpolate", "20"]) == 0
 
             gt_loaded = load_trackset(gt_path, is_ground_truth=True)
-            plain = evaluate(gt_loaded, load_trackset(plain_path))
-            interp = evaluate(gt_loaded, load_trackset(interp_path))
+            plain = evaluate(gt_loaded, load_trackset(plain_path)).clear
+            interp = evaluate(gt_loaded, load_trackset(interp_path)).clear
             assert interp.fn < plain.fn, f"seed {seed}: FN {plain.fn} -> {interp.fn}"
             assert interp.mota > plain.mota, f"seed {seed}: MOTA did not improve"
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from trackfuse import (
@@ -124,6 +126,41 @@ def test_merge_interpolate_fills_gap(tmp_path):
     assert out.read_text() == serialize_trackset(expected)
 
 
+def test_merge_output_of_smallest_writable_box_reparses(tmp_path):
+    # 0.01 is the smallest size two decimals can write
+    boxes = {f: "10,10,0.01,0.01" for f in range(1, 6)}
+    boxes[9] = "10,10,0.02,0.02"
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("".join(f"{f},1,{box},1\n" for f, box in boxes.items()))
+    b.write_text("".join(f"{f},1,{box},0.5\n" for f, box in boxes.items()))
+    out = tmp_path / "out.txt"
+    assert main(["merge", "-i", str(a), "-i", str(b), "-o", str(out),
+                 "--thr-len", "0", "--mode", "average", "--interpolate", "5"]) == 0
+    (fused,) = load_trackset(out).trajectories
+    assert fused.frames() == list(range(1, 10))
+    assert fused.detections[1].box.w == 0.01
+    assert fused.detections[1].confidence == 0.75  # the two inputs were averaged
+
+
+# Fused-file SHA-256 for a seeded 6-object, 300-frame, 3-tracker scenario.
+MERGE_SHA256 = {
+    "drop": "8092fdebb6f0f6bb910f2159d5d96ae34e859dd23f6d02d0ebe23913ad161283",
+    "average --interpolate 5": "133f0d72596eca348874ea90e155846a1cde512c00eb1cd84dcdc13c6c5e334f",
+}
+
+
+@pytest.mark.parametrize("flags", list(MERGE_SHA256))
+def test_merge_output_bytes_pinned(tmp_path, flags):
+    scene = tmp_path / "scene"
+    assert main(["synth", "--seed", "11", "--objects", "6", "--frames", "300",
+                 "--trackers", "3", "-o", str(scene)]) == 0
+    inputs = [arg for k in (1, 2, 3) for arg in ("-i", str(scene / f"tracker_{k}.txt"))]
+    out = tmp_path / "fused.txt"
+    mode, *rest = flags.split()
+    assert main(["merge", *inputs, "-o", str(out), "--mode", mode, *rest]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MERGE_SHA256[flags]
+
+
 def test_merge_missing_input_file(tmp_path, capsys):
     code = main(["merge", "-i", str(tmp_path / "missing.txt"), "-o", str(tmp_path / "out.txt")])
     assert code == 2
@@ -178,10 +215,27 @@ def test_eval_switch_fixture(tmp_path, capsys):
     pred = tmp_path / "pred.txt"
     pred.write_text(SPLIT_PRED_TEXT)
     assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 0
-    out = capsys.readouterr().out
-    assert "#metric idsw=1" in out
-    assert "#metric mota=0.9000" in out
-    assert "#metric idf1=0.5000" in out
+    assert capsys.readouterr().out == (
+        "num_gt  10\n"
+        "FP      0\n"
+        "FN      0\n"
+        "IDSW    1\n"
+        "MOTA    0.9000\n"
+        "IDTP    5\n"
+        "IDFP    5\n"
+        "IDFN    5\n"
+        "IDF1    0.5000\n"
+        "\n"
+        "#metric num_gt=10\n"
+        "#metric fp=0\n"
+        "#metric fn=0\n"
+        "#metric idsw=1\n"
+        "#metric mota=0.9000\n"
+        "#metric idtp=5\n"
+        "#metric idfp=5\n"
+        "#metric idfn=5\n"
+        "#metric idf1=0.5000\n"
+    )
 
 
 def test_eval_human_readable_table(tmp_path, capsys):

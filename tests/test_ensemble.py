@@ -2,21 +2,9 @@ import random
 
 import pytest
 
-from trackfuse import (
-    EnsembleConfig,
-    MergeMode,
-    TrackSet,
-    box_iou,
-    ensemble_pipeline,
-    length_filter,
-    length_nms,
-    merge_group,
-    merge_groups,
-    merge_trajectories,
-    mix,
-    serialize_trackset,
-    st_iou,
-)
+from trackfuse import EnsembleConfig, MergeMode, TrackSet, ensemble_pipeline, serialize_trackset
+from trackfuse.ensemble import length_filter, length_nms, merge_group, merge_groups, mix
+from trackfuse.geometry import box_iou, st_iou
 
 from oracles import canonical, const_track, make_track, random_trackset
 
@@ -121,7 +109,7 @@ def test_merge_groups_algorithm_fixture():
     assert st_iou(b, c, 0.5) == pytest.approx(3 / 4)
     groups = merge_groups([a, b, c], 0.5, 0.5)
     assert [[t.id for t in g] for g in groups] == [[1, 2], [3]]
-    merged = merge_trajectories([a, b, c], 0.5, 0.5, MergeMode.DROP)
+    merged = [merge_group(g, MergeMode.DROP) for g in groups]
     assert [t.id for t in merged] == [1, 3]
     assert canonical([merged[0]]) == canonical([a])  # drop mode, A covers every frame
     assert canonical([merged[1]]) == canonical([c])
@@ -129,14 +117,14 @@ def test_merge_groups_algorithm_fixture():
 
 def test_merge_trajectories_disjoint_pool_unchanged():
     pool = [const_track(1, 1, 10), const_track(2, 20, 30), const_track(3, 40, 45)]
-    merged = merge_trajectories(pool, 0.5, 0.5, MergeMode.DROP)
+    merged = [merge_group(g, MergeMode.DROP) for g in merge_groups(pool, 0.5, 0.5)]
     assert canonical(merged) == canonical(pool)
 
 
 def test_merge_trajectories_absorbs_duplicate():
     t = const_track(1, 1, 10)
     copy = const_track(2, 1, 10)
-    merged = merge_trajectories([t, copy], 0.5, 0.5, MergeMode.DROP)
+    merged = [merge_group(g, MergeMode.DROP) for g in merge_groups([t, copy], 0.5, 0.5)]
     assert len(merged) == 1
     assert canonical(merged) == canonical([t])
 

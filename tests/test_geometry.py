@@ -1,8 +1,7 @@
 import random
 
-import pytest
-
-from trackfuse import BoundingBox, IoUProfile, box_iou, spatial_iou_profile, st_iou
+from trackfuse import BoundingBox
+from trackfuse.geometry import box_iou, st_iou
 
 from oracles import const_track, iou_monte_carlo, iou_naive, make_track, random_trajectory, st_iou_naive
 
@@ -49,37 +48,23 @@ def test_box_iou_symmetric_and_bounded():
         assert abs(iou - iou_naive(a, b)) < 1e-12
 
 
-def test_iou_profile_invariants():
-    with pytest.raises(ValueError):
-        IoUProfile(((2, 0.5), (1, 0.5)))
-    with pytest.raises(ValueError):
-        IoUProfile(((1, 1.5),))
-    profile = IoUProfile(((1, 0.2), (3, 0.8)))
-    assert len(profile) == 2
-    assert profile.count_above(0.5) == 1
-
-
-def test_profile_on_overlapping_identical_boxes():
+def test_st_iou_identical_boxes_on_shared_frames():
+    # identical boxes on frames 4-5 only; the shorter span is 5 frames
     ti = const_track(1, 1, 5)
     tj = const_track(2, 4, 8)
-    profile = spatial_iou_profile(ti, tj)
-    assert profile.entries == ((4, 1.0), (5, 1.0))
+    assert st_iou(ti, tj, 0.5) == 2 / 5
 
 
-def test_profile_disjoint_frame_ranges():
-    assert spatial_iou_profile(const_track(1, 1, 5), const_track(2, 10, 12)).entries == ()
+def test_st_iou_disjoint_frame_ranges():
+    assert st_iou(const_track(1, 1, 5), const_track(2, 10, 12), 0.5) == 0.0
 
 
-def test_profile_requires_both_present():
+def test_st_iou_counts_only_frames_both_have():
     ti = const_track(1, 1, 6, skip=(4,))
     tj = const_track(2, 1, 6)
-    frames = [f for f, _ in spatial_iou_profile(ti, tj).entries]
-    assert frames == [1, 2, 3, 5, 6]
+    assert st_iou(ti, tj, 0.5) == 5 / 6
     # brute-force scan over every frame agrees
-    expected = [
-        f for f in range(1, 7) if f in ti.detections and f in tj.detections
-    ]
-    assert frames == expected
+    assert st_iou(ti, tj, 0.5) == st_iou_naive(ti, tj, 0.5)
 
 
 def test_st_iou_gapless_self_is_one():

@@ -55,6 +55,10 @@ def test_parse_tolerates_spaces_and_trailing_commas():
     [
         ("1,1,10,20,-5,40,1,-1,-1,-1", "width"),
         ("1,1,10,20,30,0,1", "height"),
+        # two decimals cannot write a positive size below 0.01
+        ("1,1,10,20,0.004,40,1", "width"),
+        ("1,1,10,20,0.009,40,1", "width"),
+        ("1,1,10,20,30,0.009,1", "height"),
         ("0,1,10,20,30,40,1", "frame"),
         ("1,0,10,20,30,40,1", "id"),
         ("1.5,1,10,20,30,40,1", "frame"),

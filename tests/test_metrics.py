@@ -1,10 +1,18 @@
 import random
 
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from trackfuse import TrackSet, clear_mot, evaluate, idf1, solve_assignment
+from trackfuse import TrackSet, evaluate
+from trackfuse.metrics import clear_mot, idf1
 
 from oracles import brute_force_min_cost, const_track, make_track, random_trackset
+
+
+def solve(cost):
+    """(row, column) pairs, as the metrics read the solver's result."""
+    return list(zip(*linear_sum_assignment(cost)))
 
 
 def total_cost(cost, pairs):
@@ -12,21 +20,22 @@ def total_cost(cost, pairs):
 
 
 def test_solver_identity_matrix():
-    pairs = solve_assignment([[0.0, 1.0], [1.0, 0.0]])
+    pairs = solve([[0.0, 1.0], [1.0, 0.0]])
     assert sorted(pairs) == [(0, 0), (1, 1)]
 
 
 def test_solver_single_cell():
-    assert solve_assignment([[5.0]]) == [(0, 0)]
+    assert solve([[5.0]]) == [(0, 0)]
 
 
 def test_solver_empty_matrix():
-    assert solve_assignment([]) == []
+    # idf1 hands the solver a 0x0 matrix when both sides are empty
+    assert solve(np.zeros((0, 0))) == []
 
 
 def test_solver_rectangular_covers_min_dim():
     cost = [[1.0, 0.0, 2.0, 3.0, 0.5]]
-    pairs = solve_assignment(cost)
+    pairs = solve(cost)
     assert pairs == [(0, 1)]
 
 
@@ -36,7 +45,7 @@ def test_solver_matches_brute_force():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         cost = [[rng.uniform(0, 10) for _ in range(cols)] for _ in range(rows)]
-        pairs = solve_assignment(cost)
+        pairs = solve(cost)
         assert len(pairs) == min(rows, cols)
         assert total_cost(cost, pairs) == pytest.approx(brute_force_min_cost(cost))
 
@@ -188,19 +197,19 @@ def test_repairing_a_switch_improves_identity_and_idsw():
     switched = TrackSet("p", [const_track(1, 1, 5), const_track(2, 6, 10)])
     repaired = TrackSet("p", [const_track(1, 1, 10)])
     before, after = evaluate(gt, switched), evaluate(gt, repaired)
-    assert after.idf1 > before.idf1
-    assert after.idsw < before.idsw
+    assert after.identity.idf1 > before.identity.idf1
+    assert after.clear.idsw < before.clear.idsw
 
 
 def test_evaluate_combines_both_score_sets():
     gt = one_object_gt(10)
     pred = TrackSet("p", [const_track(1, 1, 5), const_track(2, 6, 10)])
     report = evaluate(gt, pred)
-    assert report.num_gt == 10
-    assert report.mota == pytest.approx(0.9)
-    assert report.idf1 == 0.5
-    assert report.idsw == 1
-    assert (report.idtp, report.idfp, report.idfn) == (5, 5, 5)
+    assert report.clear.num_gt == 10
+    assert report.clear.mota == pytest.approx(0.9)
+    assert report.identity.idf1 == 0.5
+    assert report.clear.idsw == 1
+    assert (report.identity.idtp, report.identity.idfp, report.identity.idfn) == (5, 5, 5)
 
 
 def test_mota_at_most_one_on_random_pairs():
@@ -209,7 +218,7 @@ def test_mota_at_most_one_on_random_pairs():
         gt = random_trackset(rng, "gt")
         pred = random_trackset(rng, "p")
         report = evaluate(gt, pred)
-        if report.mota is not None:
-            assert report.mota <= 1.0
-        if report.idf1 is not None:
-            assert 0.0 <= report.idf1 <= 1.0
+        if report.clear.mota is not None:
+            assert report.clear.mota <= 1.0
+        if report.identity.idf1 is not None:
+            assert 0.0 <= report.identity.idf1 <= 1.0

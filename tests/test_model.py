@@ -43,8 +43,6 @@ def test_trajectory_span_and_gaps():
     assert traj.stop == 9
     assert traj.length == 8  # span counts the gap frames too
     assert traj.frames() == [2, 5, 9]
-    assert traj.box_at(5) == box
-    assert traj.box_at(3) is None
 
 
 def test_trajectory_normalizes_frame_order():

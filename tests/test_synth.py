@@ -5,16 +5,15 @@ import pytest
 
 from trackfuse import (
     ScenarioSpec,
-    SplitMix64,
     TrackerDegradation,
     complementary_pair,
     ensemble_pipeline,
     evaluate,
     generate_scenario,
-    parse_scenario_config,
     serialize_trackset,
-    stream,
 )
+from trackfuse.rng import SplitMix64, stream
+from trackfuse.synth import parse_scenario_config
 
 from oracles import canonical
 
@@ -164,18 +163,18 @@ def test_complementary_pair_fusion_recovers_both():
     gt, tracker_a, tracker_b = complementary_pair(spec)
     report_a = evaluate(gt, tracker_a)
     report_b = evaluate(gt, tracker_b)
-    assert report_a.idsw >= 1 and report_b.idsw >= 1
+    assert report_a.clear.idsw >= 1 and report_b.clear.idsw >= 1
     fused = ensemble_pipeline([tracker_a, tracker_b])
     report = evaluate(gt, fused)
-    assert report.idsw == 0
-    assert report.idf1 > max(report_a.idf1, report_b.idf1)
-    assert report.mota >= max(report_a.mota, report_b.mota)
+    assert report.clear.idsw == 0
+    assert report.identity.idf1 > max(report_a.identity.idf1, report_b.identity.idf1)
+    assert report.clear.mota >= max(report_a.clear.mota, report_b.clear.mota)
 
 
 def test_gt_scores_perfectly_against_itself():
     gt, _, _ = complementary_pair(ScenarioSpec(num_objects=2, num_frames=100, seed=1))
     report = evaluate(gt, gt)
-    assert report.mota == 1.0 and report.idf1 == 1.0
+    assert report.clear.mota == 1.0 and report.identity.idf1 == 1.0
 
 
 def test_complementary_pair_needs_two_objects():
