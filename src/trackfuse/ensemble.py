@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Sequence
 
-from .geometry import box_iou, st_iou
+import numpy as np
+
+from .geometry import box_columns, same_frame_pairs
 from .model import BoundingBox, Detection, TrackSet, Trajectory
 
 
@@ -40,6 +42,8 @@ class EnsembleConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.thr_len < 0:
             raise ValueError(f"thr_len must be >= 0, got {self.thr_len}")
+        # accept the mode's value ("drop"), and reject unknown ones
+        object.__setattr__(self, "merge_mode", MergeMode(self.merge_mode))
 
 
 def mix(tracksets: Sequence[TrackSet]) -> List[Trajectory]:
@@ -99,20 +103,35 @@ def merge_groups(pool: Sequence[Trajectory], thr_s: float, thr_t: float) -> List
     trajectory whose st-IoU with the anchor strictly exceeds ``thr_t``.
     Matches are checked against the anchor only, never transitively through
     other members, and every input trajectory lands in exactly one group.
+
+    The st-IoU of every pair comes from one same-frame overlap join: the
+    frames where the pair's boxes have IoU above ``thr_s``, counted and
+    divided by the shorter length, as ``st_iou`` defines it.
     """
     ordered = sorted(pool, key=lambda t: (-t.length, t.id))
-    consumed: set[int] = set()
+    n = len(ordered)
+    keys = [np.empty(0, np.int64)]  # higher rank * n + lower rank, once per matching frame
+    for _, higher, lower, iou in same_frame_pairs(box_columns(ordered)):
+        hit = iou > thr_s
+        keys.append(higher[hit] * n + lower[hit])
+    pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
+    first, second = pairs // n, pairs % n
+    lengths = np.array([t.length for t in ordered], dtype=np.int64)
+    matched = counts / np.minimum(lengths[first], lengths[second]) > thr_t
+    partners: Dict[int, List[int]] = {}  # anchor rank -> later ranks it would absorb
+    for i, j in zip(first[matched].tolist(), second[matched].tolist()):
+        partners.setdefault(i, []).append(j)
+
+    consumed = [False] * n
     groups: List[List[Trajectory]] = []
     for i, anchor in enumerate(ordered):
-        if anchor.id in consumed:
+        if consumed[i]:
             continue
         group = [anchor]
-        for cand in ordered[i + 1 :]:
-            if cand.id in consumed:
-                continue
-            if st_iou(anchor, cand, thr_s) > thr_t:
-                group.append(cand)
-                consumed.add(cand.id)
+        for j in partners.get(i, ()):
+            if not consumed[j]:
+                group.append(ordered[j])
+                consumed[j] = True
         groups.append(group)
     return groups
 
@@ -127,26 +146,26 @@ def length_nms(tracks: Sequence[Trajectory], thr_nms: float) -> List[Trajectory]
     computed once on the input and are not re-ranked as boxes disappear.
     Trajectories left without any boxes are dropped.
     """
-    length = {t.id: t.length for t in tracks}
-    by_frame: Dict[int, List[Trajectory]] = {}
-    for t in tracks:
-        for f in t.detections:
-            by_frame.setdefault(f, []).append(t)
+    ranked = sorted(range(len(tracks)), key=lambda k: (-tracks[k].length, tracks[k].id))
+    suppressed: set[tuple[int, int]] = set()  # (rank, frame)
+    for frames, higher, lower, iou in same_frame_pairs(box_columns([tracks[k] for k in ranked])):
+        hit = iou > thr_nms
+        # pairs come in (frame, higher rank, lower rank) order, so every
+        # pair that could suppress a box is visited before the box's own
+        for f, a, b in zip(frames[hit].tolist(), higher[hit].tolist(), lower[hit].tolist()):
+            if (a, f) not in suppressed:
+                suppressed.add((b, f))
 
-    suppressed: set[tuple[int, int]] = set()  # (trajectory id, frame)
-    for f, owners in by_frame.items():
-        owners.sort(key=lambda t: (-length[t.id], t.id))
-        kept: List[BoundingBox] = []
-        for t in owners:
-            box = t.detections[f].box
-            if any(box_iou(box, other) > thr_nms for other in kept):
-                suppressed.add((t.id, f))
-            else:
-                kept.append(box)
-
+    dropped: Dict[int, set[int]] = {}  # track index -> suppressed frames
+    for rank, f in suppressed:
+        dropped.setdefault(ranked[rank], set()).add(f)
     out: List[Trajectory] = []
-    for t in tracks:
-        dets = {f: d for f, d in t.detections.items() if (t.id, f) not in suppressed}
+    for k, t in enumerate(tracks):
+        gone = dropped.get(k)
+        if gone is None:
+            out.append(t)
+            continue
+        dets = {f: d for f, d in t.detections.items() if f not in gone}
         if dets:
             out.append(Trajectory(t.id, dets))
     return out

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import box_iou
+from .geometry import box_columns, box_iou, same_frame_pairs
 from .model import BoundingBox, TrackSet
 
 
@@ -153,33 +153,22 @@ def idf1(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> IdentityScores
         raise ValueError(f"iou_match must be in (0, 1], got {iou_match}")
     gt_tracks = sorted(gt.trajectories, key=lambda t: t.id)
     pred_tracks = sorted(pred.trajectories, key=lambda t: t.id)
-    n_gt_boxes = sum(len(t.detections) for t in gt_tracks)
-    n_pred_boxes = sum(len(t.detections) for t in pred_tracks)
+    gt_len = np.fromiter((len(t.detections) for t in gt_tracks), np.int64, len(gt_tracks))
+    pred_len = np.fromiter((len(t.detections) for t in pred_tracks), np.int64, len(pred_tracks))
+    n_gt_boxes, n_pred_boxes = int(gt_len.sum()), int(pred_len.sum())
 
     G, P = len(gt_tracks), len(pred_tracks)
     overlap = np.zeros((G, P), dtype=float)  # co-located frame counts
-    for i, gtrack in enumerate(gt_tracks):
-        for j, ptrack in enumerate(pred_tracks):
-            if gtrack.stop < ptrack.start or ptrack.stop < gtrack.start:
-                continue
-            common = gtrack.detections.keys() & ptrack.detections.keys()
-            overlap[i, j] = sum(
-                1
-                for f in common
-                if box_iou(gtrack.detections[f].box, ptrack.detections[f].box)
-                >= iou_match
-            )
+    for _, gi, pj, iou in same_frame_pairs(box_columns(gt_tracks), box_columns(pred_tracks)):
+        hit = iou >= iou_match
+        np.add.at(overlap, (gi[hit], pj[hit]), 1)
 
     forbidden = float(n_gt_boxes + n_pred_boxes + 1)
     size = G + P
     cost = np.full((size, size), forbidden)
-    for i, gtrack in enumerate(gt_tracks):
-        gi = len(gtrack.detections)
-        for j, ptrack in enumerate(pred_tracks):
-            cost[i, j] = gi + len(ptrack.detections) - 2.0 * overlap[i, j]
-        cost[i, P + i] = gi  # gt identity left unmatched
-    for j, ptrack in enumerate(pred_tracks):
-        cost[G + j, j] = len(ptrack.detections)  # predicted identity unmatched
+    cost[:G, :P] = (gt_len[:, None] + pred_len[None, :]) - 2.0 * overlap
+    cost[np.arange(G), P + np.arange(G)] = gt_len  # gt identity left unmatched
+    cost[G + np.arange(P), np.arange(P)] = pred_len  # predicted identity unmatched
     cost[G:, P:] = 0.0
 
     idtp = 0

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned pixel rectangle stored as (left, top, width, height)."""
 
@@ -43,7 +43,7 @@ class BoundingBox:
         return self.w * self.h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One box of one identity at one frame.
 
@@ -63,7 +63,7 @@ class Detection:
             raise ValueError(f"confidence outside [0, 1]: {self.confidence}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trajectory:
     """All detections of a single identity, indexed by frame.
 
@@ -123,7 +123,7 @@ class Trajectory:
         return Trajectory(self.id, dets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackSet:
     """Every trajectory one tracker (or the fused result) produced for one sequence."""
 

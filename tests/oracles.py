@@ -2,16 +2,25 @@
 
 Everything here recomputes results from first principles (exhaustive frame
 scans, permutation enumeration, Monte-Carlo sampling) so the library is
-checked against code that shares none of its logic.
+checked against code that shares none of its logic. The scalar pipeline
+stages at the end are the exception: they are the per-pair ``box_iou``
+loops that merge grouping, NMS and IDF1 ran before the overlap join, kept
+as differential references.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from trackfuse import BoundingBox, Detection, TrackSet, Trajectory
+from trackfuse.ensemble import EnsembleConfig, length_filter, merge_group, mix
+from trackfuse.geometry import box_iou, st_iou
+from trackfuse.metrics import IdentityScores
 
 
 def iou_naive(a: BoundingBox, b: BoundingBox) -> float:
@@ -104,12 +113,17 @@ def const_track(
 
 
 def random_trajectory(
-    rng: random.Random, track_id: int, max_start: int = 30, max_span: int = 50
+    rng: random.Random,
+    track_id: int,
+    max_start: int = 30,
+    max_span: int = 50,
+    arena: float = 200.0,
 ) -> Trajectory:
+    """A random walk starting anywhere in an ``arena`` x ``arena`` square."""
     start = rng.randint(1, max_start)
     span = rng.randint(1, max_span)
     stop = start + span - 1
-    x, y = rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0)
+    x, y = rng.uniform(0.0, arena), rng.uniform(0.0, arena)
     w, h = rng.uniform(8.0, 40.0), rng.uniform(8.0, 40.0)
     dets = []
     for f in range(start, stop + 1):
@@ -127,9 +141,10 @@ def random_trackset(
     max_tracks: int = 6,
     max_start: int = 30,
     max_span: int = 50,
+    arena: float = 200.0,
 ) -> TrackSet:
     trajectories = [
-        random_trajectory(rng, tid, max_start, max_span)
+        random_trajectory(rng, tid, max_start, max_span, arena)
         for tid in range(1, rng.randint(1, max_tracks) + 1)
     ]
     return TrackSet(sequence, trajectories)
@@ -149,3 +164,105 @@ def canonical(ts_or_tracks) -> tuple:
             )
         )
     return tuple(sorted(sig))
+
+
+# ---------------------------------------------------------------------------
+# Scalar pipeline stages: merge grouping, length NMS and IDF1 as they were
+# written before the same-frame overlap join, one box_iou call per box pair.
+# The library's versions must give identical results.
+
+
+def merge_groups_scalar(pool: Sequence[Trajectory], thr_s: float, thr_t: float) -> List[List[Trajectory]]:
+    ordered = sorted(pool, key=lambda t: (-t.length, t.id))
+    consumed: set[int] = set()
+    groups: List[List[Trajectory]] = []
+    for i, anchor in enumerate(ordered):
+        if anchor.id in consumed:
+            continue
+        group = [anchor]
+        for cand in ordered[i + 1 :]:
+            if cand.id in consumed:
+                continue
+            if st_iou(anchor, cand, thr_s) > thr_t:
+                group.append(cand)
+                consumed.add(cand.id)
+        groups.append(group)
+    return groups
+
+
+def length_nms_scalar(tracks: Sequence[Trajectory], thr_nms: float) -> List[Trajectory]:
+    length = {t.id: t.length for t in tracks}
+    by_frame: Dict[int, List[Trajectory]] = {}
+    for t in tracks:
+        for f in t.detections:
+            by_frame.setdefault(f, []).append(t)
+
+    suppressed: set[tuple[int, int]] = set()  # (trajectory id, frame)
+    for f, owners in by_frame.items():
+        owners.sort(key=lambda t: (-length[t.id], t.id))
+        kept: List[BoundingBox] = []
+        for t in owners:
+            box = t.detections[f].box
+            if any(box_iou(box, other) > thr_nms for other in kept):
+                suppressed.add((t.id, f))
+            else:
+                kept.append(box)
+
+    out: List[Trajectory] = []
+    for t in tracks:
+        dets = {f: d for f, d in t.detections.items() if (t.id, f) not in suppressed}
+        if dets:
+            out.append(Trajectory(t.id, dets))
+    return out
+
+
+def idf1_scalar(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> IdentityScores:
+    gt_tracks = sorted(gt.trajectories, key=lambda t: t.id)
+    pred_tracks = sorted(pred.trajectories, key=lambda t: t.id)
+    n_gt_boxes = sum(len(t.detections) for t in gt_tracks)
+    n_pred_boxes = sum(len(t.detections) for t in pred_tracks)
+
+    G, P = len(gt_tracks), len(pred_tracks)
+    overlap = np.zeros((G, P), dtype=float)  # co-located frame counts
+    for i, gtrack in enumerate(gt_tracks):
+        for j, ptrack in enumerate(pred_tracks):
+            if gtrack.stop < ptrack.start or ptrack.stop < gtrack.start:
+                continue
+            common = gtrack.detections.keys() & ptrack.detections.keys()
+            overlap[i, j] = sum(
+                1
+                for f in common
+                if box_iou(gtrack.detections[f].box, ptrack.detections[f].box)
+                >= iou_match
+            )
+
+    forbidden = float(n_gt_boxes + n_pred_boxes + 1)
+    size = G + P
+    cost = np.full((size, size), forbidden)
+    for i, gtrack in enumerate(gt_tracks):
+        gi = len(gtrack.detections)
+        for j, ptrack in enumerate(pred_tracks):
+            cost[i, j] = gi + len(ptrack.detections) - 2.0 * overlap[i, j]
+        cost[i, P + i] = gi  # gt identity left unmatched
+    for j, ptrack in enumerate(pred_tracks):
+        cost[G + j, j] = len(ptrack.detections)  # predicted identity unmatched
+    cost[G:, P:] = 0.0
+
+    idtp = 0
+    for r, c in zip(*linear_sum_assignment(cost)):
+        if r < G and c < P:
+            idtp += int(overlap[r, c])
+
+    idfn = n_gt_boxes - idtp
+    idfp = n_pred_boxes - idtp
+    denom = 2 * idtp + idfp + idfn
+    score = 2.0 * idtp / denom if denom > 0 else None
+    return IdentityScores(idtp, idfp, idfn, score)
+
+
+def ensemble_pipeline_scalar(tracksets: Sequence[TrackSet], cfg: EnsembleConfig) -> TrackSet:
+    """``ensemble_pipeline`` with the scalar grouping and NMS."""
+    pool = mix(tracksets)
+    merged = [merge_group(g, cfg.merge_mode) for g in merge_groups_scalar(pool, cfg.thr_s, cfg.thr_t)]
+    kept = length_filter(length_nms_scalar(merged, cfg.thr_nms), cfg.thr_len)
+    return TrackSet(tracksets[0].sequence, [t.with_id(i) for i, t in enumerate(kept, start=1)])

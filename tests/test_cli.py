@@ -103,6 +103,19 @@ def test_merge_thr_len_zero_matches_library(tmp_path):
     assert out.read_text() == serialize_trackset(expected)
 
 
+@pytest.mark.parametrize("other", ["", GT_TEXT])
+def test_merge_with_an_empty_input_file(tmp_path, other):
+    empty, src = tmp_path / "empty.txt", tmp_path / "a.txt"
+    empty.write_text("")
+    src.write_text(other)
+    out = tmp_path / "out.txt"
+    assert main(["merge", "-i", str(empty), "-o", str(out)]) == 0
+    assert out.read_text() == ""
+    assert main(["merge", "-i", str(empty), "-i", str(src), "-o", str(out), "--thr-len", "0"]) == 0
+    expected = ensemble_pipeline([load_trackset(src)], EnsembleConfig(thr_len=0))
+    assert out.read_text() == serialize_trackset(expected)
+
+
 def test_merge_pass_through_settings_reproduce_input(tmp_path):
     ts = TrackSet("s", [const_track(1, 1, 30), const_track(2, 10, 45, box=(300.0, 20.0, 15.0, 25.0))])
     src = tmp_path / "in.txt"

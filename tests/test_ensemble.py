@@ -287,3 +287,19 @@ def test_pipeline_average_mode_runs():
     out = ensemble_pipeline([TrackSet("s", [t1]), TrackSet("s", [t2])], cfg)
     assert len(out) == 1
     assert out.trajectories[0].detections[1].box.x == 1.0
+
+
+def test_config_merge_mode_accepts_values_and_rejects_unknown():
+    cfg = EnsembleConfig(merge_mode="drop")
+    assert cfg.merge_mode is MergeMode.DROP
+    assert EnsembleConfig(merge_mode="average").merge_mode is MergeMode.AVERAGE
+    with pytest.raises(ValueError):
+        EnsembleConfig(merge_mode="bogus")
+    # on inputs where the modes disagree, "drop" must drop, not average
+    t1 = const_track(1, 1, 30)
+    t2 = const_track(1, 1, 30, box=(2.0, 0.0, 10.0, 10.0))
+    tracksets = [TrackSet("s", [t1]), TrackSet("s", [t2])]
+    by_value = ensemble_pipeline(tracksets, EnsembleConfig(thr_len=0, merge_mode="drop"))
+    by_member = ensemble_pipeline(tracksets, EnsembleConfig(thr_len=0, merge_mode=MergeMode.DROP))
+    averaged = ensemble_pipeline(tracksets, EnsembleConfig(thr_len=0, merge_mode=MergeMode.AVERAGE))
+    assert by_value == by_member != averaged

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -87,3 +90,16 @@ def test_trackset_counts():
     ts = TrackSet("s", [t1, t2])
     assert len(ts) == 2
     assert ts.num_detections == 3
+
+
+def test_value_types_pickle_copy_and_stay_frozen():
+    box = BoundingBox(1.5, 2.5, 3.0, 4.0)
+    det = Detection(3, box, 0.25, 2)
+    traj = Trajectory.from_detections(4, [det, Detection(5, box)])
+    ts = TrackSet("seq", [traj])
+    for value, field in [(box, "x"), (det, "frame"), (traj, "id"), (ts, "sequence")]:
+        assert not hasattr(value, "__dict__")  # slotted
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert clone == value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, getattr(value, field))
