@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .geometry import box_columns, same_frame_pairs
-from .model import BoundingBox, Detection, TrackSet, Trajectory
+from .model import TrackSet, Trajectory
 
 
 class MergeMode(Enum):
@@ -49,15 +49,14 @@ class EnsembleConfig:
 def mix(tracksets: Sequence[TrackSet]) -> List[Trajectory]:
     """Pool trajectories from all trackers into one list.
 
-    Ids are reassigned 1..N in (tracker index, original id) order, and every
-    detection is tagged with the index of the tracker it came from.
+    Ids are reassigned 1..N in (tracker index, original id) order, so the
+    pooled id tells which tracker a trajectory came from. The boxes are
+    shared, not copied.
     """
     pooled: List[Trajectory] = []
-    next_id = 1
-    for source, ts in enumerate(tracksets):
+    for ts in tracksets:
         for traj in sorted(ts.trajectories, key=lambda t: t.id):
-            pooled.append(traj.with_source(source).with_id(next_id))
-            next_id += 1
+            pooled.append(traj.with_id(len(pooled) + 1))
     return pooled
 
 
@@ -68,30 +67,28 @@ def merge_group(group: Sequence[Trajectory], mode: MergeMode) -> Trajectory:
     id. The output covers the union of all member frames. Where several
     members cover one frame, DROP keeps the box of the longest member
     present (ties resolved by group order) and AVERAGE takes the
-    coordinate-wise mean of all boxes present.
+    coordinate-wise mean of all boxes present: their sum, started from 0
+    and taken in group order, divided by their number.
     """
     anchor = group[0]
     if len(group) == 1:
         return anchor
-    frames: set[int] = set()
-    for t in group:
-        frames.update(t.detections.keys())
-    merged: Dict[int, Detection] = {}
-    for f in sorted(frames):
-        present = [t.detections[f] for t in group if f in t.detections]
-        if mode is MergeMode.DROP or len(present) == 1:
-            merged[f] = present[0]
-        else:
-            n = len(present)
-            box = BoundingBox(
-                sum(d.box.x for d in present) / n,
-                sum(d.box.y for d in present) / n,
-                sum(d.box.w for d in present) / n,
-                sum(d.box.h for d in present) / n,
-            )
-            conf = sum(d.confidence for d in present) / n
-            merged[f] = Detection(f, box, conf, present[0].source)
-    return Trajectory(anchor.id, merged)
+    frames = np.unique(np.concatenate([t.frame for t in group]))
+    at = [np.searchsorted(frames, t.frame) for t in group]  # each member's rows in the output
+    values = np.empty((len(frames), 5))  # x, y, w, h, confidence: the first member present's
+    for rows, t in zip(reversed(at), reversed(group)):
+        values[rows, :4] = t.xywh
+        values[rows, 4] = t.conf
+    if mode is MergeMode.AVERAGE:
+        total = np.zeros_like(values)
+        present = np.zeros(len(frames), np.int64)
+        for rows, t in zip(at, group):
+            total[rows, :4] += t.xywh
+            total[rows, 4] += t.conf
+            present[rows] += 1
+        shared = present > 1
+        values[shared] = total[shared] / present[shared, None]
+    return Trajectory._of(anchor.id, frames, values[:, :4].copy(), values[:, 4].copy())
 
 
 def merge_groups(pool: Sequence[Trajectory], thr_s: float, thr_t: float) -> List[List[Trajectory]]:
@@ -156,18 +153,18 @@ def length_nms(tracks: Sequence[Trajectory], thr_nms: float) -> List[Trajectory]
             if (a, f) not in suppressed:
                 suppressed.add((b, f))
 
-    dropped: Dict[int, set[int]] = {}  # track index -> suppressed frames
+    dropped: Dict[int, List[int]] = {}  # track index -> suppressed frames
     for rank, f in suppressed:
-        dropped.setdefault(ranked[rank], set()).add(f)
+        dropped.setdefault(ranked[rank], []).append(f)
     out: List[Trajectory] = []
     for k, t in enumerate(tracks):
         gone = dropped.get(k)
         if gone is None:
             out.append(t)
             continue
-        dets = {f: d for f, d in t.detections.items() if f not in gone}
-        if dets:
-            out.append(Trajectory(t.id, dets))
+        keep = ~np.isin(t.frame, gone)
+        if keep.any():
+            out.append(Trajectory._of(t.id, t.frame[keep], t.xywh[keep], t.conf[keep]))
     return out
 
 

@@ -7,8 +7,6 @@ box columns, and feeds merge grouping, NMS and IDF1.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import attrgetter
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,8 +20,6 @@ BoxColumns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 # The most candidate box pairs the join builds at once, unless one frame
 # alone holds more. It bounds the join's memory and does not change results.
 PAIR_BLOCK = 1 << 14
-
-_XYWH = attrgetter("box.x", "box.y", "box.w", "box.h")
 
 
 def box_iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -58,13 +54,12 @@ def st_iou(ti: Trajectory, tj: Trajectory, thr_s: float) -> float:
 
 def box_columns(tracks: Sequence[Trajectory]) -> BoxColumns:
     """Every box of ``tracks`` as columns, owned by its track's index in ``tracks``."""
-    lengths = np.fromiter((len(t.detections) for t in tracks), np.int64, len(tracks))
-    n = int(lengths.sum())
-    frames = np.fromiter(chain.from_iterable(t.detections for t in tracks), np.int64, n)
+    if not tracks:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 4))
+    lengths = [len(t.frame) for t in tracks]
+    frames = np.concatenate([t.frame for t in tracks])
     owners = np.repeat(np.arange(len(tracks)), lengths)
-    dets = chain.from_iterable(t.detections.values() for t in tracks)
-    boxes = np.fromiter(chain.from_iterable(map(_XYWH, dets)), np.float64, 4 * n)
-    return frames, owners, boxes.reshape(n, 4)
+    return frames, owners, np.concatenate([t.xywh for t in tracks])
 
 
 def _sorted(cols: BoxColumns) -> BoxColumns:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .model import BoundingBox, Detection, Trajectory
+import numpy as np
+
+from .model import Trajectory
 
 
 def linear_interpolate(track: Trajectory, max_gap: int) -> Trajectory:
@@ -11,29 +13,28 @@ def linear_interpolate(track: Trajectory, max_gap: int) -> Trajectory:
     For consecutive detected frames f0 < f1 with g = f1 - f0 - 1 missing
     frames in between, 1 <= g <= max_gap, boxes at f0+1..f1-1 are produced
     by coordinate-wise linear interpolation of the endpoint boxes (the
-    confidence is interpolated the same way). Larger gaps are left alone and
-    nothing is extrapolated beyond the first or last detection. Original
-    detections are never changed, so applying this twice equals applying it
-    once.
+    confidence is interpolated the same way): ``v0 + a * (v1 - v0)`` with
+    ``a = (f - f0) / (f1 - f0)``. Larger gaps are left alone and nothing is
+    extrapolated beyond the first or last detection. Original detections
+    are never changed, so applying this twice equals applying it once.
     """
     if max_gap < 1:
         raise ValueError(f"max_gap must be >= 1, got {max_gap}")
-    frames = track.frames()
-    dets = dict(track.detections)
-    for f0, f1 in zip(frames, frames[1:]):
-        gap = f1 - f0 - 1
-        if gap == 0 or gap > max_gap:
-            continue
-        d0, d1 = track.detections[f0], track.detections[f1]
-        b0, b1 = d0.box, d1.box
-        for f in range(f0 + 1, f1):
-            a = (f - f0) / (f1 - f0)
-            box = BoundingBox(
-                b0.x + a * (b1.x - b0.x),
-                b0.y + a * (b1.y - b0.y),
-                b0.w + a * (b1.w - b0.w),
-                b0.h + a * (b1.h - b0.h),
-            )
-            conf = d0.confidence + a * (d1.confidence - d0.confidence)
-            dets[f] = Detection(f, box, conf, d0.source)
-    return Trajectory(track.id, dets)
+    gaps = np.diff(track.frame) - 1
+    filled = np.flatnonzero((gaps >= 1) & (gaps <= max_gap))  # row before each gap that is filled
+    if len(filled) == 0:
+        return track
+    sizes = gaps[filled]
+    before = np.repeat(filled, sizes)
+    f0, f1 = track.frame[before], track.frame[before + 1]
+    new_frames = f0 + np.arange(1, len(before) + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    a = ((new_frames - f0) / (f1 - f0))[:, None]
+    values = np.column_stack([track.xywh, track.conf])
+    v0, v1 = values[before], values[before + 1]
+    new_values = v0 + a * (v1 - v0)
+
+    frames = np.concatenate([track.frame, new_frames])
+    order = np.argsort(frames, kind="stable")
+    xywh = np.concatenate([track.xywh, new_values[:, :4]])[order]
+    conf = np.concatenate([track.conf, new_values[:, 4]])[order]
+    return Trajectory._of(track.id, frames[order], xywh, conf)

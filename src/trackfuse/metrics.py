@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import box_columns, box_iou, same_frame_pairs
-from .model import BoundingBox, TrackSet
+from .geometry import BoxColumns, box_columns, same_frame_pairs
+from .model import TrackSet
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,56 @@ class EvalReport:
     identity: IdentityScores
 
 
-def _boxes_by_frame(ts: TrackSet) -> Dict[int, List[Tuple[int, BoundingBox]]]:
-    """frame -> [(trajectory id, box)], ids ascending within each frame."""
-    index: Dict[int, List[Tuple[int, BoundingBox]]] = {}
-    for traj in sorted(ts.trajectories, key=lambda t: t.id):
-        for frame, det in traj.detections.items():
-            index.setdefault(frame, []).append((traj.id, det.box))
-    return index
-
-
 # Finite stand-in for a forbidden assignment; real costs here never exceed 1.
 _FORBIDDEN = 1e9
+
+
+def _by_frame(cols: BoxColumns) -> Tuple[np.ndarray, np.ndarray]:
+    """Frames and owners of the boxes, sorted by (frame, owner)."""
+    order = np.lexsort((cols[1], cols[0]))
+    return cols[0][order], cols[1][order]
+
+
+def _owners_at(by_frame: Tuple[np.ndarray, np.ndarray], frames: np.ndarray) -> List[List[int]]:
+    """For each of ``frames``, the owners of its boxes in ascending order."""
+    at, owners = by_frame
+    lo = np.searchsorted(at, frames, "left")
+    hi = np.searchsorted(at, frames, "right")
+    return [owners[a:b].tolist() for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+def _frame_matches(
+    gts: List[int], preds: List[int], iou_of: Dict[Tuple[int, int], float], last_match: Dict[int, int]
+) -> Dict[int, int]:
+    """One frame's correspondences, gt owner -> predicted owner.
+
+    ``gts`` and ``preds`` are the owners present, ascending; ``iou_of``
+    holds the IoU of every pair at or above the matching threshold.
+    """
+    matches: Dict[int, int] = {}
+    used_preds: set[int] = set()
+
+    # 1. carry over still-valid correspondences
+    for gid in gts:
+        pid = last_match.get(gid)
+        if pid is not None and pid not in used_preds and (gid, pid) in iou_of:
+            matches[gid] = pid
+            used_preds.add(pid)
+
+    # 2. assign the rest, forbidding pairs under the IoU threshold
+    if any(g not in matches and p not in used_preds for g, p in iou_of):
+        rem_gts = [gid for gid in gts if gid not in matches]
+        rem_preds = [pid for pid in preds if pid not in used_preds]
+        row = {gid: r for r, gid in enumerate(rem_gts)}
+        col = {pid: c for c, pid in enumerate(rem_preds)}
+        cost = np.full((len(rem_gts), len(rem_preds)), _FORBIDDEN)
+        for (gid, pid), iou in iou_of.items():
+            if gid in row and pid in col:
+                cost[row[gid], col[pid]] = 1.0 - iou
+        for r, c in zip(*linear_sum_assignment(cost)):
+            if cost[r, c] < _FORBIDDEN:
+                matches[rem_gts[r]] = rem_preds[c]
+    return matches
 
 
 def clear_mot(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> ClearScores:
@@ -78,62 +117,43 @@ def clear_mot(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> ClearScor
     ground-truth identity re-matched to a different predicted id than its
     last known match counts one IDSW (re-finding the same id after an
     absence does not).
+
+    The IoUs come from the same-frame overlap join, one block of whole
+    frames at a time. Only frames with a pair at or above ``iou_match`` can
+    match anything, so only those are visited.
     """
     if not 0.0 < iou_match <= 1.0:
         raise ValueError(f"iou_match must be in (0, 1], got {iou_match}")
-    gt_frames = _boxes_by_frame(gt)
-    pred_frames = _boxes_by_frame(pred)
-    num_gt = sum(len(v) for v in gt_frames.values())
+    # owners index the id-sorted tracks, so owner order is id order
+    gt_cols = box_columns(sorted(gt.trajectories, key=lambda t: t.id))
+    pred_cols = box_columns(sorted(pred.trajectories, key=lambda t: t.id))
+    gt_by_frame, pred_by_frame = _by_frame(gt_cols), _by_frame(pred_cols)
+    num_gt, num_pred = len(gt_cols[0]), len(pred_cols[0])
+    blocks = same_frame_pairs(gt_cols, pred_cols)
+    del gt_cols, pred_cols  # the join sorts its own copies; free these while it runs
 
-    fp = fn = idsw = 0
-    last_match: Dict[int, int] = {}  # gt id -> last predicted id it matched
+    matched = idsw = 0
+    last_match: Dict[int, int] = {}  # gt owner -> last predicted owner it matched
+    for pairs in blocks:
+        hit = pairs[3] >= iou_match
+        frame, hit_gt, hit_pred, hit_iou = (column[hit] for column in pairs)
+        frames, starts = np.unique(frame, return_index=True)
+        bounds = np.append(starts, len(frame)).tolist()
+        keys = list(zip(hit_gt.tolist(), hit_pred.tolist()))
+        hit_iou = hit_iou.tolist()
+        gts_at, preds_at = _owners_at(gt_by_frame, frames), _owners_at(pred_by_frame, frames)
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            iou_of = dict(zip(keys[lo:hi], hit_iou[lo:hi]))
+            matches = _frame_matches(gts_at[k], preds_at[k], iou_of, last_match)
+            matched += len(matches)
+            for gid, pid in matches.items():
+                prev = last_match.get(gid)
+                if prev is not None and prev != pid:
+                    idsw += 1
+                last_match[gid] = pid
 
-    for frame in sorted(set(gt_frames) | set(pred_frames)):
-        gts = gt_frames.get(frame, [])
-        preds = pred_frames.get(frame, [])
-        pred_by_id = dict(preds)
-
-        matches: Dict[int, int] = {}
-        used_preds: set[int] = set()
-
-        # 1. carry over still-valid correspondences
-        for gid, gbox in gts:
-            pid = last_match.get(gid)
-            if (
-                pid is not None
-                and pid in pred_by_id
-                and pid not in used_preds
-                and box_iou(gbox, pred_by_id[pid]) >= iou_match
-            ):
-                matches[gid] = pid
-                used_preds.add(pid)
-
-        # 2. assign the rest, forbidding pairs under the IoU threshold
-        rem_gts = [(gid, box) for gid, box in gts if gid not in matches]
-        rem_preds = [(pid, box) for pid, box in preds if pid not in used_preds]
-        if rem_gts and rem_preds:
-            ious = [
-                [box_iou(gbox, pbox) for _, pbox in rem_preds] for _, gbox in rem_gts
-            ]
-            cost = [
-                [1.0 - iou if iou >= iou_match else _FORBIDDEN for iou in row]
-                for row in ious
-            ]
-            for r, c in zip(*linear_sum_assignment(cost)):
-                if ious[r][c] >= iou_match:
-                    gid = rem_gts[r][0]
-                    pid = rem_preds[c][0]
-                    matches[gid] = pid
-                    used_preds.add(pid)
-
-        fn += len(gts) - len(matches)
-        fp += len(preds) - len(matches)
-        for gid, pid in matches.items():
-            prev = last_match.get(gid)
-            if prev is not None and prev != pid:
-                idsw += 1
-            last_match[gid] = pid
-
+    fn = num_gt - matched
+    fp = num_pred - matched
     mota = 1.0 - (fn + fp + idsw) / num_gt if num_gt > 0 else None
     return ClearScores(num_gt, fp, fn, idsw, mota)
 
@@ -153,8 +173,8 @@ def idf1(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> IdentityScores
         raise ValueError(f"iou_match must be in (0, 1], got {iou_match}")
     gt_tracks = sorted(gt.trajectories, key=lambda t: t.id)
     pred_tracks = sorted(pred.trajectories, key=lambda t: t.id)
-    gt_len = np.fromiter((len(t.detections) for t in gt_tracks), np.int64, len(gt_tracks))
-    pred_len = np.fromiter((len(t.detections) for t in pred_tracks), np.int64, len(pred_tracks))
+    gt_len = np.fromiter((len(t.frame) for t in gt_tracks), np.int64, len(gt_tracks))
+    pred_len = np.fromiter((len(t.frame) for t in pred_tracks), np.int64, len(pred_tracks))
     n_gt_boxes, n_pred_boxes = int(gt_len.sum()), int(pred_len.sum())
 
     G, P = len(gt_tracks), len(pred_tracks)

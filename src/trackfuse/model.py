@@ -1,14 +1,22 @@
 """Core data model: boxes, detections, trajectories and track sets.
 
-All types are plain immutable values. Functions elsewhere in the package
-never mutate them, so they are safe to share across threads.
+A trajectory stores its boxes as columns: ascending frames, an ``(n, 4)``
+array of ``(x, y, w, h)`` boxes and the confidences, all read-only.
+``BoundingBox`` and ``Detection`` are the per-box view of those columns, for
+callers that want one box at a time.
+
+All types are immutable values. Functions elsewhere in the package never
+mutate them, so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, List, Optional
+
+import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,16 +53,11 @@ class BoundingBox:
 
 @dataclass(frozen=True, slots=True)
 class Detection:
-    """One box of one identity at one frame.
-
-    ``source`` tags the tracker the detection originally came from, so a
-    merged trajectory can remember where each of its boxes originated.
-    """
+    """One box of one identity at one frame."""
 
     frame: int
     box: BoundingBox
     confidence: float = 1.0
-    source: int = 0
 
     def __post_init__(self) -> None:
         if self.frame < 1:
@@ -63,64 +66,150 @@ class Detection:
             raise ValueError(f"confidence outside [0, 1]: {self.confidence}")
 
 
-@dataclass(frozen=True, slots=True)
-class Trajectory:
-    """All detections of a single identity, indexed by frame.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    Frames between ``start`` and ``stop`` may be missing (gaps); ``length``
-    is the inclusive frame span ``stop - start + 1`` regardless of gaps.
-    The detection mapping is normalized to ascending frame order.
+
+class _Detections(Mapping):
+    """Read-only ``frame -> Detection`` view of a trajectory's columns.
+
+    Its length and its frames come from the columns. The ``Detection``
+    objects are built on the first item read, then kept.
+    """
+
+    __slots__ = ("_frame", "_xywh", "_conf", "_items")
+
+    def __init__(self, frame: np.ndarray, xywh: np.ndarray, conf: np.ndarray):
+        self._frame, self._xywh, self._conf = frame, xywh, conf
+        self._items: Optional[Dict[int, Detection]] = None
+
+    def __len__(self) -> int:
+        return len(self._frame)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._frame.tolist())
+
+    def __getitem__(self, frame: int) -> Detection:
+        return self._built()[frame]
+
+    def _built(self) -> Dict[int, Detection]:
+        if self._items is None:
+            self._items = {
+                f: Detection(f, BoundingBox(*box), c)
+                for f, box, c in zip(self._frame.tolist(), self._xywh.tolist(), self._conf.tolist())
+            }
+        return self._items
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Trajectory:
+    """All boxes of a single identity, as columns.
+
+    ``frame`` is an ascending ``int64[n]`` without repeats, ``xywh`` the
+    ``float64[n, 4]`` boxes and ``conf`` the ``float64[n]`` confidences.
+    The constructor copies and validates them once and makes the copies
+    read-only. Frames between ``start`` and ``stop`` may be missing (gaps);
+    ``length`` is the inclusive frame span ``stop - start + 1`` regardless
+    of gaps.
     """
 
     id: int
-    detections: Dict[int, Detection]
+    frame: np.ndarray
+    xywh: np.ndarray
+    conf: np.ndarray
+    _detections: Optional[_Detections] = field(default=None, init=False, repr=False)
+
+    __hash__ = None  # compared by value, like the arrays it holds
 
     def __post_init__(self) -> None:
         if self.id < 1:
             raise ValueError(f"trajectory id must be >= 1, got {self.id}")
-        if not self.detections:
+        frame = _read_only(np.array(self.frame, dtype=np.int64).reshape(-1))
+        if len(frame) == 0:
             raise ValueError("trajectory must contain at least one detection")
-        items = sorted(self.detections.items())
-        for frame, det in items:
-            if det.frame != frame:
-                raise ValueError(
-                    f"detection frame {det.frame} stored under key {frame}"
-                )
-        object.__setattr__(self, "detections", dict(items))
+        # reshape raises ValueError when the column lengths differ
+        xywh = _read_only(np.array(self.xywh, dtype=np.float64).reshape(len(frame), 4))
+        conf = _read_only(np.array(self.conf, dtype=np.float64).reshape(len(frame)))
+        if frame[0] < 1:
+            raise ValueError(f"frame must be >= 1, got {frame[0]}")
+        if (np.diff(frame) <= 0).any():
+            raise ValueError(f"frames of trajectory {self.id} are not ascending and unique")
+        if not np.isfinite(xywh).all():
+            raise ValueError("non-finite bounding box field")
+        if (xywh[:, 2:] <= 0).any():
+            raise ValueError("non-positive box width or height")
+        if not ((conf >= 0.0) & (conf <= 1.0)).all():
+            raise ValueError("confidence outside [0, 1]")
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "xywh", xywh)
+        object.__setattr__(self, "conf", conf)
+
+    @classmethod
+    def _of(cls, track_id: int, frame: np.ndarray, xywh: np.ndarray, conf: np.ndarray) -> "Trajectory":
+        """Wrap columns that are valid by construction, without copying or checking them."""
+        traj = object.__new__(cls)
+        object.__setattr__(traj, "id", track_id)
+        object.__setattr__(traj, "frame", _read_only(frame))
+        object.__setattr__(traj, "xywh", _read_only(xywh))
+        object.__setattr__(traj, "conf", _read_only(conf))
+        object.__setattr__(traj, "_detections", None)
+        return traj
 
     @classmethod
     def from_detections(cls, track_id: int, detections: Iterable[Detection]) -> "Trajectory":
-        """Build a trajectory, rejecting duplicate frames."""
-        dets: Dict[int, Detection] = {}
-        for det in detections:
-            if det.frame in dets:
-                raise ValueError(
-                    f"duplicate frame {det.frame} in trajectory {track_id}"
-                )
-            dets[det.frame] = det
-        return cls(track_id, dets)
+        """Build a trajectory from detections in any frame order, rejecting duplicate frames."""
+        dets = sorted(detections, key=lambda d: d.frame)
+        for prev, det in zip(dets, dets[1:]):
+            if prev.frame == det.frame:
+                raise ValueError(f"duplicate frame {det.frame} in trajectory {track_id}")
+        return cls(
+            track_id,
+            [d.frame for d in dets],
+            [(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets],
+            [d.confidence for d in dets],
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (
+            self.id == other.id
+            and np.array_equal(self.frame, other.frame)
+            and np.array_equal(self.xywh, other.xywh)
+            and np.array_equal(self.conf, other.conf)
+        )
+
+    def __reduce__(self):
+        return Trajectory, (self.id, self.frame, self.xywh, self.conf)
+
+    @property
+    def detections(self) -> Mapping[int, Detection]:
+        """The boxes as a read-only ``frame -> Detection`` mapping, in ascending frame order."""
+        if self._detections is None:
+            object.__setattr__(self, "_detections", _Detections(self.frame, self.xywh, self.conf))
+        return self._detections
 
     @property
     def start(self) -> int:
-        return next(iter(self.detections))
+        return int(self.frame[0])
 
     @property
     def stop(self) -> int:
-        return next(reversed(self.detections))
+        return int(self.frame[-1])
 
     @property
     def length(self) -> int:
         return self.stop - self.start + 1
 
     def frames(self) -> List[int]:
-        return list(self.detections)
+        return self.frame.tolist()
 
     def with_id(self, new_id: int) -> "Trajectory":
-        return Trajectory(new_id, self.detections)
-
-    def with_source(self, source: int) -> "Trajectory":
-        dets = {f: replace(d, source=source) for f, d in self.detections.items()}
-        return Trajectory(self.id, dets)
+        """The same boxes under another id; the columns are shared."""
+        if new_id < 1:
+            raise ValueError(f"trajectory id must be >= 1, got {new_id}")
+        return Trajectory._of(new_id, self.frame, self.xywh, self.conf)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,4 +229,4 @@ class TrackSet:
 
     @property
     def num_detections(self) -> int:
-        return sum(len(t.detections) for t in self.trajectories)
+        return sum(len(t.frame) for t in self.trajectories)

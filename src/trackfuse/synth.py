@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .model import BoundingBox, Detection, TrackSet, Trajectory
+import numpy as np
+
+from .model import TrackSet, Trajectory
 from .rng import SplitMix64, stream
 
 WAYPOINT_SPACING = 50  # frames between direction changes
@@ -107,18 +109,18 @@ def _generate_gt(spec: ScenarioSpec) -> TrackSet:
             y = _clamp(y + rng.uniform(-step, step), y_lo, y_hi)
             points.append((x, y))
 
-        dets: Dict[int, Detection] = {}
+        xs, ys = [], []
         for (f0, (x0, y0)), (f1, (x1, y1)) in zip(
             zip(waypoint_frames, points), zip(waypoint_frames[1:], points[1:])
         ):
-            for f in range(f0, f1):
-                a = (f - f0) / (f1 - f0)
-                dets[f] = Detection(
-                    f, BoundingBox(x0 + a * (x1 - x0), y0 + a * (y1 - y0), w, h)
-                )
-        last = waypoint_frames[-1]
-        dets[last] = Detection(last, BoundingBox(points[-1][0], points[-1][1], w, h))
-        trajectories.append(Trajectory(i + 1, dets))
+            a = (np.arange(f0, f1) - f0) / (f1 - f0)
+            xs.append(x0 + a * (x1 - x0))
+            ys.append(y0 + a * (y1 - y0))
+        xs.append([points[-1][0]])
+        ys.append([points[-1][1]])
+        n = spec.num_frames
+        xywh = np.column_stack([np.concatenate(xs), np.concatenate(ys), np.full(n, w), np.full(n, h)])
+        trajectories.append(Trajectory._of(i + 1, np.arange(1, n + 1), xywh, np.ones(n)))
     return TrackSet("synthetic", trajectories)
 
 
@@ -144,9 +146,10 @@ def _degrade(gt: TrackSet, deg: TrackerDegradation, rng: SplitMix64, sequence: s
                 s = rng.randint(lo, hi)
                 window = set(range(s, s + length))
 
-        segments: List[List[Detection]] = []
-        current: List[Detection] = []
-        for f, det in traj.detections.items():
+        rows: List[int] = []  # surviving rows of the object's track
+        shifts: List[Tuple[float, float]] = []
+        starts = [0]  # where in ``rows`` each id segment starts
+        for row, f in enumerate(traj.frame.tolist()):
             if f in window:
                 continue
             dropped = rng.bernoulli(deg.drop_rate)
@@ -155,16 +158,17 @@ def _degrade(gt: TrackSet, deg: TrackerDegradation, rng: SplitMix64, sequence: s
             switched = rng.bernoulli(deg.idswitch_rate)
             if dropped:
                 continue
-            if switched and current:
-                segments.append(current)
-                current = []
-            box = BoundingBox(det.box.x + dx, det.box.y + dy, det.box.w, det.box.h)
-            current.append(Detection(f, box, det.confidence))
-        if current:
-            segments.append(current)
+            if switched and len(rows) > starts[-1]:
+                starts.append(len(rows))
+            rows.append(row)
+            shifts.append((dx, dy))
+        if not rows:
+            continue
 
-        for segment in segments:
-            trajectories.append(Trajectory.from_detections(next_id, segment))
+        frame, xywh, conf = traj.frame[rows], traj.xywh[rows], traj.conf[rows]
+        xywh[:, :2] += shifts
+        for lo, hi in zip(starts, starts[1:] + [len(rows)]):
+            trajectories.append(Trajectory._of(next_id, frame[lo:hi], xywh[lo:hi], conf[lo:hi]))
             next_id += 1
     return TrackSet(sequence, trajectories)
 
@@ -207,14 +211,13 @@ def _half_degraded(
             if s_lo <= s_hi:
                 s = rng.randint(s_lo, s_hi)
                 window.update(range(s, s + length))
+        outside = ~np.isin(traj.frame, list(window))
         for lo, hi in ((traj.start, mid - 1), (mid, traj.stop)):
-            dets = [
-                det
-                for f, det in traj.detections.items()
-                if lo <= f <= hi and f not in window
-            ]
-            if dets:
-                trajectories.append(Trajectory.from_detections(next_id, dets))
+            keep = outside & (traj.frame >= lo) & (traj.frame <= hi)
+            if keep.any():
+                trajectories.append(
+                    Trajectory(next_id, traj.frame[keep], traj.xywh[keep], traj.conf[keep])
+                )
                 next_id += 1
     return TrackSet(sequence, trajectories)
 

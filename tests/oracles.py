@@ -4,8 +4,9 @@ Everything here recomputes results from first principles (exhaustive frame
 scans, permutation enumeration, Monte-Carlo sampling) so the library is
 checked against code that shares none of its logic. The scalar pipeline
 stages at the end are the exception: they are the per-pair ``box_iou``
-loops that merge grouping, NMS and IDF1 ran before the overlap join, kept
-as differential references.
+loops that merge grouping, NMS and IDF1 ran before the overlap join, and
+the per-line parser that ran before the columnar one, kept as
+differential references.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from trackfuse import BoundingBox, Detection, TrackSet, Trajectory
+from trackfuse import BoundingBox, Detection, ParseError, TrackSet, Trajectory
 from trackfuse.ensemble import EnsembleConfig, length_filter, merge_group, mix
 from trackfuse.geometry import box_iou, st_iou
-from trackfuse.metrics import IdentityScores
+from trackfuse.io import MAX_INDEX, MIN_BOX_SIZE
+from trackfuse.metrics import ClearScores, IdentityScores
 
 
 def iou_naive(a: BoundingBox, b: BoundingBox) -> float:
@@ -91,13 +93,12 @@ def brute_force_min_cost(cost: Sequence[Sequence[float]]) -> float:
 def make_track(
     track_id: int,
     boxes: Dict[int, Tuple[float, float, float, float] | BoundingBox],
-    source: int = 0,
     confidence: float = 1.0,
 ) -> Trajectory:
     dets = []
     for f, b in sorted(boxes.items()):
         box = b if isinstance(b, BoundingBox) else BoundingBox(*b)
-        dets.append(Detection(f, box, confidence, source))
+        dets.append(Detection(f, box, confidence))
     return Trajectory.from_detections(track_id, dets)
 
 
@@ -167,9 +168,9 @@ def canonical(ts_or_tracks) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Scalar pipeline stages: merge grouping, length NMS and IDF1 as they were
-# written before the same-frame overlap join, one box_iou call per box pair.
-# The library's versions must give identical results.
+# Scalar pipeline stages: merge grouping, length NMS, IDF1 and CLEAR as they
+# were written before the same-frame overlap join, one box_iou call per box
+# pair. The library's versions must give identical results.
 
 
 def merge_groups_scalar(pool: Sequence[Trajectory], thr_s: float, thr_t: float) -> List[List[Trajectory]]:
@@ -210,9 +211,9 @@ def length_nms_scalar(tracks: Sequence[Trajectory], thr_nms: float) -> List[Traj
 
     out: List[Trajectory] = []
     for t in tracks:
-        dets = {f: d for f, d in t.detections.items() if (t.id, f) not in suppressed}
+        dets = [d for f, d in t.detections.items() if (t.id, f) not in suppressed]
         if dets:
-            out.append(Trajectory(t.id, dets))
+            out.append(Trajectory.from_detections(t.id, dets))
     return out
 
 
@@ -260,9 +261,133 @@ def idf1_scalar(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> Identit
     return IdentityScores(idtp, idfp, idfn, score)
 
 
+def clear_mot_scalar(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> ClearScores:
+    """``clear_mot`` with one ``box_iou`` call per same-frame box pair, over every frame."""
+
+    def boxes_by_frame(ts: TrackSet) -> Dict[int, List[Tuple[int, BoundingBox]]]:
+        index: Dict[int, List[Tuple[int, BoundingBox]]] = {}
+        for traj in sorted(ts.trajectories, key=lambda t: t.id):
+            for frame, det in traj.detections.items():
+                index.setdefault(frame, []).append((traj.id, det.box))
+        return index
+
+    gt_frames = boxes_by_frame(gt)
+    pred_frames = boxes_by_frame(pred)
+    num_gt = sum(len(v) for v in gt_frames.values())
+
+    fp = fn = idsw = 0
+    last_match: Dict[int, int] = {}  # gt id -> last predicted id it matched
+
+    for frame in sorted(set(gt_frames) | set(pred_frames)):
+        gts = gt_frames.get(frame, [])
+        preds = pred_frames.get(frame, [])
+        pred_by_id = dict(preds)
+
+        matches: Dict[int, int] = {}
+        used_preds: set[int] = set()
+
+        for gid, gbox in gts:
+            pid = last_match.get(gid)
+            if (
+                pid is not None
+                and pid in pred_by_id
+                and pid not in used_preds
+                and box_iou(gbox, pred_by_id[pid]) >= iou_match
+            ):
+                matches[gid] = pid
+                used_preds.add(pid)
+
+        rem_gts = [(gid, box) for gid, box in gts if gid not in matches]
+        rem_preds = [(pid, box) for pid, box in preds if pid not in used_preds]
+        if rem_gts and rem_preds:
+            ious = [[box_iou(gbox, pbox) for _, pbox in rem_preds] for _, gbox in rem_gts]
+            cost = [[1.0 - iou if iou >= iou_match else 1e9 for iou in row] for row in ious]
+            for r, c in zip(*linear_sum_assignment(cost)):
+                if ious[r][c] >= iou_match:
+                    gid = rem_gts[r][0]
+                    pid = rem_preds[c][0]
+                    matches[gid] = pid
+                    used_preds.add(pid)
+
+        fn += len(gts) - len(matches)
+        fp += len(preds) - len(matches)
+        for gid, pid in matches.items():
+            prev = last_match.get(gid)
+            if prev is not None and prev != pid:
+                idsw += 1
+            last_match[gid] = pid
+
+    mota = 1.0 - (fn + fp + idsw) / num_gt if num_gt > 0 else None
+    return ClearScores(num_gt, fp, fn, idsw, mota)
+
+
 def ensemble_pipeline_scalar(tracksets: Sequence[TrackSet], cfg: EnsembleConfig) -> TrackSet:
     """``ensemble_pipeline`` with the scalar grouping and NMS."""
     pool = mix(tracksets)
     merged = [merge_group(g, cfg.merge_mode) for g in merge_groups_scalar(pool, cfg.thr_s, cfg.thr_t)]
     kept = length_filter(length_nms_scalar(merged, cfg.thr_nms), cfg.thr_len)
     return TrackSet(tracksets[0].sequence, [t.with_id(i) for i, t in enumerate(kept, start=1)])
+
+
+def _positive_index(value: float, name: str, line_no: int) -> int:
+    if not value.is_integer() or value < 1:
+        raise ParseError(line_no, f"{name} must be a positive integer, got {value}")
+    if value >= MAX_INDEX:
+        raise ParseError(line_no, f"{name} must be below 2**53, got {value}")
+    return int(value)
+
+
+def parse_trackset_scalar(text: str, is_ground_truth: bool = False, sequence: str = "") -> TrackSet:
+    """``parse_trackset`` one line at a time, one validated ``Detection`` per box."""
+    per_id: dict[int, List[Detection]] = {}
+    seen: set[tuple[int, int]] = set()
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        while parts and parts[-1] == "":
+            parts.pop()
+        if len(parts) < 6:
+            raise ParseError(line_no, f"expected at least 6 columns, got {len(parts)}")
+        values = []
+        for part in parts:
+            try:
+                values.append(float(part))
+            except ValueError:
+                raise ParseError(line_no, f"malformed number {part!r}") from None
+
+        frame = _positive_index(values[0], "frame", line_no)
+        track_id = _positive_index(values[1], "id", line_no)
+        x, y, w, h = values[2:6]
+        if w < MIN_BOX_SIZE:
+            raise ParseError(line_no, f"box width {w} below {MIN_BOX_SIZE}")
+        if h < MIN_BOX_SIZE:
+            raise ParseError(line_no, f"box height {h} below {MIN_BOX_SIZE}")
+
+        if is_ground_truth:
+            if len(values) >= 7 and values[6] == 0:
+                continue
+            conf = 1.0
+        else:
+            conf = values[6] if len(values) >= 7 else 1.0
+            if conf < 0:  # -1 marks an unset confidence column
+                conf = 1.0
+            conf = min(conf, 1.0)
+
+        if (frame, track_id) in seen:
+            raise ParseError(line_no, f"duplicate (frame, id) pair ({frame}, {track_id})")
+        seen.add((frame, track_id))
+
+        try:
+            det = Detection(frame, BoundingBox(x, y, w, h), conf)
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from exc
+        per_id.setdefault(track_id, []).append(det)
+
+    trajectories = [
+        Trajectory.from_detections(track_id, dets)
+        for track_id, dets in sorted(per_id.items())
+    ]
+    return TrackSet(sequence, trajectories)

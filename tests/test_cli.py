@@ -189,6 +189,16 @@ def test_merge_parse_error_reports_line(tmp_path, capsys):
     assert "line 1" in err and "width" in err
 
 
+@pytest.mark.parametrize("line", ["10000000000000000000000,1,10,10,5,5,1", "1,9007199254740992,10,10,5,5,1"])
+def test_frame_or_id_of_2_to_the_53_is_an_input_error(tmp_path, capsys, line):
+    src = tmp_path / "huge.txt"
+    src.write_text(GT_TEXT + line + "\n")
+    assert main(["merge", "-i", str(src), "-o", str(tmp_path / "out.txt")]) == 2
+    assert "line 11" in capsys.readouterr().err
+    assert main(["eval", "--gt", str(src), "--pred", str(src)]) == 2
+    assert "line 11" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--thr-s", "1.5"], ["--thr-t", "-0.2"], ["--mode", "weird"], ["--interpolate", "0"]],

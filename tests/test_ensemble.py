@@ -49,8 +49,9 @@ def test_mix_pools_and_relabels():
     # tracker order first, original id order within a tracker
     assert pooled[0].detections[1].box.x == 50  # ts1's id 1
     assert pooled[3].detections[1].box.x == 150  # ts2's id 1
-    sources = [next(iter(t.detections.values())).source for t in pooled]
-    assert sources == [0, 0, 0, 1, 1, 1, 1]
+    # so the pooled id order tells which tracker each track came from
+    xs = [t.detections[1].box.x for t in pooled]
+    assert xs == [50, 100, 0, 150, 200, 250, 300]
 
 
 def test_mix_single_trackset_relabels_only():
@@ -91,6 +92,18 @@ def test_merge_group_average_means_coordinates():
     assert merged.detections[1].confidence == 0.75
     # frame 2 only has one member: untouched
     assert merged.detections[2].box.x == 0.0
+
+
+def test_merge_group_average_of_negative_zeros_writes_zero():
+    # the mean is a sum started from 0 (0 + -0.0 is 0.0), as Python's sum
+    # computes it; a lone box is copied as it is
+    t1 = make_track(1, {1: (-0.0, 0.0, 10.0, 10.0), 2: (-0.0, 0.0, 10.0, 10.0)})
+    t2 = make_track(2, {1: (-0.0, 0.0, 10.0, 10.0)})
+    merged = merge_group([t1, t2], MergeMode.AVERAGE)
+    assert serialize_trackset(TrackSet("s", [merged])).splitlines() == [
+        "1,1,0.00,0.00,10.00,10.00,1.00,-1,-1,-1",
+        "2,1,-0.00,0.00,10.00,10.00,1.00,-1,-1,-1",
+    ]
 
 
 def test_merge_group_drop_keeps_longest_member_box():

@@ -1,10 +1,26 @@
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trackfuse import ParseError, load_trackset, parse_trackset, save_trackset, serialize_trackset
+import trackfuse.io
+from trackfuse import (
+    EnsembleConfig,
+    MergeMode,
+    ParseError,
+    TrackSet,
+    ensemble_pipeline,
+    linear_interpolate,
+    load_trackset,
+    parse_trackset,
+    save_trackset,
+    serialize_trackset,
+)
 
-from oracles import random_trackset
+from oracles import parse_trackset_scalar, random_trackset
 
 
 def test_parse_two_line_result():
@@ -65,6 +81,11 @@ def test_parse_tolerates_spaces_and_trailing_commas():
         ("1,1,ten,20,30,40,1", "malformed"),
         ("1,1,10,20,30", "columns"),
         ("1,1,nan,20,30,40,1", "finite"),
+        # floats stop representing every integer at 2**53
+        ("10000000000000000000000,1,10,10,5,5,1", "frame"),
+        ("9007199254740992,1,10,20,30,40,1", "frame"),
+        ("1,9007199254740992,10,20,30,40,1", "id"),
+        ("1,1e300,10,20,30,40,1", "id"),
     ],
 )
 def test_parse_errors_carry_line_number(text, fragment):
@@ -73,6 +94,13 @@ def test_parse_errors_carry_line_number(text, fragment):
     assert exc_info.value.line_no == 1
     assert "line 1" in str(exc_info.value)
     assert fragment in str(exc_info.value)
+
+
+def test_parse_accepts_frames_and_ids_just_below_2_to_the_53():
+    ts = parse_trackset("9007199254740991,9007199254740991,10,20,30,40,1")
+    assert ts.trajectories[0].id == 2**53 - 1
+    assert ts.trajectories[0].frames() == [2**53 - 1]
+    assert serialize_trackset(ts).startswith("9007199254740991,9007199254740991,")
 
 
 def test_parse_duplicate_frame_id_pair_rejected():
@@ -142,3 +170,126 @@ def test_load_and_save(tmp_path):
     out = tmp_path / "out.txt"
     save_trackset(out, ts)
     assert out.read_text() == "1,1,10.00,20.00,30.00,40.00,0.90,-1,-1,-1\n"
+
+
+# -- the columnar parser against the per-line oracle --------------------------
+
+INDEX = st.integers(1, 6).map(str)
+ODD_INDEX = st.sampled_from(
+    ["0", "-1", "1.5", "2.0", "1e1", "1_0", "+3", " 2 ", "nan", "inf", "1e22",
+     "9007199254740991", "9007199254740992"]
+)
+COORD = st.floats(-50.0, 900.0).map(lambda v: f"{v:.3f}")
+SIZE = st.floats(0.01, 80.0).map(lambda v: f"{v:.3f}")
+ODD_NUMBER = st.sampled_from(
+    ["nan", "inf", "-inf", "1e400", "-0.0", "0", "1e1", "1_0", "0.01", "0.0099", "0.004"]
+)
+SEVENTH = st.sampled_from(["-1", "0", "0.5", "1", "1.7", "-0.0", "nan", "inf", "-inf"])
+MALFORMED = st.sampled_from(["", "x", "1..2", "0x10", "1 2", "--1", "_1", "1_", "nan1"])
+
+
+@st.composite
+def mot_line(draw, odd: bool) -> str:
+    """One result or ground-truth line of 6 to 10 columns."""
+    tokens = [draw(INDEX), draw(INDEX), draw(COORD), draw(COORD), draw(SIZE), draw(SIZE)]
+    tokens += [draw(SEVENTH)] + ["-1"] * 3
+    tokens = tokens[: draw(st.integers(6, 10))]
+    if odd and draw(st.booleans()):
+        at = draw(st.sampled_from([0, 1, *range(len(tokens))]))
+        tokens[at] = draw(st.one_of(ODD_INDEX if at < 2 else ODD_NUMBER, MALFORMED))
+    if odd and draw(st.integers(0, 9)) == 0:
+        tokens = tokens[: draw(st.integers(1, 5))]  # too few columns
+    spaces = st.sampled_from(["", "", " ", "  "])
+    line = ",".join(draw(spaces) + t + draw(spaces) for t in tokens)
+    return line + "," * draw(st.sampled_from([0, 0, 1, 2]))
+
+
+@st.composite
+def mot_text(draw) -> str:
+    """Lines with blank ones between them; ``odd`` texts also hold bad tokens."""
+    odd = draw(st.booleans())
+    lines = draw(st.lists(st.one_of(mot_line(odd), st.sampled_from(["", "  "])), max_size=40))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+def _outcome(parse, text, is_ground_truth):
+    try:
+        return parse(text, is_ground_truth)
+    except ParseError as exc:
+        return exc.line_no, str(exc)
+
+
+def _columns(ts: TrackSet) -> list:
+    """Ids and the exact bytes of every column."""
+    return [(t.id, t.frame.tobytes(), t.xywh.tobytes(), t.conf.tobytes()) for t in ts.trajectories]
+
+
+@settings(max_examples=400)
+@given(mot_text(), st.booleans(), st.sampled_from([1, 7, 64, trackfuse.io.TEXT_BLOCK]))
+def test_parser_matches_per_line_oracle(text, is_ground_truth, block):
+    expected = _outcome(parse_trackset_scalar, text, is_ground_truth)
+    with mock.patch.object(trackfuse.io, "TEXT_BLOCK", block):
+        got = _outcome(parse_trackset, text, is_ground_truth)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert isinstance(got, TrackSet)
+        assert got == expected
+        assert _columns(got) == _columns(expected)
+
+
+def test_parser_oracle_sees_flag_zero_duplicates_and_errors():
+    """Fixed cases the generator may not draw: a flag-0 row never counts as a duplicate."""
+    gt = "1,1,0,0,10,10,0\n1,1,0,0,10,10,1\n1,1,5,5,10,10,0\n"
+    assert parse_trackset(gt, is_ground_truth=True) == parse_trackset_scalar(gt, is_ground_truth=True)
+    assert len(parse_trackset(gt, is_ground_truth=True).trajectories[0].frame) == 1
+    for text, is_gt in [
+        (gt + "1,1,0,0,10,10,1\n", True),  # duplicate of line 2
+        ("1,1,0,0,10,10,nan\n1,1,0,0,10,10,1\n", False),  # bad confidence first
+        ("1,1,0,0,10,10,1\n1,1,inf,0,10,10,1\n", False),  # duplicate before non-finite x
+        ("1,1,0,0,10,10,1\n2,1,0,0,10,10,1,\n\n2,1,0,0,10,10,1,x\n", False),
+    ]:
+        expected = _outcome(parse_trackset_scalar, text, is_gt)
+        assert isinstance(expected, tuple)
+        assert _outcome(parse_trackset, text, is_gt) == expected
+
+
+# -- whatever the pipeline writes reads back -----------------------------------
+
+
+@st.composite
+def valid_text(draw) -> str:
+    """Valid result text: up to 5 tracks of boxes in a 60-pixel arena, 3 decimals."""
+    lines = []
+    for track_id in range(1, draw(st.integers(1, 5)) + 1):
+        frames = draw(st.sets(st.integers(1, 40), min_size=1, max_size=25))
+        for f in sorted(frames):
+            x, y = draw(st.floats(0, 60)), draw(st.floats(0, 60))
+            w, h = draw(st.floats(0.01, 30)), draw(st.floats(0.01, 30))
+            conf = draw(st.floats(0, 1))
+            lines.append(f"{f},{track_id},{x:.3f},{y:.3f},{w:.3f},{h:.3f},{conf:.3f},-1,-1,-1")
+    return "\n".join(lines)
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(valid_text(), min_size=1, max_size=3),
+    st.sampled_from(list(MergeMode)),
+    st.sampled_from([0.0, 0.3, 0.7]),
+    st.sampled_from([None, 1, 5]),
+)
+def test_fused_output_reads_back_within_half_a_unit(texts, mode, thr, max_gap):
+    inputs = [parse_trackset(text) for text in texts]
+    cfg = EnsembleConfig(thr_s=thr, thr_t=thr, thr_nms=max(thr, 0.3), thr_len=0, merge_mode=mode)
+    fused = ensemble_pipeline(inputs, cfg)
+    if max_gap is not None:
+        fused = TrackSet(fused.sequence, [linear_interpolate(t, max_gap) for t in fused.trajectories])
+    back = parse_trackset(serialize_trackset(fused))
+    assert [t.id for t in back.trajectories] == sorted(t.id for t in fused.trajectories)
+    by_id = {t.id: t for t in fused.trajectories}
+    for t in back.trajectories:
+        before = by_id[t.id]
+        assert np.array_equal(t.frame, before.frame)
+        # half a unit of the second decimal, plus the binary representation error
+        assert np.abs(t.xywh - before.xywh).max() <= 0.005 + 1e-9
+        assert np.abs(t.conf - before.conf).max() <= 0.005 + 1e-9

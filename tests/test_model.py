@@ -3,9 +3,19 @@ import dataclasses
 import math
 import pickle
 
+import numpy as np
 import pytest
 
-from trackfuse import BoundingBox, Detection, TrackSet, Trajectory
+from trackfuse import (
+    BoundingBox,
+    Detection,
+    MergeMode,
+    TrackSet,
+    Trajectory,
+    linear_interpolate,
+    parse_trackset,
+)
+from trackfuse.ensemble import length_nms, merge_group, mix
 
 
 def test_bounding_box_fields_and_derived():
@@ -50,29 +60,24 @@ def test_trajectory_span_and_gaps():
 
 def test_trajectory_normalizes_frame_order():
     box = BoundingBox(0, 0, 10, 10)
-    traj = Trajectory(1, {9: Detection(9, box), 2: Detection(2, box)})
+    traj = Trajectory.from_detections(1, [Detection(9, box), Detection(2, box)])
     assert traj.frames() == [2, 9]
 
 
 def test_trajectory_rejects_empty_and_duplicates():
     box = BoundingBox(0, 0, 10, 10)
     with pytest.raises(ValueError):
-        Trajectory(1, {})
+        Trajectory.from_detections(1, [])
     with pytest.raises(ValueError):
         Trajectory.from_detections(1, [Detection(3, box), Detection(3, box)])
     with pytest.raises(ValueError):
-        Trajectory(0, {1: Detection(1, box)})
-    with pytest.raises(ValueError):  # key does not match the detection's frame
-        Trajectory(1, {4: Detection(5, box)})
+        Trajectory.from_detections(0, [Detection(1, box)])
 
 
-def test_trajectory_with_id_and_source():
+def test_trajectory_with_id():
     box = BoundingBox(0, 0, 10, 10)
     traj = Trajectory.from_detections(1, [Detection(1, box)])
     assert traj.with_id(7).id == 7
-    retagged = traj.with_source(3)
-    assert all(d.source == 3 for d in retagged.detections.values())
-    assert retagged.id == traj.id
 
 
 def test_trackset_rejects_duplicate_ids():
@@ -94,7 +99,7 @@ def test_trackset_counts():
 
 def test_value_types_pickle_copy_and_stay_frozen():
     box = BoundingBox(1.5, 2.5, 3.0, 4.0)
-    det = Detection(3, box, 0.25, 2)
+    det = Detection(3, box, 0.25)
     traj = Trajectory.from_detections(4, [det, Detection(5, box)])
     ts = TrackSet("seq", [traj])
     for value, field in [(box, "x"), (det, "frame"), (traj, "id"), (ts, "sequence")]:
@@ -103,3 +108,74 @@ def test_value_types_pickle_copy_and_stay_frozen():
             assert clone == value
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, field, getattr(value, field))
+
+
+def _track(track_id=1, frame=(1, 2, 4), x=0.0, conf=0.5):
+    xywh = [(x + f, 2.0, 10.0, 5.0) for f in frame]
+    return Trajectory(track_id, list(frame), xywh, [conf] * len(frame))
+
+
+def test_trajectory_columns_are_read_only_and_survive_pickle_and_copy():
+    traj = _track()
+    assert traj.frame.dtype == np.int64 and traj.xywh.shape == (3, 4) and traj.conf.shape == (3,)
+    clones = [pickle.loads(pickle.dumps(traj)), copy.copy(traj), copy.deepcopy(traj), traj.with_id(1)]
+    for value in [traj, *clones]:
+        assert value == traj
+        for column in (value.frame, value.xywh, value.conf):
+            with pytest.raises(ValueError):
+                column[0] = 9
+    assert traj.frames() == [1, 2, 4]
+
+
+def test_trajectory_copies_the_columns_it_is_given():
+    frame, xywh, conf = np.array([1, 2]), np.ones((2, 4)), np.ones(2)
+    traj = Trajectory(1, frame, xywh, conf)
+    frame[0], xywh[0, 0], conf[0] = 5, 7.0, 0.0
+    assert traj.frames() == [1, 2] and traj.xywh[0, 0] == 1.0 and traj.conf[0] == 1.0
+
+
+def test_trajectory_equality_compares_id_and_columns_exactly():
+    traj = _track()
+    assert traj == _track()
+    assert traj != _track(track_id=2)
+    assert traj != _track(frame=(1, 2, 5))
+    assert traj != _track(conf=0.25)
+    nudged = traj.xywh.copy()
+    nudged[2, 1] = np.nextafter(nudged[2, 1], np.inf)  # one ulp
+    assert traj != Trajectory(1, traj.frame, nudged, traj.conf)
+    assert traj != "not a trajectory"
+
+
+@pytest.mark.parametrize(
+    "frame,xywh,conf",
+    [
+        ([2, 1], [(0, 0, 1, 1)] * 2, [1, 1]),  # not ascending
+        ([1, 1], [(0, 0, 1, 1)] * 2, [1, 1]),  # repeated frame
+        ([0], [(0, 0, 1, 1)], [1]),  # frame below 1
+        ([1], [(0, 0, 0, 1)], [1]),  # zero width
+        ([1], [(math.nan, 0, 1, 1)], [1]),  # non-finite
+        ([1], [(0, 0, 1, 1)], [1.5]),  # confidence above 1
+        ([1, 2], [(0, 0, 1, 1)], [1, 1]),  # column lengths differ
+    ],
+)
+def test_trajectory_rejects_invalid_columns(frame, xywh, conf):
+    with pytest.raises(ValueError):
+        Trajectory(1, frame, xywh, conf)
+
+
+def test_detections_mapping_is_built_from_the_columns():
+    traj = _track()
+    assert len(traj.detections) == 3 and list(traj.detections) == [1, 2, 4]
+    assert traj.detections[4] == Detection(4, BoundingBox(4.0, 2.0, 10.0, 5.0), 0.5)
+    assert 3 not in traj.detections
+    assert traj.detections is traj.detections
+    assert Trajectory.from_detections(1, traj.detections.values()) == traj
+
+
+def test_stage_outputs_have_read_only_columns():
+    a, b = parse_trackset("1,1,0,0,10,10,1\n3,1,2,0,10,10,1\n1,2,1,0,10,10,1\n").trajectories
+    outputs = [a, b, *mix([TrackSet("s", [a, b])]), merge_group([a, b], MergeMode.AVERAGE),
+               linear_interpolate(a, 5), *length_nms([a, b], 0.1)]
+    for traj in outputs:
+        for column in (traj.frame, traj.xywh, traj.conf):
+            assert not column.flags.writeable

@@ -17,9 +17,10 @@ from trackfuse import BoundingBox, Detection, EnsembleConfig, MergeMode, TrackSe
 from trackfuse import geometry
 from trackfuse.ensemble import length_nms, merge_group, merge_groups, mix
 from trackfuse.geometry import box_columns, box_iou, same_frame_pairs
-from trackfuse.metrics import idf1
+from trackfuse.metrics import clear_mot, idf1
 
 from oracles import (
+    clear_mot_scalar,
     const_track,
     ensemble_pipeline_scalar,
     idf1_scalar,
@@ -259,6 +260,19 @@ def test_idf1_equals_scalar(seed):
             assert idf1(gt, pred, thr) == idf1_scalar(gt, pred, thr)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_clear_mot_equals_scalar(seed):
+    gt, *preds = _scenario(seed)
+    # listing the tracks out of id order must not change the result
+    shuffled = TrackSet(gt.sequence, list(reversed(gt.trajectories)))
+    for pred in preds + [gt]:
+        for thr in MATCH_THRESHOLDS:
+            expected = clear_mot_scalar(gt, pred, thr)
+            assert clear_mot(gt, pred, thr) == expected
+            assert clear_mot(shuffled, pred, thr) == expected
+            assert clear_mot(pred, gt, thr) == clear_mot_scalar(pred, gt, thr)
+
+
 @pytest.mark.parametrize("mode", [MergeMode.DROP, MergeMode.AVERAGE])
 @pytest.mark.parametrize("seed", range(8))
 def test_pipeline_equals_scalar(seed, mode):
@@ -276,6 +290,7 @@ def test_stages_do_not_depend_on_the_block_bound(monkeypatch):
     assert _ids(merge_groups(pool, 0.3, 0.3)) == _ids(merge_groups_scalar(pool, 0.3, 0.3))
     assert length_nms(pool, 0.5) == length_nms_scalar(pool, 0.5)
     assert idf1(tracksets[0], tracksets[-1]) == idf1_scalar(tracksets[0], tracksets[-1])
+    assert clear_mot(tracksets[0], tracksets[-1]) == clear_mot_scalar(tracksets[0], tracksets[-1])
     assert ensemble_pipeline(tracksets, cfg) == ensemble_pipeline_scalar(tracksets, cfg)
 
 
@@ -289,6 +304,7 @@ def test_empty_inputs():
     empty = TrackSet("s", [])
     for gt, pred in [(ts, empty), (empty, ts), (empty, empty)]:
         assert idf1(gt, pred) == idf1_scalar(gt, pred)
+        assert clear_mot(gt, pred) == clear_mot_scalar(gt, pred)
     assert idf1(ts, empty).idtp == 0
     assert idf1(empty, empty).idf1 is None
 
@@ -304,6 +320,7 @@ def test_frames_present_on_one_side_only():
     pred = TrackSet("s", [const_track(1, 20, 30), const_track(2, 8, 22, skip=range(9, 15))])
     for thr in MATCH_THRESHOLDS:
         assert idf1(gt, pred, thr) == idf1_scalar(gt, pred, thr)
+        assert clear_mot(gt, pred, thr) == clear_mot_scalar(gt, pred, thr)
     pool = gt.trajectories + [const_track(3, 40, 50)]
     for thr in THRESHOLDS:
         assert _ids(merge_groups(pool, thr, thr)) == _ids(merge_groups_scalar(pool, thr, thr))
