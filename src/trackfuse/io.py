@@ -13,7 +13,7 @@ visibility; class and visibility are ignored here (single-class data).
 
 from __future__ import annotations
 
-from itertools import chain
+from io import StringIO
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -38,6 +38,8 @@ TEXT_BLOCK = 1 << 14
 # Rows the writer formats at once. It bounds the writer's temporary memory
 # and does not change results.
 ROW_BLOCK = 1 << 10
+# Besides ASCII digits, the bytes a block may hold to go to numpy's text reader.
+_PLAIN_NON_DIGITS = b".,-+eE \n"
 _NUM = f"{{:.{DECIMALS}f}}"
 # frame, id, x, y, w, h, confidence, then the three unused columns
 _LINE = ",".join(["{}", "{}", *[_NUM] * 5, "-1", "-1", "-1"])
@@ -59,6 +61,27 @@ def _blocks(text: str) -> Iterator[str]:
         end = len(text) if end < 0 else end + 1
         yield text[start:end]
         start = end
+
+
+def _plain_table(block: str) -> Optional[np.ndarray]:
+    """The values of ``block`` as a float64[lines, columns] table, or None.
+
+    Only blocks of plain numbers go to numpy's text reader, and a result is
+    kept only with one row per line: a blank line, a ragged block, a
+    malformed number or any other character returns None. The reader
+    converts tokens with the routine behind ``float``, so every value it
+    returns is bit-identical to ``float``'s.
+    """
+    # what is left is all ASCII digits, and at least one, only for a plain
+    # block; numpy warns on a block without data
+    if not (block.isascii() and block.encode("ascii").translate(None, _PLAIN_NON_DIGITS).isdigit()):
+        return None
+    try:
+        table = np.loadtxt(StringIO(block), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    num_lines = block.count("\n") + (not block.endswith("\n"))
+    return table if len(table) == num_lines else None
 
 
 def _tokenize(lines: List[str], first_line: int) -> Tuple[List[float], List[int], List[int], Optional[ParseError]]:
@@ -108,14 +131,15 @@ def _rows(text: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[Parse
     error = None
     next_line = 1
     for block in _blocks(text):
-        lines = block.splitlines()
-        fields = [line.split(",") for line in lines]
-        block_counts = np.fromiter(map(len, fields), np.int64, len(fields))
-        try:
-            # blank lines and empty or malformed fields fail here
-            values = np.fromiter(map(float, chain.from_iterable(fields)), np.float64, int(block_counts.sum()))
-            block_lines = np.arange(next_line, next_line + len(lines))
-        except ValueError:
+        table = _plain_table(block)
+        if table is not None:
+            num_lines = len(table)
+            block_counts = np.full(num_lines, table.shape[1])
+            values = table.ravel()
+            block_lines = np.arange(next_line, next_line + num_lines)
+        else:
+            lines = block.splitlines()
+            num_lines = len(lines)
             flat, count_list, no_list, error = _tokenize(lines, next_line)
             values = np.array(flat, dtype=np.float64)
             block_counts = np.array(count_list, dtype=np.int64)
@@ -131,7 +155,7 @@ def _rows(text: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[Parse
         n += m
         if error is not None:
             break
-        next_line += len(lines)
+        next_line += num_lines
     return rows[:n], counts[:n], line_nos[:n], error
 
 

@@ -9,8 +9,9 @@ assignment between ground-truth and predicted identities.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -64,12 +65,12 @@ def _by_frame(cols: BoxColumns) -> Tuple[np.ndarray, np.ndarray]:
     return cols[0][order], cols[1][order]
 
 
-def _owners_at(by_frame: Tuple[np.ndarray, np.ndarray], frames: np.ndarray) -> List[List[int]]:
-    """For each of ``frames``, the owners of its boxes in ascending order."""
+def _owners_at(by_frame: Tuple[np.ndarray, np.ndarray], frames: np.ndarray) -> Iterator[List[int]]:
+    """For each of ``frames`` in turn, the owners of its boxes in ascending order."""
     at, owners = by_frame
-    lo = np.searchsorted(at, frames, "left")
-    hi = np.searchsorted(at, frames, "right")
-    return [owners[a:b].tolist() for a, b in zip(lo.tolist(), hi.tolist())]
+    lo = np.searchsorted(at, frames, "left").tolist()
+    hi = np.searchsorted(at, frames, "right").tolist()
+    return (owners[a:b].tolist() for a, b in zip(lo, hi))
 
 
 def _frame_matches(
@@ -106,6 +107,18 @@ def _frame_matches(
     return matches
 
 
+def _conflict_frames(frame: np.ndarray, gts: np.ndarray, preds: np.ndarray) -> np.ndarray:
+    """The frames, ascending, where one owner of either side is in two of the pairs.
+
+    The pairs come in (frame, gt owner, predicted owner) order.
+    """
+    by_pred = np.lexsort((preds, frame))
+    pred_frame, preds = frame[by_pred], preds[by_pred]
+    same_gt = (frame[1:] == frame[:-1]) & (gts[1:] == gts[:-1])
+    same_pred = (pred_frame[1:] == pred_frame[:-1]) & (preds[1:] == preds[:-1])
+    return np.union1d(frame[1:][same_gt], pred_frame[1:][same_pred])
+
+
 def clear_mot(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> ClearScores:
     """Frame-by-frame CLEAR scoring.
 
@@ -118,9 +131,12 @@ def clear_mot(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> ClearScor
     last known match counts one IDSW (re-finding the same id after an
     absence does not).
 
-    The IoUs come from the same-frame overlap join, one block of whole
-    frames at a time. Only frames with a pair at or above ``iou_match`` can
-    match anything, so only those are visited.
+    The IoUs come from the same-frame overlap join. Only pairs at or above
+    ``iou_match`` (hits) can match. Where no owner is in two hits of a
+    frame, the hits are disjoint, and both the carry-over and the
+    assignment match exactly them, so those frames are settled in bulk.
+    Only the other frames, the conflict frames, run the sequential
+    carry-over and assignment, in frame order.
     """
     if not 0.0 < iou_match <= 1.0:
         raise ValueError(f"iou_match must be in (0, 1], got {iou_match}")
@@ -131,26 +147,44 @@ def clear_mot(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> ClearScor
     num_gt, num_pred = len(gt_cols[0]), len(pred_cols[0])
     blocks = same_frame_pairs(gt_cols, pred_cols)
     del gt_cols, pred_cols  # the join sorts its own copies; free these while it runs
+    hits = [tuple(column[pairs[3] >= iou_match] for column in pairs) for pairs in blocks]
+    no_hits = (np.empty(0, np.int64),) * 3 + (np.empty(0),)
+    frame, hit_gt, hit_pred, hit_iou = (np.concatenate(column) for column in zip(no_hits, *hits))
+    del hits
 
-    matched = idsw = 0
+    conflict_frames = _conflict_frames(frame, hit_gt, hit_pred)
+    conflict = np.isin(frame, conflict_frames)
+    # the matches of the other frames, in (frame, gt owner) order
+    match_frame, match_gt, match_pred = frame[~conflict], hit_gt[~conflict], hit_pred[~conflict]
+    bulk_before = np.searchsorted(match_frame, conflict_frames).tolist()
+    bounds = np.append(np.searchsorted(frame[conflict], conflict_frames), np.count_nonzero(conflict)).tolist()
+    conflict_gt, conflict_pred, conflict_iou = hit_gt[conflict], hit_pred[conflict], hit_iou[conflict]
+
     last_match: Dict[int, int] = {}  # gt owner -> last predicted owner it matched
-    for pairs in blocks:
-        hit = pairs[3] >= iou_match
-        frame, hit_gt, hit_pred, hit_iou = (column[hit] for column in pairs)
-        frames, starts = np.unique(frame, return_index=True)
-        bounds = np.append(starts, len(frame)).tolist()
-        keys = list(zip(hit_gt.tolist(), hit_pred.tolist()))
-        hit_iou = hit_iou.tolist()
-        gts_at, preds_at = _owners_at(gt_by_frame, frames), _owners_at(pred_by_frame, frames)
-        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            iou_of = dict(zip(keys[lo:hi], hit_iou[lo:hi]))
-            matches = _frame_matches(gts_at[k], preds_at[k], iou_of, last_match)
-            matched += len(matches)
-            for gid, pid in matches.items():
-                prev = last_match.get(gid)
-                if prev is not None and prev != pid:
-                    idsw += 1
-                last_match[gid] = pid
+    done = 0  # bulk matches already in last_match
+    # the matches of the conflict frames, kept as machine integers
+    extra_frame, extra_gt, extra_pred = array("q"), array("q"), array("q")
+    owners_at = zip(_owners_at(gt_by_frame, conflict_frames), _owners_at(pred_by_frame, conflict_frames))
+    for k, (f, (gts, preds)) in enumerate(zip(conflict_frames.tolist(), owners_at)):
+        last_match.update(zip(match_gt[done : bulk_before[k]].tolist(), match_pred[done : bulk_before[k]].tolist()))
+        done = bulk_before[k]
+        lo, hi = bounds[k], bounds[k + 1]
+        keys = zip(conflict_gt[lo:hi].tolist(), conflict_pred[lo:hi].tolist())
+        matches = _frame_matches(gts, preds, dict(zip(keys, conflict_iou[lo:hi].tolist())), last_match)
+        last_match.update(matches)
+        extra_frame.extend([f] * len(matches))
+        extra_gt.extend(matches.keys())
+        extra_pred.extend(matches.values())
+
+    match_frame, match_gt, match_pred = (
+        np.append(a, np.frombuffer(b, np.int64))
+        for a, b in zip((match_frame, match_gt, match_pred), (extra_frame, extra_gt, extra_pred))
+    )
+    matched = len(match_frame)
+    # a switch is a change of predicted owner in one gt owner's matches, in frame order
+    order = np.lexsort((match_frame, match_gt))
+    match_gt, match_pred = match_gt[order], match_pred[order]
+    idsw = int(np.count_nonzero((match_gt[1:] == match_gt[:-1]) & (match_pred[1:] != match_pred[:-1])))
 
     fn = num_gt - matched
     fp = num_pred - matched
@@ -161,40 +195,28 @@ def clear_mot(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> ClearScor
 def idf1(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> IdentityScores:
     """Identity scoring through one global gt-id / pred-id correspondence.
 
-    The bipartite cost of pairing a ground-truth identity with a predicted
-    identity is the number of boxes left uncovered by the pairing (its
-    frame-wise false negatives plus false positives); dummy rows and columns
-    price leaving an identity unmatched at its full box count. The
-    minimum-cost assignment therefore maximizes the total of co-located
-    frames, which is IDTP. IDFP and IDFN are the predicted and ground-truth
-    boxes not covered by the correspondence.
+    The correspondence pairs ground-truth and predicted identities one to
+    one so that the total of co-located frames, IDTP, is largest: a
+    maximum-weight assignment on the G x P co-located frame counts. The
+    usual minimum-cost form, which prices the boxes a pairing leaves
+    uncovered and pads with dummy rows and columns for unmatched
+    identities, gives the same IDTP, since there an assignment costs the
+    total box count minus twice its co-located frames. IDFP and IDFN are
+    the predicted and ground-truth boxes not covered by the correspondence.
     """
     if not 0.0 < iou_match <= 1.0:
         raise ValueError(f"iou_match must be in (0, 1], got {iou_match}")
     gt_tracks = sorted(gt.trajectories, key=lambda t: t.id)
     pred_tracks = sorted(pred.trajectories, key=lambda t: t.id)
-    gt_len = np.fromiter((len(t.frame) for t in gt_tracks), np.int64, len(gt_tracks))
-    pred_len = np.fromiter((len(t.frame) for t in pred_tracks), np.int64, len(pred_tracks))
-    n_gt_boxes, n_pred_boxes = int(gt_len.sum()), int(pred_len.sum())
+    n_gt_boxes = sum(len(t.frame) for t in gt_tracks)
+    n_pred_boxes = sum(len(t.frame) for t in pred_tracks)
 
-    G, P = len(gt_tracks), len(pred_tracks)
-    overlap = np.zeros((G, P), dtype=float)  # co-located frame counts
+    overlap = np.zeros((len(gt_tracks), len(pred_tracks)))  # co-located frame counts
     for _, gi, pj, iou in same_frame_pairs(box_columns(gt_tracks), box_columns(pred_tracks)):
         hit = iou >= iou_match
         np.add.at(overlap, (gi[hit], pj[hit]), 1)
 
-    forbidden = float(n_gt_boxes + n_pred_boxes + 1)
-    size = G + P
-    cost = np.full((size, size), forbidden)
-    cost[:G, :P] = (gt_len[:, None] + pred_len[None, :]) - 2.0 * overlap
-    cost[np.arange(G), P + np.arange(G)] = gt_len  # gt identity left unmatched
-    cost[G + np.arange(P), np.arange(P)] = pred_len  # predicted identity unmatched
-    cost[G:, P:] = 0.0
-
-    idtp = 0
-    for r, c in zip(*linear_sum_assignment(cost)):
-        if r < G and c < P:
-            idtp += int(overlap[r, c])
+    idtp = int(overlap[linear_sum_assignment(overlap, maximize=True)].sum())
 
     idfn = n_gt_boxes - idtp
     idfp = n_pred_boxes - idtp

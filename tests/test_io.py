@@ -224,18 +224,20 @@ def _columns(ts: TrackSet) -> list:
     return [(t.id, t.frame.tobytes(), t.xywh.tobytes(), t.conf.tobytes()) for t in ts.trajectories]
 
 
+def _assert_parses_like_oracle(text, is_ground_truth):
+    """The same track set bit for bit as the per-line parser, or its ParseError line and message."""
+    expected = _outcome(parse_trackset_scalar, text, is_ground_truth)
+    got = _outcome(parse_trackset, text, is_ground_truth)
+    assert got == expected
+    if isinstance(expected, TrackSet):
+        assert _columns(got) == _columns(expected)
+
+
 @settings(max_examples=400)
 @given(mot_text(), st.booleans(), st.sampled_from([1, 7, 64, trackfuse.io.TEXT_BLOCK]))
 def test_parser_matches_per_line_oracle(text, is_ground_truth, block):
-    expected = _outcome(parse_trackset_scalar, text, is_ground_truth)
     with mock.patch.object(trackfuse.io, "TEXT_BLOCK", block):
-        got = _outcome(parse_trackset, text, is_ground_truth)
-    if isinstance(expected, tuple):
-        assert got == expected
-    else:
-        assert isinstance(got, TrackSet)
-        assert got == expected
-        assert _columns(got) == _columns(expected)
+        _assert_parses_like_oracle(text, is_ground_truth)
 
 
 def test_parser_oracle_sees_flag_zero_duplicates_and_errors():
@@ -293,3 +295,66 @@ def test_fused_output_reads_back_within_half_a_unit(texts, mode, thr, max_gap):
         # half a unit of the second decimal, plus the binary representation error
         assert np.abs(t.xywh - before.xywh).max() <= 0.005 + 1e-9
         assert np.abs(t.conf - before.conf).max() <= 0.005 + 1e-9
+
+
+# -- numpy's reader and the per-line path meet at block boundaries --------------
+
+READER_CASES = [
+    "",
+    "   ",
+    "\n\n",
+    " \n  \n",
+    "1,1,10,20,30,40\n2,1,10,20,30,40\n",  # 6 columns, no column 7
+    "1,1,10,20,30,40\n2,1,10,20,30,40,0.5,-1,-1,-1\n3,1,10,20,30,40,0.5\n",  # ragged
+    "1,1,10,20,30,40,0.5\n\n2,1,10,20,30,40,0.5\n",  # a blank line
+    "1,1,10,20,30,40,0.5\r\n2,1,10,20,30,40,0.5\r\n",
+    "1,1,10,20,30,40,0.5\r2,1,10,20,30,40,0.5\r",
+    "1,1,.5,5.,30,40,+1\n+2,1,-0,.5e1,30,40,-0\n",
+    "1,1,1e400,20,30,40,1\n",
+    "1,1,-1e400,20,30,40,1\n",
+    "1,1,10,20,30,40,nan\n",
+    "1,1,nan,20,30,40,1\n",
+    "1_0,1,10,20,30,40,1\n",  # float reads 10, numpy's reader refuses it
+    "1,1,1_0.5,20,30,40,1\n2,1,10,20,30,40,1\n",
+    "١,1,10,20,30,40,1\n",  # an Arabic-Indic digit one, which float reads
+    "\ud800,1,10,20,30,40\n",  # a lone surrogate, as surrogateescape decoding leaves
+    "  1,1,10,20,30,40,0.5\n2, 1 ,10 ,20,30,40,0.5  \n 3,1,10,20,30,40,0.5 \n",
+    "1,1,10,20,30,40,0.5,\n",
+    "1,1,10,20,30,40, ,\n",
+    "1,1,10,20,30\n2,1,10,20,30,40\n",
+    "1,1,10,20,30,40,0.5\n1,1,11,20,30,40,0.5\n",
+    "1,1,10,20,30,40,0.5\n2,1,10,20,30,40,0.5",  # no final line break
+    "1,1,10,20,30,40,0.5\n2,1,10,20,30,40,0.5\n3,1,10,20,30,40,0.5\n" * 40 + "1e,1,10,20,30,40\n",
+]
+
+
+@pytest.mark.parametrize("is_ground_truth", [False, True])
+@pytest.mark.parametrize("block", [1, trackfuse.io.TEXT_BLOCK])
+@pytest.mark.parametrize("text", READER_CASES)
+def test_parser_matches_oracle_at_reader_boundaries(monkeypatch, text, block, is_ground_truth):
+    monkeypatch.setattr(trackfuse.io, "TEXT_BLOCK", block)
+    _assert_parses_like_oracle(text, is_ground_truth)
+
+
+@pytest.mark.parametrize(
+    "block,shape",
+    [
+        ("1,1,10,20,30,40\n2,1,10,20,30,40\n", (2, 6)),
+        (" 1 ,1,.5,5.,30,40,+1,-0,1e400\n", (1, 9)),
+        ("1,1,10,20,30,40", (1, 6)),
+        ("", None),
+        (" \n \n", None),
+        ("1,1,10,20,30,40\n\n", None),
+        ("1,1,10,20,30,40\n2,1,10,20,30\n", None),
+        ("1,1,10,20,30,40\r\n", None),
+        ("1_0,1,10,20,30,40\n", None),
+        ("١,1,10,20,30,40\n", None),
+        ("\ud800,1,10,20,30,40\n", None),
+        ("1,1,10,20,30,40,\n", None),
+        ("1,1,10,20,30,40,nan\n", None),
+        ("1,1,1e,20,30,40\n", None),
+    ],
+)
+def test_only_plain_blocks_go_to_numpys_reader(block, shape):
+    table = trackfuse.io._plain_table(block)
+    assert (None if table is None else table.shape) == shape

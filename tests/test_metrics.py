@@ -7,7 +7,7 @@ from scipy.optimize import linear_sum_assignment
 from trackfuse import TrackSet, evaluate
 from trackfuse.metrics import clear_mot, idf1
 
-from oracles import brute_force_min_cost, const_track, make_track, random_trackset
+from oracles import brute_force_min_cost, const_track, idf1_scalar, make_track, random_trackset
 
 
 def solve(cost):
@@ -170,6 +170,22 @@ def test_idf1_split_track():
     scores = idf1(gt, pred)
     assert (scores.idtp, scores.idfp, scores.idfn) == (5, 5, 5)
     assert scores.idf1 == 0.5
+
+
+def test_idf1_equal_overlaps_and_a_gt_id_that_overlaps_nothing():
+    far = (50.0, 0.0, 10.0, 10.0)
+    gt = TrackSet("gt", [const_track(1, 1, 10), const_track(2, 1, 10, box=far),
+                         const_track(3, 1, 5, box=(100.0, 0.0, 10.0, 10.0))])
+    # each prediction covers half of objects 1 and 2: every pairing shares 5 frames
+    pred = TrackSet("p", [
+        make_track(10, {f: (0.0, 0.0, 10.0, 10.0) if f <= 5 else far for f in range(1, 11)}),
+        make_track(20, {f: far if f <= 5 else (0.0, 0.0, 10.0, 10.0) for f in range(1, 11)}),
+    ])
+    scores = idf1(gt, pred)
+    # 25 gt boxes and 20 predicted boxes; any one-to-one pairing covers 10
+    assert (scores.idtp, scores.idfp, scores.idfn) == (10, 10, 15)
+    assert scores.idf1 == 20 / 45
+    assert scores == idf1_scalar(gt, pred)
 
 
 def test_idf1_empty_prediction():

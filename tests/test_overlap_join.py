@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackfuse import BoundingBox, Detection, EnsembleConfig, MergeMode, TrackSet, Trajectory, ensemble_pipeline
-from trackfuse import geometry
+from trackfuse import geometry, metrics
 from trackfuse.ensemble import length_nms, merge_group, merge_groups, mix
 from trackfuse.geometry import box_columns, box_iou, same_frame_pairs
-from trackfuse.metrics import clear_mot, idf1
+from trackfuse.metrics import ClearScores, clear_mot, idf1
 
 from oracles import (
     clear_mot_scalar,
@@ -271,6 +271,99 @@ def test_clear_mot_equals_scalar(seed):
             assert clear_mot(gt, pred, thr) == expected
             assert clear_mot(shuffled, pred, thr) == expected
             assert clear_mot(pred, gt, thr) == clear_mot_scalar(pred, gt, thr)
+
+
+def _moving(track_id, start, stop, x0, dx):
+    """A 10-pixel box moving ``dx`` per frame along x, from ``x0`` at ``start``."""
+    return make_track(track_id, {f: (x0 + dx * (f - start), 0.0, 10.0, 10.0) for f in range(start, stop + 1)})
+
+
+def _exact_duplicates():
+    # two predictions on each of two objects: every hit has IoU 1, so the solver breaks ties
+    gt = TrackSet("s", [const_track(1, 1, 12), const_track(2, 1, 12, box=(4.0, 0.0, 10.0, 10.0))])
+    copies = [const_track(i, 1, 12) for i in (1, 2)] + [const_track(i, 1, 12, box=(4.0, 0.0, 10.0, 10.0)) for i in (3, 4)]
+    return gt, TrackSet("s", copies)
+
+
+def _one_prediction_over_two_objects():
+    gt = TrackSet("s", [const_track(1, 1, 10), const_track(2, 3, 10, box=(1.0, 0.0, 10.0, 10.0))])
+    return gt, TrackSet("s", [const_track(7, 1, 10, box=(0.5, 0.0, 10.0, 10.0))])
+
+
+def _crossing_objects_swap_ids():
+    gt = TrackSet("s", [_moving(1, 1, 20, 0.0, 2.0), _moving(2, 1, 20, 38.0, -2.0)])
+    # each prediction follows one object up to the crossing and the other after it
+    first = {**_moving(5, 1, 10, 0.5, 2.0).detections, **_moving(5, 11, 20, 18.5, -2.0).detections}
+    second = {**_moving(6, 1, 10, 37.5, -2.0).detections, **_moving(6, 11, 20, 19.5, 2.0).detections}
+    pred = [Trajectory.from_detections(i, dets.values()) for i, dets in ((5, first), (6, second))]
+    return gt, TrackSet("s", pred)
+
+
+def _gap_then_new_id():
+    gt = TrackSet("s", [const_track(1, 1, 20)])
+    # id 3 leaves a gap and two ids come back on the object; id 4 lies exactly on it
+    pred = [const_track(3, 1, 6, box=(0.5, 0.0, 10.0, 10.0)), const_track(4, 10, 20),
+            const_track(5, 10, 20, box=(1.0, 0.5, 10.0, 10.0))]
+    return gt, TrackSet("s", pred)
+
+
+def _carry_over_from_settled_frames():
+    gt = TrackSet("s", [const_track(1, 1, 20)])
+    # id 8 matches alone for ten frames, then a better box appears: carry-over keeps id 8
+    return gt, TrackSet("s", [const_track(8, 1, 20, box=(1.0, 0.0, 10.0, 10.0)), const_track(9, 11, 20)])
+
+
+def _no_conflict():
+    gt = TrackSet("s", [const_track(1, 1, 10), const_track(2, 1, 10, box=(50.0, 0.0, 10.0, 10.0))])
+    pred = [const_track(1, 1, 4, box=(1.0, 0.0, 10.0, 10.0)), const_track(2, 5, 10),
+            const_track(3, 2, 10, box=(50.0, 1.0, 10.0, 10.0)), const_track(4, 3, 8, box=(90.0, 0.0, 10.0, 10.0))]
+    return gt, TrackSet("s", pred)
+
+
+def _frames_on_one_side_only():
+    # frames 1-4 hold only ground truth, 16-25 only predictions
+    gt = TrackSet("s", [const_track(1, 1, 10), const_track(2, 5, 15, box=(30.0, 0.0, 10.0, 10.0))])
+    pred = [const_track(1, 12, 25), const_track(2, 8, 22, box=(31.0, 0.0, 10.0, 10.0), skip=range(9, 15))]
+    return gt, TrackSet("s", pred)
+
+
+@pytest.mark.parametrize(
+    "case,conflicts",
+    [
+        (_exact_duplicates, True),
+        (_one_prediction_over_two_objects, True),
+        (_crossing_objects_swap_ids, True),
+        (_gap_then_new_id, True),
+        (_carry_over_from_settled_frames, True),
+        (_no_conflict, False),
+        (_frames_on_one_side_only, False),
+    ],
+)
+def test_clear_mot_conflict_frames_equal_scalar(monkeypatch, case, conflicts):
+    """Frames where an owner is in two hits take the sequential path, and it agrees with the oracle."""
+    calls = []
+    sequential = metrics._frame_matches
+
+    def counted(*args):
+        calls.append(args)
+        return sequential(*args)
+
+    monkeypatch.setattr(metrics, "_frame_matches", counted)
+    gt, pred = case()
+    assert clear_mot(gt, pred) == clear_mot_scalar(gt, pred)
+    assert bool(calls) == conflicts
+    for thr in MATCH_THRESHOLDS:
+        assert clear_mot(gt, pred, thr) == clear_mot_scalar(gt, pred, thr)
+        assert clear_mot(pred, gt, thr) == clear_mot_scalar(pred, gt, thr)
+
+
+def test_clear_mot_conflict_fixtures_by_hand():
+    # the swap at the crossing is one switch per object
+    assert clear_mot(*_crossing_objects_swap_ids()).idsw == 2
+    # id 3 -> id 4 after the gap is one switch; id 5 is a false positive on frames 10-20
+    assert clear_mot(*_gap_then_new_id()) == ClearScores(20, 11, 3, 1, 1.0 - (11 + 3 + 1) / 20)
+    # the better box of id 9 does not break the kept match of id 8
+    assert clear_mot(*_carry_over_from_settled_frames()) == ClearScores(20, 10, 0, 0, 0.5)
 
 
 @pytest.mark.parametrize("mode", [MergeMode.DROP, MergeMode.AVERAGE])
