@@ -40,9 +40,8 @@ TEXT_BLOCK = 1 << 14
 ROW_BLOCK = 1 << 10
 # Besides ASCII digits, the bytes a block may hold to go to numpy's text reader.
 _PLAIN_NON_DIGITS = b".,-+eE \n"
-_NUM = f"{{:.{DECIMALS}f}}"
 # frame, id, x, y, w, h, confidence, then the three unused columns
-_LINE = ",".join(["{}", "{}", *[_NUM] * 5, "-1", "-1", "-1"])
+_LINE = ",".join(["%d", "%d", *[f"%.{DECIMALS}f"] * 5, "-1", "-1", "-1"]) + "\n"
 
 
 class ParseError(ValueError):
@@ -255,7 +254,10 @@ def _serialized(ts: TrackSet) -> Iterator[str]:
     for start in range(0, len(order), ROW_BLOCK):
         rows = order[start : start + ROW_BLOCK]
         columns = [frames[rows].tolist(), ids[rows].tolist(), *xywh[rows].T.tolist(), conf[rows].tolist()]
-        yield "\n".join(map(_LINE.format, *columns)) + "\n"
+        values: List[object] = [None] * (len(columns) * len(rows))  # the fields of one line after another
+        for field, column in enumerate(columns):
+            values[field :: len(columns)] = column
+        yield _LINE * len(rows) % tuple(values)
 
 
 def serialize_trackset(ts: TrackSet) -> str:

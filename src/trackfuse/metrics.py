@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BoxColumns, box_columns, same_frame_pairs
+from .geometry import box_columns, same_frame_pairs
 from .model import TrackSet
 
 
@@ -59,13 +59,39 @@ class EvalReport:
 _FORBIDDEN = 1e9
 
 
-def _by_frame(cols: BoxColumns) -> Tuple[np.ndarray, np.ndarray]:
+# Frames and owners of one side's boxes. An owner indexes the side's tracks
+# in id order, so owner order is id order.
+_Side = Tuple[np.ndarray, np.ndarray]
+# Hits: (frame, gt owner, predicted owner, IoU) of every same-frame pair with
+# IoU >= iou_match, in (frame, gt owner, predicted owner) order.
+_Hits = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _hits(gt: TrackSet, pred: TrackSet, iou_match: float) -> Tuple[_Side, _Side, _Hits]:
+    """The frames and owners of both sides' boxes, and their hits, from one same-frame join.
+
+    CLEAR and IDF1 read only hits, so ``evaluate`` scores both from one
+    call. A bad ``iou_match`` raises before the join runs.
+    """
+    if not 0.0 < iou_match <= 1.0:
+        raise ValueError(f"iou_match must be in (0, 1], got {iou_match}")
+    gt_cols = box_columns(sorted(gt.trajectories, key=lambda t: t.id))
+    pred_cols = box_columns(sorted(pred.trajectories, key=lambda t: t.id))
+    blocks = same_frame_pairs(gt_cols, pred_cols)
+    gt_side, pred_side = gt_cols[:2], pred_cols[:2]
+    del gt_cols, pred_cols  # the join sorts its own copies; free the boxes while it runs
+    hits = (tuple(column[pairs[3] >= iou_match] for column in pairs) for pairs in blocks)
+    no_hits = (np.empty(0, np.int64),) * 3 + (np.empty(0),)
+    return gt_side, pred_side, tuple(np.concatenate(column) for column in zip(no_hits, *hits))
+
+
+def _by_frame(side: _Side) -> _Side:
     """Frames and owners of the boxes, sorted by (frame, owner)."""
-    order = np.lexsort((cols[1], cols[0]))
-    return cols[0][order], cols[1][order]
+    order = np.lexsort((side[1], side[0]))
+    return side[0][order], side[1][order]
 
 
-def _owners_at(by_frame: Tuple[np.ndarray, np.ndarray], frames: np.ndarray) -> Iterator[List[int]]:
+def _owners_at(by_frame: _Side, frames: np.ndarray) -> Iterator[List[int]]:
     """For each of ``frames`` in turn, the owners of its boxes in ascending order."""
     at, owners = by_frame
     lo = np.searchsorted(at, frames, "left").tolist()
@@ -138,20 +164,12 @@ def clear_mot(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> ClearScor
     Only the other frames, the conflict frames, run the sequential
     carry-over and assignment, in frame order.
     """
-    if not 0.0 < iou_match <= 1.0:
-        raise ValueError(f"iou_match must be in (0, 1], got {iou_match}")
-    # owners index the id-sorted tracks, so owner order is id order
-    gt_cols = box_columns(sorted(gt.trajectories, key=lambda t: t.id))
-    pred_cols = box_columns(sorted(pred.trajectories, key=lambda t: t.id))
-    gt_by_frame, pred_by_frame = _by_frame(gt_cols), _by_frame(pred_cols)
-    num_gt, num_pred = len(gt_cols[0]), len(pred_cols[0])
-    blocks = same_frame_pairs(gt_cols, pred_cols)
-    del gt_cols, pred_cols  # the join sorts its own copies; free these while it runs
-    hits = [tuple(column[pairs[3] >= iou_match] for column in pairs) for pairs in blocks]
-    no_hits = (np.empty(0, np.int64),) * 3 + (np.empty(0),)
-    frame, hit_gt, hit_pred, hit_iou = (np.concatenate(column) for column in zip(no_hits, *hits))
-    del hits
+    return _clear(*_hits(gt, pred, iou_match))
 
+
+def _clear(gt: _Side, pred: _Side, hits: _Hits) -> ClearScores:
+    """``clear_mot`` of the two sides' boxes and their hits."""
+    frame, hit_gt, hit_pred, hit_iou = hits
     conflict_frames = _conflict_frames(frame, hit_gt, hit_pred)
     conflict = np.isin(frame, conflict_frames)
     # the matches of the other frames, in (frame, gt owner) order
@@ -164,7 +182,7 @@ def clear_mot(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> ClearScor
     done = 0  # bulk matches already in last_match
     # the matches of the conflict frames, kept as machine integers
     extra_frame, extra_gt, extra_pred = array("q"), array("q"), array("q")
-    owners_at = zip(_owners_at(gt_by_frame, conflict_frames), _owners_at(pred_by_frame, conflict_frames))
+    owners_at = zip(_owners_at(_by_frame(gt), conflict_frames), _owners_at(_by_frame(pred), conflict_frames))
     for k, (f, (gts, preds)) in enumerate(zip(conflict_frames.tolist(), owners_at)):
         last_match.update(zip(match_gt[done : bulk_before[k]].tolist(), match_pred[done : bulk_before[k]].tolist()))
         done = bulk_before[k]
@@ -186,8 +204,9 @@ def clear_mot(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> ClearScor
     match_gt, match_pred = match_gt[order], match_pred[order]
     idsw = int(np.count_nonzero((match_gt[1:] == match_gt[:-1]) & (match_pred[1:] != match_pred[:-1])))
 
+    num_gt = len(gt[0])
     fn = num_gt - matched
-    fp = num_pred - matched
+    fp = len(pred[0]) - matched
     mota = 1.0 - (fn + fp + idsw) / num_gt if num_gt > 0 else None
     return ClearScores(num_gt, fp, fn, idsw, mota)
 
@@ -204,27 +223,26 @@ def idf1(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> IdentityScores
     total box count minus twice its co-located frames. IDFP and IDFN are
     the predicted and ground-truth boxes not covered by the correspondence.
     """
-    if not 0.0 < iou_match <= 1.0:
-        raise ValueError(f"iou_match must be in (0, 1], got {iou_match}")
-    gt_tracks = sorted(gt.trajectories, key=lambda t: t.id)
-    pred_tracks = sorted(pred.trajectories, key=lambda t: t.id)
-    n_gt_boxes = sum(len(t.frame) for t in gt_tracks)
-    n_pred_boxes = sum(len(t.frame) for t in pred_tracks)
+    return _identity(gt, pred, _hits(gt, pred, iou_match)[2])
 
-    overlap = np.zeros((len(gt_tracks), len(pred_tracks)))  # co-located frame counts
-    for _, gi, pj, iou in same_frame_pairs(box_columns(gt_tracks), box_columns(pred_tracks)):
-        hit = iou >= iou_match
-        np.add.at(overlap, (gi[hit], pj[hit]), 1)
 
+def _identity(gt: TrackSet, pred: TrackSet, hits: _Hits) -> IdentityScores:
+    """``idf1`` of the two track sets, given their hits."""
+    _, hit_gt, hit_pred, _ = hits
+    num_gt_tracks, num_pred_tracks = len(gt.trajectories), len(pred.trajectories)
+    # co-located frame counts of every gt x predicted track pair
+    overlap = np.bincount(hit_gt * num_pred_tracks + hit_pred, minlength=num_gt_tracks * num_pred_tracks)
+    overlap = overlap.reshape(num_gt_tracks, num_pred_tracks)
     idtp = int(overlap[linear_sum_assignment(overlap, maximize=True)].sum())
 
-    idfn = n_gt_boxes - idtp
-    idfp = n_pred_boxes - idtp
+    idfn = gt.num_detections - idtp
+    idfp = pred.num_detections - idtp
     denom = 2 * idtp + idfp + idfn
     score = 2.0 * idtp / denom if denom > 0 else None
     return IdentityScores(idtp, idfp, idfn, score)
 
 
 def evaluate(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> EvalReport:
-    """Full report: CLEAR scores plus identity scores."""
-    return EvalReport(clear_mot(gt, pred, iou_match), idf1(gt, pred, iou_match))
+    """Full report: CLEAR scores plus identity scores, both from one same-frame join."""
+    gt_side, pred_side, hits = _hits(gt, pred, iou_match)
+    return EvalReport(_clear(gt_side, pred_side, hits), _identity(gt, pred, hits))

@@ -5,8 +5,9 @@ scans, permutation enumeration, Monte-Carlo sampling) so the library is
 checked against code that shares none of its logic. The scalar pipeline
 stages at the end are the exception: they are the per-pair ``box_iou``
 loops that merge grouping, NMS and IDF1 ran before the overlap join, and
-the per-line parser that ran before the columnar one, kept as
-differential references.
+the per-line parser that ran before the columnar one, and the per-box
+formatter that ran before the block writer, kept as differential
+references.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from scipy.optimize import linear_sum_assignment
 from trackfuse import BoundingBox, Detection, ParseError, TrackSet, Trajectory
 from trackfuse.ensemble import EnsembleConfig, length_filter, merge_group, mix
 from trackfuse.geometry import box_iou, st_iou
-from trackfuse.io import MAX_INDEX, MIN_BOX_SIZE
+from trackfuse.io import DECIMALS, MAX_INDEX, MIN_BOX_SIZE
 from trackfuse.metrics import ClearScores, IdentityScores
 
 
@@ -391,3 +392,14 @@ def parse_trackset_scalar(text: str, is_ground_truth: bool = False, sequence: st
         for track_id, dets in sorted(per_id.items())
     ]
     return TrackSet(sequence, trajectories)
+
+
+def serialize_trackset_scalar(ts: TrackSet) -> str:
+    """``serialize_trackset`` with one ``str.format`` call per box."""
+    num = f"{{:.{DECIMALS}f}}"
+    line = ",".join(["{}", "{}", *[num] * 5, "-1", "-1", "-1"]) + "\n"
+    rows = sorted((f, t.id, det) for t in ts.trajectories for f, det in t.detections.items())
+    return "".join(
+        line.format(f, track_id, det.box.x, det.box.y, det.box.w, det.box.h, det.confidence)
+        for f, track_id, det in rows
+    )

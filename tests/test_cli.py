@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from trackfuse import (
     load_trackset,
     serialize_trackset,
 )
+from trackfuse import metrics
 from trackfuse.cli import main
 
 from oracles import canonical, const_track
@@ -259,6 +261,123 @@ def test_eval_switch_fixture(tmp_path, capsys):
         "#metric idfn=5\n"
         "#metric idf1=0.5000\n"
     )
+
+
+def write_crowd_scene(out):
+    """Eight 12-pixel objects that cross in a 190 x 30 strip over 60 frames.
+
+    ``tracker_1`` jitters every box, drops some and swaps the ids of two
+    objects from frame 31; ``tracker_2`` reports every box exactly, and the
+    even objects' boxes a second time under another id.
+    """
+    rng = random.Random(5)
+    line = "{},{},{:.2f},{:.2f},12.00,12.00,{},-1,-1,-1\n"
+    gt, jittered, doubled = [], [], []
+    for f in range(1, 61):
+        for k in range(1, 9):
+            # odd objects move right, even ones left, on rows 2 px apart
+            x = 3.0 * f if k % 2 else 180.0 - 3.0 * f + 2.0 * k
+            y = 2.0 * k
+            gt.append(line.format(f, k, x, y, 1))
+            if rng.random() > 0.1:
+                swapped = {1: 2, 2: 1}.get(k, k) if f > 30 else k
+                jittered.append(line.format(f, swapped, x + rng.uniform(-1.5, 1.5), y + rng.uniform(-1.5, 1.5), 0.9))
+            doubled.append(line.format(f, k, x, y, 0.8))
+            if k % 2 == 0:
+                doubled.append(line.format(f, 100 + k, x, y, 0.7))
+    for name, lines in (("gt", gt), ("tracker_1", jittered), ("tracker_2", doubled)):
+        (out / f"{name}.txt").write_text("".join(lines))
+
+
+# `trackfuse eval` stdout on the crowd scene, recorded before `evaluate`
+# shared one join between CLEAR and IDF1. In at least 57 of the 60 frames
+# of each file an owner is in two hits, so those frames go through the
+# sequential path.
+CROWD_EVAL = {
+    "tracker_1": """\
+num_gt  480
+FP      1
+FN      48
+IDSW    2
+MOTA    0.8938
+IDTP    382
+IDFP    51
+IDFN    98
+IDF1    0.8368
+
+#metric num_gt=480
+#metric fp=1
+#metric fn=48
+#metric idsw=2
+#metric mota=0.8938
+#metric idtp=382
+#metric idfp=51
+#metric idfn=98
+#metric idf1=0.8368
+""",
+    "tracker_2": """\
+num_gt  480
+FP      240
+FN      0
+IDSW    0
+MOTA    0.5000
+IDTP    480
+IDFP    240
+IDFN    0
+IDF1    0.8000
+
+#metric num_gt=480
+#metric fp=240
+#metric fn=0
+#metric idsw=0
+#metric mota=0.5000
+#metric idtp=480
+#metric idfp=240
+#metric idfn=0
+#metric idf1=0.8000
+""",
+    "fused": """\
+num_gt  480
+FP      16
+FN      1
+IDSW    28
+MOTA    0.9062
+IDTP    415
+IDFP    80
+IDFN    65
+IDF1    0.8513
+
+#metric num_gt=480
+#metric fp=16
+#metric fn=1
+#metric idsw=28
+#metric mota=0.9062
+#metric idtp=415
+#metric idfp=80
+#metric idfn=65
+#metric idf1=0.8513
+""",
+}
+
+
+def test_eval_stdout_pinned_on_crossing_objects_and_duplicates(tmp_path, capsys, monkeypatch):
+    write_crowd_scene(tmp_path)
+    assert main(["merge", "-i", str(tmp_path / "tracker_1.txt"), "-i", str(tmp_path / "tracker_2.txt"),
+                 "-o", str(tmp_path / "fused.txt")]) == 0
+    capsys.readouterr()
+    conflict_frames = []
+    sequential = metrics._frame_matches
+
+    def counted(*args):
+        conflict_frames.append(args)
+        return sequential(*args)
+
+    monkeypatch.setattr(metrics, "_frame_matches", counted)
+    for name, expected in CROWD_EVAL.items():
+        conflict_frames.clear()
+        assert main(["eval", "--gt", str(tmp_path / "gt.txt"), "--pred", str(tmp_path / f"{name}.txt")]) == 0
+        assert capsys.readouterr().out == expected
+        assert len(conflict_frames) >= 57
 
 
 def test_eval_human_readable_table(tmp_path, capsys):

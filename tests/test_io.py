@@ -12,6 +12,7 @@ from trackfuse import (
     MergeMode,
     ParseError,
     TrackSet,
+    Trajectory,
     ensemble_pipeline,
     linear_interpolate,
     load_trackset,
@@ -20,7 +21,7 @@ from trackfuse import (
     serialize_trackset,
 )
 
-from oracles import parse_trackset_scalar, random_trackset
+from oracles import parse_trackset_scalar, random_trackset, serialize_trackset_scalar
 
 
 def test_parse_two_line_result():
@@ -133,6 +134,42 @@ def test_serialize_empty_trackset():
 def test_serialize_format():
     ts = parse_trackset("1,1,10,20,30,40,0.9,-1,-1,-1")
     assert serialize_trackset(ts) == "1,1,10.00,20.00,30.00,40.00,0.90,-1,-1,-1\n"
+
+
+# Signed zero, binary values half a unit of the last written place away from
+# two neighbours, and numbers far past the written places.
+WRITER_VALUES = [-0.0, 0.0, 0.125, 2.675, 1.005, 0.005, 1e15, -1e15, 2.0**53 - 1, 123.456]
+
+
+def _writer_edge_trackset() -> TrackSet:
+    """Every writer value as x, y, w and h, and frames and ids up to 2**53 - 1."""
+    big = 2**53 - 1
+    confidences = [-0.0, 0.0, 0.125, 0.005, 0.675, 1.0]
+    tracks = []
+    for k, value in enumerate(WRITER_VALUES):
+        size = abs(value) or 0.125  # sizes must be positive
+        xywh = np.array([[value, -value, size, 1.005], [2.675, value, 0.125, size]])
+        conf = np.array([confidences[k % 6], confidences[(k + 1) % 6]])
+        tracks.append(Trajectory(big - k, np.array([k + 1, big]), xywh, conf))
+    return TrackSet("s", tracks)
+
+
+@pytest.mark.parametrize("block", [1, 3, trackfuse.io.ROW_BLOCK])
+def test_writer_matches_per_box_format_oracle(monkeypatch, block):
+    monkeypatch.setattr(trackfuse.io, "ROW_BLOCK", block)
+    edge = _writer_edge_trackset()
+    text = serialize_trackset(edge)
+    assert text == serialize_trackset_scalar(edge)
+    lines = text.splitlines()
+    big = 2**53 - 1
+    assert lines[0] == f"1,{big},-0.00,0.00,0.12,1.00,-0.00,-1,-1,-1"
+    assert lines[3] == f"4,{big - 3},2.67,-2.67,2.67,1.00,0.01,-1,-1,-1"
+    assert lines[6].startswith(f"7,{big - 6},1000000000000000.00,-1000000000000000.00,")
+    assert lines[-1] == f"{big},{big},2.67,-0.00,0.12,0.12,0.00,-1,-1,-1"
+    rng = random.Random(17)
+    for _ in range(10):
+        ts = random_trackset(rng)
+        assert serialize_trackset(ts) == serialize_trackset_scalar(ts)
 
 
 def test_round_trip_is_stable_after_one_pass():

@@ -17,7 +17,7 @@ from trackfuse import BoundingBox, Detection, EnsembleConfig, MergeMode, TrackSe
 from trackfuse import geometry, metrics
 from trackfuse.ensemble import length_nms, merge_group, merge_groups, mix
 from trackfuse.geometry import box_columns, box_iou, same_frame_pairs
-from trackfuse.metrics import ClearScores, clear_mot, idf1
+from trackfuse.metrics import ClearScores, EvalReport, clear_mot, evaluate, idf1
 
 from oracles import (
     clear_mot_scalar,
@@ -364,6 +364,70 @@ def test_clear_mot_conflict_fixtures_by_hand():
     assert clear_mot(*_gap_then_new_id()) == ClearScores(20, 11, 3, 1, 1.0 - (11 + 3 + 1) / 20)
     # the better box of id 9 does not break the kept match of id 8
     assert clear_mot(*_carry_over_from_settled_frames()) == ClearScores(20, 10, 0, 0, 0.5)
+
+
+def _tied_duplicates(with_far_object: bool):
+    # four exact copies of gt 2 (ids 1-4) and one at IoU 0.6 (id 5) in frame 1;
+    # only id 1 is left in frame 2
+    far = [const_track(1, 1, 1, box=(90.0, 0.0, 10.0, 10.0))] if with_far_object else []
+    gt = TrackSet("s", far + [const_track(2, 1, 2)])
+    copies = [const_track(1, 1, 2)] + [const_track(i, 1, 1) for i in (2, 3, 4)]
+    return gt, TrackSet("s", copies + [const_track(5, 1, 1, box=(0.0, 0.0, 10.0, 6.0))])
+
+
+def test_clear_mot_solves_conflict_frames_whole():
+    # gt 1 has no hit, yet its row must stay in frame 1's cost matrix: the
+    # solver's pick among the four tied copies depends on every row, and the
+    # pick decides the switch in frame 2. Solving only the owners with hits
+    # picks id 1 and scores no switch.
+    gt, pred = _tied_duplicates(with_far_object=True)
+    assert clear_mot(gt, pred) == clear_mot_scalar(gt, pred) == ClearScores(3, 4, 1, 1, -1.0)
+    gt, pred = _tied_duplicates(with_far_object=False)
+    assert clear_mot(gt, pred).idsw == clear_mot_scalar(gt, pred).idsw == 0
+
+
+# --- evaluate: both metrics from one join -----------------------------------
+
+
+def test_evaluate_runs_one_join(monkeypatch):
+    calls = []
+    join = metrics.same_frame_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return join(*args)
+
+    monkeypatch.setattr(metrics, "same_frame_pairs", counted)
+    gt, pred = _scenario(1)[:2]
+    evaluate(gt, pred)
+    assert len(calls) == 1
+
+
+def _assert_evaluate_equals_both_metrics(gt, pred, thr):
+    report = evaluate(gt, pred, thr)
+    assert report == EvalReport(clear_mot(gt, pred, thr), idf1(gt, pred, thr))
+    assert report == EvalReport(clear_mot_scalar(gt, pred, thr), idf1_scalar(gt, pred, thr))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_evaluate_equals_clear_mot_and_idf1(seed):
+    gt, *preds = _scenario(seed)
+    empty = TrackSet(gt.sequence, [])
+    for pred in preds + [gt, empty]:
+        for thr in MATCH_THRESHOLDS:
+            _assert_evaluate_equals_both_metrics(gt, pred, thr)
+            _assert_evaluate_equals_both_metrics(pred, gt, thr)
+
+
+@pytest.mark.parametrize("score", [evaluate, clear_mot, idf1])
+@pytest.mark.parametrize("thr", [0.0, -0.5, 1.5, math.nan])
+def test_bad_iou_match_raises_before_any_join(monkeypatch, score, thr):
+    calls = []
+    monkeypatch.setattr(metrics, "same_frame_pairs", lambda *args: calls.append(args))
+    gt, pred = _scenario(2)[:2]
+    with pytest.raises(ValueError, match=rf"^iou_match must be in \(0, 1\], got {thr}$"):
+        score(gt, pred, thr)
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode", [MergeMode.DROP, MergeMode.AVERAGE])
