@@ -4,8 +4,16 @@ The generator is SplitMix64: a 64-bit state advanced by the golden-ratio
 increment 0x9E3779B97F4A7C15, with each output finalized by two
 xor-shift-multiply rounds (constants 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB) and a final 31-bit xor-shift. It is trivial to
-re-implement in any language, so the same seed reproduces the same
-scenario everywhere; golden-file tests pin the stream.
+re-implement in any language, so the same seed reproduces the same raw
+stream everywhere; golden-file tests pin the stream. ``normal`` goes
+through the C library's ``log`` and ``cos``, which may differ in the last
+bit from one platform to another.
+
+The generator is counter-based: the k-th output after state ``s`` is the
+finalizer applied to ``s + k * 0x9E3779B97F4A7C15 (mod 2**64)``. So
+``block(n)``, the next ``n`` outputs of ``next_u64`` as one ``uint64[n]``
+array, is a few wrapping numpy array operations over ``k = 1..n``, and it
+moves the state on by ``n`` steps exactly as ``n`` calls would.
 
 Derived values are defined on top of the raw 64-bit stream as follows:
 
@@ -21,14 +29,32 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 
 
 def _mix(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """``_mix`` of every element of a ``uint64`` array, in place.
+
+    Every operand is an explicit ``np.uint64`` and every operation is on an
+    array, where integer overflow wraps silently on every numpy version.
+    """
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MUL1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MUL2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class SplitMix64:
@@ -40,6 +66,14 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
         return _mix(self._state)
+
+    def block(self, n: int) -> np.ndarray:
+        """The next ``n`` outputs of ``next_u64``, as one ``uint64[n]`` array."""
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        return _mix_array(z)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0**-53)

@@ -14,6 +14,7 @@ SplitMix64 streams in :mod:`trackfuse.rng`; the draw order is fixed (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -26,6 +27,10 @@ WAYPOINT_SPACING = 50  # frames between direction changes
 MAX_SPEED = 2.5  # pixels per frame, per axis
 BOX_MIN = 24.0  # box side range, pixels
 BOX_MAX = 48.0
+# Frames whose random numbers _degrade draws at once. It bounds _degrade's
+# temporary memory and does not change results.
+FRAME_BLOCK = 1 << 10
+_TO_UNIT = 2.0**-53  # scales the top 53 bits of a draw to [0, 1)
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,8 @@ class TrackerDegradation:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        if not 0.0 <= self.jitter < math.inf:
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
         if self.segment_drop < 0:
             raise ValueError(f"segment_drop must be >= 0, got {self.segment_drop}")
 
@@ -124,6 +129,24 @@ def _generate_gt(spec: ScenarioSpec) -> TrackSet:
     return TrackSet("synthetic", trajectories)
 
 
+def _outside(frame: np.ndarray, start: int, length: int) -> np.ndarray:
+    """Mask of the frames outside the window ``[start, start + length)``."""
+    return (frame < start) | (frame >= start + length)
+
+
+def _normals(sigma: float, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """``rng.normal(0.0, sigma)`` of each pair of uniforms ``u1``, ``u2`` in [0, 1).
+
+    ``u1 + 2**-53`` is ``normal``'s shift of ``u1`` into (0, 1], exactly:
+    both terms are multiples of 2**-53. ``math.log`` and ``math.cos`` run
+    per value, as in ``normal``; numpy's may differ in the last bit.
+    """
+    shape, n = u1.shape, u1.size
+    log_u1 = np.fromiter(map(math.log, memoryview((u1 + _TO_UNIT).ravel())), float, n)
+    cos_u2 = np.fromiter(map(math.cos, memoryview(((2.0 * math.pi) * u2).ravel())), float, n)
+    return (sigma * np.sqrt(-2.0 * log_u1) * cos_u2).reshape(shape)
+
+
 def _degrade(gt: TrackSet, deg: TrackerDegradation, rng: SplitMix64, sequence: str) -> TrackSet:
     """Apply one tracker's error model to the ground truth.
 
@@ -131,44 +154,44 @@ def _degrade(gt: TrackSet, deg: TrackerDegradation, rng: SplitMix64, sequence: s
     the dropped-segment length (uniform in [1, 2*segment_drop - 1]) and its
     start frame, when segment_drop > 0 and the window fits the interior of
     the track; then, for each detected frame outside that window, exactly
-    four draws in order: drop decision, x jitter, y jitter, switch decision.
-    The switch decision is ignored on an object's first surviving frame.
-    Output ids are 1..K in (object, id segment) order.
+    six ``next_u64`` outputs in order: drop decision, x jitter (u1, u2 of
+    Box-Muller), y jitter (u1, u2), switch decision. They come per object
+    in blocks of at most ``FRAME_BLOCK`` frames, in the order that
+    ``bernoulli``, ``normal``, ``normal``, ``bernoulli`` per frame would
+    draw them. The switch decision is ignored on an object's first
+    surviving frame. Output ids are 1..K in (object, id segment) order.
     """
     trajectories: List[Trajectory] = []
     next_id = 1
     for traj in sorted(gt.trajectories, key=lambda t: t.id):
-        window: set[int] = set()
+        rows = np.arange(len(traj.frame))
         if deg.segment_drop > 0:
             length = rng.randint(1, max(1, 2 * deg.segment_drop - 1))
             lo, hi = traj.start + 1, traj.stop - length
             if lo <= hi:
-                s = rng.randint(lo, hi)
-                window = set(range(s, s + length))
+                rows = rows[_outside(traj.frame, rng.randint(lo, hi), length)]
 
-        rows: List[int] = []  # surviving rows of the object's track
-        shifts: List[Tuple[float, float]] = []
-        starts = [0]  # where in ``rows`` each id segment starts
-        for row, f in enumerate(traj.frame.tolist()):
-            if f in window:
-                continue
-            dropped = rng.bernoulli(deg.drop_rate)
-            dx = rng.normal(0.0, deg.jitter)
-            dy = rng.normal(0.0, deg.jitter)
-            switched = rng.bernoulli(deg.idswitch_rate)
-            if dropped:
-                continue
-            if switched and len(rows) > starts[-1]:
-                starts.append(len(rows))
-            rows.append(row)
-            shifts.append((dx, dy))
-        if not rows:
+        kept = np.empty(len(rows), dtype=bool)
+        switched = np.empty(len(rows), dtype=bool)
+        shifts = np.empty((len(rows), 2))
+        for at in range(0, len(rows), FRAME_BLOCK):
+            part = slice(at, at + FRAME_BLOCK)
+            u = ((rng.block(6 * len(rows[part])) >> np.uint64(11)) * _TO_UNIT).reshape(-1, 6)
+            keep = u[:, 0] >= deg.drop_rate
+            kept[part] = keep
+            switched[part] = u[:, 5] < deg.idswitch_rate
+            u = u[keep]
+            shifts[part][keep] = _normals(deg.jitter, u[:, [1, 3]], u[:, [2, 4]])
+        rows, shifts, switched = rows[kept], shifts[kept], switched[kept]
+        if not len(rows):
             continue
 
         frame, xywh, conf = traj.frame[rows], traj.xywh[rows], traj.conf[rows]
         xywh[:, :2] += shifts
-        for lo, hi in zip(starts, starts[1:] + [len(rows)]):
-            trajectories.append(Trajectory._of(next_id, frame[lo:hi], xywh[lo:hi], conf[lo:hi]))
+        # a switch starts a new id segment, except on the first surviving frame
+        cuts = np.flatnonzero(switched[1:]) + 1
+        for f, b, c in zip(np.split(frame, cuts), np.split(xywh, cuts), np.split(conf, cuts)):
+            trajectories.append(Trajectory._of(next_id, f, b, c))
             next_id += 1
     return TrackSet(sequence, trajectories)
 
@@ -204,19 +227,14 @@ def _half_degraded(
             next_id += 1
             continue
         mid = (traj.start + traj.stop + 1) // 2
-        window: set[int] = set()
         for lo, hi in ((traj.start, mid - 1), (mid, traj.stop)):
+            keep = (traj.frame >= lo) & (traj.frame <= hi)
             length = rng.randint(8, 16)
-            s_lo, s_hi = lo + 1, hi - length
-            if s_lo <= s_hi:
-                s = rng.randint(s_lo, s_hi)
-                window.update(range(s, s + length))
-        outside = ~np.isin(traj.frame, list(window))
-        for lo, hi in ((traj.start, mid - 1), (mid, traj.stop)):
-            keep = outside & (traj.frame >= lo) & (traj.frame <= hi)
+            if lo + 1 <= hi - length:
+                keep &= _outside(traj.frame, rng.randint(lo + 1, hi - length), length)
             if keep.any():
                 trajectories.append(
-                    Trajectory(next_id, traj.frame[keep], traj.xywh[keep], traj.conf[keep])
+                    Trajectory._of(next_id, traj.frame[keep], traj.xywh[keep], traj.conf[keep])
                 )
                 next_id += 1
     return TrackSet(sequence, trajectories)

@@ -5,8 +5,9 @@ scans, permutation enumeration, Monte-Carlo sampling) so the library is
 checked against code that shares none of its logic. The scalar pipeline
 stages at the end are the exception: they are the per-pair ``box_iou``
 loops that merge grouping, NMS and IDF1 ran before the overlap join, and
-the per-line parser that ran before the columnar one, and the per-box
-formatter that ran before the block writer, kept as differential
+the per-line parser that ran before the columnar one, the per-box
+formatter that ran before the block writer, and synth's per-frame
+degradation loop that ran before the block draws, kept as differential
 references.
 """
 
@@ -24,6 +25,8 @@ from trackfuse.ensemble import EnsembleConfig, length_filter, merge_group, mix
 from trackfuse.geometry import box_iou, st_iou
 from trackfuse.io import DECIMALS, MAX_INDEX, MIN_BOX_SIZE
 from trackfuse.metrics import ClearScores, IdentityScores
+from trackfuse.rng import SplitMix64
+from trackfuse.synth import TrackerDegradation
 
 
 def iou_naive(a: BoundingBox, b: BoundingBox) -> float:
@@ -403,3 +406,43 @@ def serialize_trackset_scalar(ts: TrackSet) -> str:
         line.format(f, track_id, det.box.x, det.box.y, det.box.w, det.box.h, det.confidence)
         for f, track_id, det in rows
     )
+
+
+def degrade_scalar(gt: TrackSet, deg: TrackerDegradation, rng: SplitMix64, sequence: str) -> TrackSet:
+    """``synth._degrade`` with one ``bernoulli``/``normal`` call per draw, frame by frame."""
+    trajectories: List[Trajectory] = []
+    next_id = 1
+    for traj in sorted(gt.trajectories, key=lambda t: t.id):
+        window: set[int] = set()
+        if deg.segment_drop > 0:
+            length = rng.randint(1, max(1, 2 * deg.segment_drop - 1))
+            lo, hi = traj.start + 1, traj.stop - length
+            if lo <= hi:
+                s = rng.randint(lo, hi)
+                window = set(range(s, s + length))
+
+        rows: List[int] = []  # surviving rows of the object's track
+        shifts: List[Tuple[float, float]] = []
+        starts = [0]  # where in ``rows`` each id segment starts
+        for row, f in enumerate(traj.frame.tolist()):
+            if f in window:
+                continue
+            dropped = rng.bernoulli(deg.drop_rate)
+            dx = rng.normal(0.0, deg.jitter)
+            dy = rng.normal(0.0, deg.jitter)
+            switched = rng.bernoulli(deg.idswitch_rate)
+            if dropped:
+                continue
+            if switched and len(rows) > starts[-1]:
+                starts.append(len(rows))
+            rows.append(row)
+            shifts.append((dx, dy))
+        if not rows:
+            continue
+
+        frame, xywh, conf = traj.frame[rows], traj.xywh[rows], traj.conf[rows]
+        xywh[:, :2] += shifts
+        for lo, hi in zip(starts, starts[1:] + [len(rows)]):
+            trajectories.append(Trajectory(next_id, frame[lo:hi], xywh[lo:hi], conf[lo:hi]))
+            next_id += 1
+    return TrackSet(sequence, trajectories)

@@ -77,6 +77,17 @@ def test_synth_bad_config_file(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jitter", ["nan", "inf"])
+def test_synth_config_rejects_non_finite_jitter(tmp_path, capsys, jitter):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"objects = 2\nframes = 20\ntracker = drop=0.1 jitter={jitter}\n")
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(config), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config line 3" in err and "jitter" in err
+    assert not out.exists()
+
+
 def test_merge_happy_path(tmp_path, scenario_dir):
     out = tmp_path / "fused.txt"
     code = main(["merge", "-i", str(scenario_dir / "tracker_1.txt"),

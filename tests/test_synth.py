@@ -1,6 +1,9 @@
+import hashlib
 import math
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trackfuse import (
@@ -13,9 +16,15 @@ from trackfuse import (
     serialize_trackset,
 )
 from trackfuse.rng import SplitMix64, stream
-from trackfuse.synth import parse_scenario_config
+from trackfuse.synth import (
+    DEFAULT_DEGRADATION,
+    FRAME_BLOCK,
+    _degrade,
+    _generate_gt,
+    parse_scenario_config,
+)
 
-from oracles import canonical
+from oracles import canonical, degrade_scalar, random_trackset
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -35,6 +44,24 @@ def test_splitmix64_reference_vector():
     assert rng.next_u64() == 0xE220A8397B1DCDAF
     assert rng.next_u64() == 0x6E789E6AA1B965F4
     assert rng.next_u64() == 0x06C45D188009454F
+    assert SplitMix64(0).block(3).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F
+    ]
+
+
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 1000])
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1, 2**64 - GOLDEN // 2, 2**64 - 3 * GOLDEN % 2**64])
+def test_block_equals_scalar_draws(seed, n):
+    blocks, scalars = SplitMix64(seed), SplitMix64(seed)
+    drawn = blocks.block(n)
+    assert drawn.dtype == np.uint64 and drawn.shape == (n,)
+    assert drawn.tolist() == [scalars.next_u64() for _ in range(n)]
+    # the state moved on by n steps: scalar draws continue the same stream
+    assert [blocks.next_u64() for _ in range(3)] == [scalars.next_u64() for _ in range(3)]
+    assert blocks.block(7).tolist() == [scalars.next_u64() for _ in range(7)]
 
 
 def test_uniform_and_randint_bounds():
@@ -92,6 +119,9 @@ def test_degradation_validation():
         TrackerDegradation(jitter=-1.0)
     with pytest.raises(ValueError):
         TrackerDegradation(segment_drop=-2)
+    for jitter in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="jitter"):
+            TrackerDegradation(jitter=jitter)
 
 
 def test_generation_is_deterministic():
@@ -142,6 +172,79 @@ def test_golden_scenario_files():
     gt, (tracker,) = generate_scenario(GOLDEN_SPEC)
     assert serialize_trackset(gt) == (GOLDEN_DIR / "scenario_seed7_gt.txt").read_text()
     assert serialize_trackset(tracker) == (GOLDEN_DIR / "scenario_seed7_tracker_1.txt").read_text()
+
+
+# SHA-256 of serialize_trackset for the gt and each tracker, as the
+# per-frame draw loop wrote them at benchmark scale.
+PINNED_SCENARIOS = [
+    (
+        ScenarioSpec(20, 600, seed=71, trackers=(DEFAULT_DEGRADATION,) * 3),
+        [
+            "b13d7d04c69c20137df98d4eb201954a16077ebb2331086450af1b080af68202",
+            "bbf3a62f2da87a0a7625532a4209a53ee4642fcb90eb928560d7890b0ee4be5d",
+            "dd17fb5ef681633b3a5bdf8c8eb0e1e94d4db424e1c6c3210ccfadabeafcd35c",
+            "34d277e6084ecf1b5be4f7d2adc6281a8a658b27e2fb9923196dab0761f9d4a2",
+        ],
+    ),
+    (
+        ScenarioSpec(4, 6000, seed=71, trackers=(TrackerDegradation(0.0005, 0.1, 1.0, 15),) * 2),
+        [
+            "36051f26bd800eb28b585a6bbe01da2c24af2ff0b0d7d4911b274045636d7075",
+            "0d4c1bcfc7bbe8dacb1e3dba2da807e4bfc2c6c5cbbbad7ee74b9f35a3ba7051",
+            "91990c371f39db5721afb083d1ec2a8b4ececaaf98be523fe88c7777edee759b",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, digests", PINNED_SCENARIOS)
+def test_benchmark_scale_scenarios_are_pinned(spec, digests):
+    gt, trackers = generate_scenario(spec)
+    assert [
+        hashlib.sha256(serialize_trackset(ts).encode()).hexdigest() for ts in (gt, *trackers)
+    ] == digests
+
+
+SWEEP_DEGRADATIONS = [
+    TrackerDegradation(),
+    TrackerDegradation(drop_rate=1.0, jitter=1.0),
+    TrackerDegradation(idswitch_rate=1.0, jitter=1.0),
+    TrackerDegradation(idswitch_rate=1.0, drop_rate=0.5, jitter=2.0, segment_drop=1),
+    TrackerDegradation(idswitch_rate=0.2, drop_rate=0.1, jitter=0.0, segment_drop=3),
+    TrackerDegradation(idswitch_rate=0.05, drop_rate=0.05, jitter=1.5, segment_drop=1),
+    TrackerDegradation(idswitch_rate=0.05, drop_rate=0.05, jitter=1.5, segment_drop=5000),
+    DEFAULT_DEGRADATION,
+    TrackerDegradation(idswitch_rate=0.0005, drop_rate=0.1, jitter=1.0, segment_drop=15),
+]
+
+
+def assert_same_bits(got, want):
+    assert got.sequence == want.sequence
+    assert got.trajectories == want.trajectories
+    for a, b in zip(got.trajectories, want.trajectories):
+        assert a.xywh.tobytes() == b.xywh.tobytes()  # -0.0 and 0.0 too
+
+
+@pytest.mark.parametrize("deg", SWEEP_DEGRADATIONS)
+@pytest.mark.parametrize(
+    "frames", [1, 2, 7, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 2 * FRAME_BLOCK + 30]
+)
+def test_degrade_matches_per_frame_draws(deg, frames):
+    for seed in (0, 5, 2**63 + 11):
+        gt = _generate_gt(ScenarioSpec(num_objects=2, num_frames=frames, seed=seed))
+        blocks, scalars = stream(seed, 1), stream(seed, 1)
+        assert_same_bits(_degrade(gt, deg, blocks, "t"), degrade_scalar(gt, deg, scalars, "t"))
+        assert blocks.next_u64() == scalars.next_u64()  # both drew the same count
+
+
+@pytest.mark.parametrize("deg", SWEEP_DEGRADATIONS)
+def test_degrade_matches_per_frame_draws_on_gappy_tracks(deg):
+    rng = random.Random(3)
+    for seed in range(20):
+        gt = random_trackset(rng, max_tracks=5, max_span=80)
+        blocks, scalars = SplitMix64(seed), SplitMix64(seed)
+        assert_same_bits(_degrade(gt, deg, blocks, "t"), degrade_scalar(gt, deg, scalars, "t"))
+        assert blocks.next_u64() == scalars.next_u64()
 
 
 def test_complementary_pair_structure():
