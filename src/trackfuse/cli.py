@@ -5,10 +5,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
-from .ensemble import EnsembleConfig, MergeMode, ensemble_pipeline
+from .ensemble import EnsembleConfig, ensemble_pipeline
 from .interpolate import linear_interpolate
 from .io import ParseError, load_trackset, save_trackset
 from .metrics import EvalReport, evaluate
@@ -18,6 +19,7 @@ from .synth import (
     ScenarioSpec,
     complementary_pair,
     generate_scenario,
+    parse_arena,
     parse_scenario_config,
 )
 
@@ -26,8 +28,23 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 
 
-class _InputError(Exception):
-    """Unreadable or unparseable input file."""
+class _Failure(Exception):
+    """A command's failure: ``main`` prints the message and exits with ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+@contextmanager
+def _failing(error: type[Exception], code: int, prefix: str = "") -> Iterator[None]:
+    """Turn ``error`` raised in the block into a ``_Failure``, its message led by ``prefix``."""
+    try:
+        yield
+    except error as exc:
+        # an OSError's str() repeats the path; its strerror alone does not
+        reason = exc.strerror if isinstance(exc, OSError) else None
+        raise _Failure(code, f"{prefix}{reason or exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,47 +56,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path: str, is_ground_truth: bool = False) -> TrackSet:
-    try:
+    with _failing(OSError, EXIT_INPUT, f"cannot read {path}: "), _failing(ParseError, EXIT_INPUT, f"{path}: "):
         return load_trackset(path, is_ground_truth)
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except ParseError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
 
 
-def cmd_merge(args: argparse.Namespace) -> int:
-    try:
-        cfg = EnsembleConfig(
-            thr_s=args.thr_s,
-            thr_t=args.thr_t,
-            thr_nms=args.thr_nms,
-            thr_len=args.thr_len,
-            merge_mode=MergeMode(args.mode),
-        )
-        if args.interpolate is not None and args.interpolate < 1:
-            raise ValueError(f"--interpolate must be >= 1, got {args.interpolate}")
-    except ValueError as exc:
-        print(f"trackfuse merge: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_merge(args: argparse.Namespace) -> None:
+    with _failing(ValueError, EXIT_USAGE):
+        cfg = EnsembleConfig(thr_s=args.thr_s, thr_t=args.thr_t, thr_nms=args.thr_nms,
+                             thr_len=args.thr_len, merge_mode=args.mode)
+    if args.interpolate is not None and args.interpolate < 1:
+        raise _Failure(EXIT_USAGE, f"--interpolate must be >= 1, got {args.interpolate}")
 
-    try:
-        tracksets = [_load(path) for path in args.input]
-    except _InputError as exc:
-        print(f"trackfuse merge: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    fused = ensemble_pipeline(tracksets, cfg)
+    fused = ensemble_pipeline([_load(path) for path in args.input], cfg)
     if args.interpolate is not None:
         fused = TrackSet(
             fused.sequence,
             [linear_interpolate(t, args.interpolate) for t in fused.trajectories],
         )
-    try:
+    with _failing(OSError, EXIT_INPUT, f"cannot write {args.output}: "):
         save_trackset(args.output, fused)
-    except OSError as exc:
-        print(f"trackfuse merge: error: cannot write {args.output}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    return EXIT_OK
 
 
 def _report_rows(report: EvalReport) -> List[tuple[str, object]]:
@@ -105,19 +100,13 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> None:
     if not 0.0 < args.iou <= 1.0:
-        print(f"trackfuse eval: error: --iou must be in (0, 1], got {args.iou}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        gt = _load(args.gt, is_ground_truth=True)
-        pred = _load(args.pred)
-    except _InputError as exc:
-        print(f"trackfuse eval: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Failure(EXIT_USAGE, f"--iou must be in (0, 1], got {args.iou}")
+    gt = _load(args.gt, is_ground_truth=True)
+    pred = _load(args.pred)
     if gt.num_detections == 0:
-        print(f"trackfuse eval: error: ground truth {args.gt} contains no boxes", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Failure(EXIT_INPUT, f"ground truth {args.gt} contains no boxes")
 
     report = evaluate(gt, pred, args.iou)
     rows = _report_rows(report)
@@ -127,58 +116,38 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print()
     for name, value in rows:
         print(f"#metric {name.lower()}={_fmt(value)}")
-    return EXIT_OK
 
 
 def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
+    spec = ScenarioSpec()
     if args.config is not None:
-        try:
+        with _failing(OSError, EXIT_INPUT, f"cannot read {args.config}: "):
             text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise _InputError(f"cannot read {args.config}: {exc.strerror or exc}") from exc
-        try:
+        with _failing(ValueError, EXIT_INPUT, f"{args.config}: "):
             spec = parse_scenario_config(text)
-        except ValueError as exc:
-            raise _InputError(f"{args.config}: {exc}") from exc
-    else:
-        spec = ScenarioSpec()
 
     overrides = {}
-    if args.objects is not None:
-        overrides["num_objects"] = args.objects
-    if args.frames is not None:
-        overrides["num_frames"] = args.frames
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    for flag, name in (("objects", "num_objects"), ("frames", "num_frames"), ("seed", "seed")):
+        if getattr(args, flag) is not None:
+            overrides[name] = getattr(args, flag)
     if args.arena is not None:
-        w, sep, h = args.arena.lower().partition("x")
         try:
-            if not sep:
-                raise ValueError
-            overrides["arena_w"] = int(w)
-            overrides["arena_h"] = int(h)
+            overrides["arena_w"], overrides["arena_h"] = parse_arena(args.arena)
         except ValueError:
-            raise ValueError(f"--arena expects WxH, got {args.arena!r}") from None
+            raise _Failure(EXIT_USAGE, f"--arena expects WxH, got {args.arena!r}") from None
     if args.trackers is not None:
         if args.trackers < 0:
-            raise ValueError(f"--trackers must be >= 0, got {args.trackers}")
+            raise _Failure(EXIT_USAGE, f"--trackers must be >= 0, got {args.trackers}")
         overrides["trackers"] = (DEFAULT_DEGRADATION,) * args.trackers
     elif not spec.trackers and not args.complementary:
         overrides["trackers"] = (DEFAULT_DEGRADATION,) * 2
-    return dataclasses.replace(spec, **overrides)
+    with _failing(ValueError, EXIT_USAGE):
+        return dataclasses.replace(spec, **overrides)
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    try:
-        spec = _build_spec(args)
-    except _InputError as exc:
-        print(f"trackfuse synth: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"trackfuse synth: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
+def cmd_synth(args: argparse.Namespace) -> None:
+    spec = _build_spec(args)
+    with _failing(ValueError, EXIT_USAGE):
         if args.complementary:
             gt, tracker_a, tracker_b = complementary_pair(spec)
             outputs = [("gt.txt", gt), ("tracker_1.txt", tracker_a), ("tracker_2.txt", tracker_b)]
@@ -186,20 +155,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
             gt, tracker_sets = generate_scenario(spec)
             outputs = [("gt.txt", gt)]
             outputs += [(f"tracker_{k + 1}.txt", ts) for k, ts in enumerate(tracker_sets)]
-    except ValueError as exc:
-        print(f"trackfuse synth: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
     outdir = Path(args.output)
-    try:
+    with _failing(OSError, EXIT_INPUT, f"cannot write to {outdir}: "):
         outdir.mkdir(parents=True, exist_ok=True)
         for name, ts in outputs:
             save_trackset(outdir / name, ts)
             print(f"wrote {outdir / name}")
-    except OSError as exc:
-        print(f"trackfuse synth: error: cannot write to {outdir}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,7 +220,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        args.func(args)
+    except _Failure as failure:
+        print(f"trackfuse {args.command}: error: {failure}", file=sys.stderr)
+        return failure.code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

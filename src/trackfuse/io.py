@@ -20,17 +20,8 @@ from typing import Callable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .geometry import box_columns
-from .model import TrackSet, Trajectory
+from .model import DECIMALS, MAX_INDEX, MIN_BOX_SIZE, TrackSet, Trajectory
 
-# Decimal places of every written coordinate and confidence.
-DECIMALS = 2
-# The smallest positive size the output can write. The parser rejects boxes
-# below it, so every box it accepts is written back as a positive size, even
-# after averaging or interpolation moves it by float rounding error.
-MIN_BOX_SIZE = 10.0**-DECIMALS
-# Frames and ids must stay below it: every token is read as a float, and
-# floats stop representing every integer there.
-MAX_INDEX = 2**53
 # Characters of text the parser splits into lines and converts at once. A
 # block ends at a line break. It bounds the parser's temporary memory and
 # does not change results.

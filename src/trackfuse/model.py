@@ -18,6 +18,16 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
+# Decimal places of every written coordinate and confidence.
+DECIMALS = 2
+# The smallest positive size the output can write. The parser rejects boxes
+# below it, so every box it accepts is written back as a positive size, even
+# after averaging or interpolation moves it by float rounding error.
+MIN_BOX_SIZE = 10.0**-DECIMALS
+# Frames and ids must stay below it: every token is read as a float, and
+# floats stop representing every integer there.
+MAX_INDEX = 2**53
+
 
 @dataclass(frozen=True, slots=True)
 class BoundingBox:
@@ -66,6 +76,12 @@ class Detection:
             raise ValueError(f"confidence outside [0, 1]: {self.confidence}")
 
 
+def _checked_id(track_id: int) -> int:
+    if not 1 <= track_id < MAX_INDEX:
+        raise ValueError(f"trajectory id must be in [1, 2**53), got {track_id}")
+    return track_id
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -111,7 +127,10 @@ class Trajectory:
     The constructor copies and validates them once and makes the copies
     read-only. Frames between ``start`` and ``stop`` may be missing (gaps);
     ``length`` is the inclusive frame span ``stop - start + 1`` regardless
-    of gaps.
+    of gaps. The constructor accepts only what the writer can write and the
+    parser read back: frames and ids below ``MAX_INDEX``, and sizes of at
+    least ``MIN_BOX_SIZE / 2``, the smallest that ``DECIMALS`` places round
+    up to ``MIN_BOX_SIZE``.
     """
 
     id: int
@@ -123,22 +142,21 @@ class Trajectory:
     __hash__ = None  # compared by value, like the arrays it holds
 
     def __post_init__(self) -> None:
-        if self.id < 1:
-            raise ValueError(f"trajectory id must be >= 1, got {self.id}")
+        _checked_id(self.id)
         frame = _read_only(np.array(self.frame, dtype=np.int64).reshape(-1))
         if len(frame) == 0:
             raise ValueError("trajectory must contain at least one detection")
         # reshape raises ValueError when the column lengths differ
         xywh = _read_only(np.array(self.xywh, dtype=np.float64).reshape(len(frame), 4))
         conf = _read_only(np.array(self.conf, dtype=np.float64).reshape(len(frame)))
-        if frame[0] < 1:
-            raise ValueError(f"frame must be >= 1, got {frame[0]}")
+        if frame[0] < 1 or frame[-1] >= MAX_INDEX:
+            raise ValueError(f"frames must be in [1, 2**53), got {frame[0]} to {frame[-1]}")
         if (np.diff(frame) <= 0).any():
             raise ValueError(f"frames of trajectory {self.id} are not ascending and unique")
         if not np.isfinite(xywh).all():
             raise ValueError("non-finite bounding box field")
-        if (xywh[:, 2:] <= 0).any():
-            raise ValueError("non-positive box width or height")
+        if (xywh[:, 2:] < MIN_BOX_SIZE / 2).any():
+            raise ValueError(f"box width or height below {MIN_BOX_SIZE / 2}")
         if not ((conf >= 0.0) & (conf <= 1.0)).all():
             raise ValueError("confidence outside [0, 1]")
         object.__setattr__(self, "frame", frame)
@@ -207,9 +225,7 @@ class Trajectory:
 
     def with_id(self, new_id: int) -> "Trajectory":
         """The same boxes under another id; the columns are shared."""
-        if new_id < 1:
-            raise ValueError(f"trajectory id must be >= 1, got {new_id}")
-        return Trajectory._of(new_id, self.frame, self.xywh, self.conf)
+        return Trajectory._of(_checked_id(new_id), self.frame, self.xywh, self.conf)
 
 
 @dataclass(frozen=True, slots=True)

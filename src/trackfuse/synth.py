@@ -255,6 +255,7 @@ def complementary_pair(spec: ScenarioSpec) -> Tuple[TrackSet, TrackSet, TrackSet
     return gt, tracker_a, tracker_b
 
 
+_SPEC_KEYS = {"objects": "num_objects", "frames": "num_frames", "seed": "seed"}
 _DEGRADATION_KEYS = {
     "idswitch": "idswitch_rate",
     "drop": "drop_rate",
@@ -263,20 +264,28 @@ _DEGRADATION_KEYS = {
 }
 
 
-def _parse_degradation(text: str, line_no: int) -> TrackerDegradation:
+def parse_arena(text: str) -> Tuple[int, int]:
+    """Width and height of an arena written ``WxH``, such as ``800x600``."""
+    w, sep, h = text.lower().partition("x")
+    if not sep:
+        raise ValueError("expected WxH")
+    return int(w), int(h)
+
+
+def _parse_degradation(text: str) -> TrackerDegradation:
     kwargs: Dict[str, float | int] = {}
     for token in text.split():
         key, sep, value = token.partition("=")
         if not sep or key not in _DEGRADATION_KEYS:
             raise ValueError(
-                f"config line {line_no}: expected tracker entries like "
+                "expected tracker entries like "
                 f"idswitch=0.01 drop=0.05 jitter=1.5 segment=10, got {token!r}"
             )
         field = _DEGRADATION_KEYS[key]
         try:
             kwargs[field] = int(value) if field == "segment_drop" else float(value)
         except ValueError:
-            raise ValueError(f"config line {line_no}: malformed number {value!r}") from None
+            raise ValueError(f"malformed number {value!r}") from None
     return TrackerDegradation(**kwargs)
 
 
@@ -295,28 +304,18 @@ def parse_scenario_config(text: str) -> ScenarioSpec:
         if not line:
             continue
         key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"config line {line_no}: expected key=value")
         key, value = key.strip().lower(), value.strip()
         try:
-            if key == "objects":
-                fields["num_objects"] = int(value)
-            elif key == "frames":
-                fields["num_frames"] = int(value)
-            elif key == "seed":
-                fields["seed"] = int(value)
+            if not sep:
+                raise ValueError("expected key=value")
+            if key in _SPEC_KEYS:
+                fields[_SPEC_KEYS[key]] = int(value)
             elif key == "arena":
-                w, sep2, h = value.lower().partition("x")
-                if not sep2:
-                    raise ValueError("expected WxH")
-                fields["arena_w"] = int(w)
-                fields["arena_h"] = int(h)
+                fields["arena_w"], fields["arena_h"] = parse_arena(value)
             elif key == "tracker":
-                trackers.append(_parse_degradation(value, line_no))
+                trackers.append(_parse_degradation(value))
             else:
-                raise ValueError(f"config line {line_no}: unknown key {key!r}")
+                raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
-            if str(exc).startswith("config line"):
-                raise
             raise ValueError(f"config line {line_no}: {exc}") from None
     return ScenarioSpec(trackers=tuple(trackers), **fields)

@@ -1,5 +1,9 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,7 @@ from trackfuse import (
     load_trackset,
     serialize_trackset,
 )
-from trackfuse import metrics
+from trackfuse import cli, metrics
 from trackfuse.cli import main
 
 from oracles import canonical, const_track
@@ -425,6 +429,116 @@ def test_usage_errors_exit_one(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["merge"]) == 1  # missing required flags
     capsys.readouterr()
+
+
+# Scenario config files the failure matrix below reads, by name.
+FAILING_CONFIGS = {
+    "no_eq": "objects 4\n",
+    "bad_key": "colour = red\n",
+    "bad_number": "objects = banana\n",
+    "bad_arena": "arena = 800\n",
+    "bad_arena_number": "arena = 800xabc\n",
+    "bad_tracker": "objects = 2\ntracker = drop=0.1 speed=3\n",
+    "bad_tracker_number": "tracker = drop=lots\n",
+    "bad_segment_number": "tracker = segment=1.5\n",
+    "out_of_range": "# comment\n\ntracker = drop=1.5\n",
+    "negative_segment": "tracker = segment=-1\n",
+    "zero_objects": "objects = 0\n",
+    "small_arena": "arena = 50x600\n",
+}
+
+# Every failure path of the commands: the arguments (TMP stands for the
+# test's directory), the exit code and the one stderr line. They were
+# recorded before `main` became the only place that prints them; since then
+# only the two write errors changed, which repeated the path inside the
+# OSError's text.
+FAILURES = [
+    ('merge -i TMP/gt.txt -o TMP/o.txt --thr-s 1.5', 1, 'trackfuse merge: error: thr_s must be in [0, 1], got 1.5'),
+    ('merge -i TMP/gt.txt -o TMP/o.txt --thr-t -0.2', 1, 'trackfuse merge: error: thr_t must be in [0, 1], got -0.2'),
+    ('merge -i TMP/gt.txt -o TMP/o.txt --thr-nms 2', 1, 'trackfuse merge: error: thr_nms must be in [0, 1], got 2.0'),
+    ('merge -i TMP/gt.txt -o TMP/o.txt --thr-len -1', 1, 'trackfuse merge: error: thr_len must be >= 0, got -1'),
+    ('merge -i TMP/gt.txt -o TMP/o.txt --interpolate 0', 1, 'trackfuse merge: error: --interpolate must be >= 1, got 0'),
+    ('merge -i TMP/missing.txt -o TMP/o.txt --interpolate 0', 1, 'trackfuse merge: error: --interpolate must be >= 1, got 0'),
+    ('merge -i TMP/missing.txt -o TMP/o.txt --thr-s 1.5', 1, 'trackfuse merge: error: thr_s must be in [0, 1], got 1.5'),
+    ('merge -i TMP/missing.txt -o TMP/o.txt', 2, 'trackfuse merge: error: cannot read TMP/missing.txt: No such file or directory'),
+    ('merge -i TMP/gt.txt -i TMP/dir -o TMP/o.txt', 2, 'trackfuse merge: error: cannot read TMP/dir: Is a directory'),
+    ('merge -i TMP/gt.txt -i TMP/bad.txt -o TMP/o.txt', 2, 'trackfuse merge: error: TMP/bad.txt: line 1: box width -5.0 below 0.01'),
+    ('merge -i TMP/gt.txt -o TMP/missing_dir/o.txt', 2, 'trackfuse merge: error: cannot write TMP/missing_dir/o.txt: No such file or directory'),
+    ('eval --gt TMP/missing.txt --pred TMP/gt.txt --iou 0', 1, 'trackfuse eval: error: --iou must be in (0, 1], got 0.0'),
+    ('eval --gt TMP/gt.txt --pred TMP/gt.txt --iou 1.5', 1, 'trackfuse eval: error: --iou must be in (0, 1], got 1.5'),
+    ('eval --gt TMP/missing.txt --pred TMP/gt.txt', 2, 'trackfuse eval: error: cannot read TMP/missing.txt: No such file or directory'),
+    ('eval --gt TMP/gt.txt --pred TMP/missing.txt', 2, 'trackfuse eval: error: cannot read TMP/missing.txt: No such file or directory'),
+    ('eval --gt TMP/dir --pred TMP/gt.txt', 2, 'trackfuse eval: error: cannot read TMP/dir: Is a directory'),
+    ('eval --gt TMP/gt.txt --pred TMP/bad.txt', 2, 'trackfuse eval: error: TMP/bad.txt: line 1: box width -5.0 below 0.01'),
+    ('eval --gt TMP/bad.txt --pred TMP/gt.txt', 2, 'trackfuse eval: error: TMP/bad.txt: line 1: box width -5.0 below 0.01'),
+    ('eval --gt TMP/empty.txt --pred TMP/gt.txt', 2, 'trackfuse eval: error: ground truth TMP/empty.txt contains no boxes'),
+    ('synth -o TMP/s --objects 0', 1, 'trackfuse synth: error: num_objects must be >= 1, got 0'),
+    ('synth -o TMP/s --frames 0', 1, 'trackfuse synth: error: num_frames must be >= 1, got 0'),
+    ('synth -o TMP/s --trackers -1', 1, 'trackfuse synth: error: --trackers must be >= 0, got -1'),
+    ('synth -o TMP/s --arena 800', 1, "trackfuse synth: error: --arena expects WxH, got '800'"),
+    ('synth -o TMP/s --arena 800xabc', 1, "trackfuse synth: error: --arena expects WxH, got '800xabc'"),
+    ('synth -o TMP/s --arena 50x600', 1, 'trackfuse synth: error: arena width must be >= 96, got 50'),
+    ('synth -o TMP/s --objects 100 --arena 800x600', 1, 'trackfuse synth: error: arena height 600 too small for 100 objects'),
+    ('synth -o TMP/s --complementary --objects 1', 1, 'trackfuse synth: error: complementary_pair needs at least 2 objects'),
+    ('synth -o TMP/s --config TMP/missing.cfg', 2, 'trackfuse synth: error: cannot read TMP/missing.cfg: No such file or directory'),
+    ('synth -o TMP/s --config TMP/dir', 2, 'trackfuse synth: error: cannot read TMP/dir: Is a directory'),
+    ('synth -o TMP/s --config TMP/no_eq.cfg', 2, 'trackfuse synth: error: TMP/no_eq.cfg: config line 1: expected key=value'),
+    ('synth -o TMP/s --config TMP/bad_key.cfg', 2, "trackfuse synth: error: TMP/bad_key.cfg: config line 1: unknown key 'colour'"),
+    ('synth -o TMP/s --config TMP/bad_number.cfg', 2, "trackfuse synth: error: TMP/bad_number.cfg: config line 1: invalid literal for int() with base 10: 'banana'"),
+    ('synth -o TMP/s --config TMP/bad_arena.cfg', 2, 'trackfuse synth: error: TMP/bad_arena.cfg: config line 1: expected WxH'),
+    ('synth -o TMP/s --config TMP/bad_arena_number.cfg', 2, "trackfuse synth: error: TMP/bad_arena_number.cfg: config line 1: invalid literal for int() with base 10: 'abc'"),
+    ('synth -o TMP/s --config TMP/bad_tracker.cfg', 2, "trackfuse synth: error: TMP/bad_tracker.cfg: config line 2: expected tracker entries like idswitch=0.01 drop=0.05 jitter=1.5 segment=10, got 'speed=3'"),
+    ('synth -o TMP/s --config TMP/bad_tracker_number.cfg', 2, "trackfuse synth: error: TMP/bad_tracker_number.cfg: config line 1: malformed number 'lots'"),
+    ('synth -o TMP/s --config TMP/bad_segment_number.cfg', 2, "trackfuse synth: error: TMP/bad_segment_number.cfg: config line 1: malformed number '1.5'"),
+    ('synth -o TMP/s --config TMP/out_of_range.cfg', 2, 'trackfuse synth: error: TMP/out_of_range.cfg: config line 3: drop_rate must be in [0, 1], got 1.5'),
+    ('synth -o TMP/s --config TMP/negative_segment.cfg', 2, 'trackfuse synth: error: TMP/negative_segment.cfg: config line 1: segment_drop must be >= 0, got -1'),
+    ('synth -o TMP/s --config TMP/zero_objects.cfg', 2, 'trackfuse synth: error: TMP/zero_objects.cfg: num_objects must be >= 1, got 0'),
+    ('synth -o TMP/s --config TMP/small_arena.cfg', 2, 'trackfuse synth: error: TMP/small_arena.cfg: arena width must be >= 96, got 50'),
+    ('synth -o TMP/s --config TMP/zero_objects.cfg --objects 2', 2, 'trackfuse synth: error: TMP/zero_objects.cfg: num_objects must be >= 1, got 0'),
+    ('synth -o TMP/s --config TMP/bad_key.cfg --trackers -1', 2, "trackfuse synth: error: TMP/bad_key.cfg: config line 1: unknown key 'colour'"),
+    ('synth -o TMP/gt.txt/sub --frames 5', 2, 'trackfuse synth: error: cannot write to TMP/gt.txt/sub: Not a directory'),
+]
+
+
+@pytest.mark.parametrize("argv,code,err", FAILURES)
+def test_failures_are_pinned(tmp_path, capsys, argv, code, err):
+    (tmp_path / "gt.txt").write_text(GT_TEXT)
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "bad.txt").write_text("1,1,10,20,-5,40,1,-1,-1,-1\n")
+    (tmp_path / "dir").mkdir()
+    for name, text in FAILING_CONFIGS.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([arg.replace("TMP", str(tmp_path)) for arg in argv.split()]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.replace(str(tmp_path), "TMP") == err + "\n"
+    assert sorted(tmp_path.rglob("*")) == before  # a failed command writes nothing
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_unexpected_errors_propagate(tmp_path, monkeypatch, error):
+    src = tmp_path / "a.txt"
+    src.write_text(GT_TEXT)
+
+    def broken(*args):
+        raise error("bug")
+
+    monkeypatch.setattr(cli, "ensemble_pipeline", broken)
+    with pytest.raises(error, match="bug"):
+        main(["merge", "-i", str(src), "-o", str(tmp_path / "out.txt")])
+
+
+def test_module_entry_point_exits_with_the_code(tmp_path):
+    missing = tmp_path / "missing.txt"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "trackfuse.cli", "eval", "--gt", str(missing), "--pred", str(missing)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"trackfuse eval: error: cannot read {missing}: No such file or directory\n"
 
 
 def test_help_exits_zero(capsys):

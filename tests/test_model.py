@@ -14,6 +14,7 @@ from trackfuse import (
     Trajectory,
     linear_interpolate,
     parse_trackset,
+    serialize_trackset,
 )
 from trackfuse.ensemble import length_nms, merge_group, mix
 
@@ -156,11 +157,31 @@ def test_trajectory_equality_compares_id_and_columns_exactly():
         ([1], [(math.nan, 0, 1, 1)], [1]),  # non-finite
         ([1], [(0, 0, 1, 1)], [1.5]),  # confidence above 1
         ([1, 2], [(0, 0, 1, 1)], [1, 1]),  # column lengths differ
+        ([1, 2**53], [(0, 0, 1, 1)] * 2, [1, 1]),  # frame the parser cannot read back
+        ([1], [(0, 0, np.nextafter(0.005, 0), 1)], [1]),  # width written as 0.00
+        ([1], [(0, 0, 1, np.nextafter(0.005, 0))], [1]),  # height written as 0.00
     ],
 )
 def test_trajectory_rejects_invalid_columns(frame, xywh, conf):
     with pytest.raises(ValueError):
         Trajectory(1, frame, xywh, conf)
+
+
+def test_trajectory_ids_stay_below_2_to_the_53():
+    traj = _track()
+    with pytest.raises(ValueError):
+        traj.with_id(2**53)
+    with pytest.raises(ValueError):
+        Trajectory(2**53, traj.frame, traj.xywh, traj.conf)
+
+
+def test_smallest_accepted_trajectory_reads_back():
+    # 0.005 is the smallest double that two decimals write as 0.01
+    last = 2**53 - 1
+    traj = Trajectory(last, [1, last], [(0, 0, 0.005, 0.005)] * 2, [1, 1])
+    (again,) = parse_trackset(serialize_trackset(TrackSet("s", [traj]))).trajectories
+    assert again.id == last and again.frames() == [1, last]
+    assert (again.xywh[:, 2:] == 0.01).all()
 
 
 def test_detections_mapping_is_built_from_the_columns():
