@@ -6,12 +6,11 @@ ships with CLEAR/IDF1 evaluation plus a synthetic scenario harness.
 
 The package exports what a user of the whole pipeline needs. The single
 stages, geometry and random streams stay importable from their modules
-(``trackfuse.ensemble``, ``trackfuse.geometry``, ``trackfuse.metrics``,
-``trackfuse.synth``, ``trackfuse.rng``).
+(``trackfuse.ensemble``, ``trackfuse.interpolate``, ``trackfuse.geometry``,
+``trackfuse.metrics``, ``trackfuse.synth``, ``trackfuse.rng``).
 """
 
 from .ensemble import EnsembleConfig, MergeMode, ensemble_pipeline
-from .interpolate import linear_interpolate
 from .io import ParseError, load_trackset, parse_trackset, save_trackset, serialize_trackset
 from .metrics import ClearScores, EvalReport, IdentityScores, evaluate
 from .model import BoundingBox, Detection, TrackSet, Trajectory
@@ -36,7 +35,6 @@ __all__ = [
     "ensemble_pipeline",
     "evaluate",
     "generate_scenario",
-    "linear_interpolate",
     "load_trackset",
     "parse_trackset",
     "save_trackset",

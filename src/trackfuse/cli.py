@@ -3,24 +3,23 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, List, Optional
 
 from .ensemble import EnsembleConfig, ensemble_pipeline
-from .interpolate import linear_interpolate
 from .io import ParseError, load_trackset, save_trackset
 from .metrics import EvalReport, evaluate
 from .model import TrackSet
 from .synth import (
+    _SPEC_KEYS,
     DEFAULT_DEGRADATION,
     ScenarioSpec,
+    _config_fields,
     complementary_pair,
     generate_scenario,
     parse_arena,
-    parse_scenario_config,
 )
 
 EXIT_OK = 0
@@ -61,18 +60,13 @@ def _load(path: str, is_ground_truth: bool = False) -> TrackSet:
 
 
 def cmd_merge(args: argparse.Namespace) -> None:
-    with _failing(ValueError, EXIT_USAGE):
-        cfg = EnsembleConfig(thr_s=args.thr_s, thr_t=args.thr_t, thr_nms=args.thr_nms,
-                             thr_len=args.thr_len, merge_mode=args.mode)
     if args.interpolate is not None and args.interpolate < 1:
         raise _Failure(EXIT_USAGE, f"--interpolate must be >= 1, got {args.interpolate}")
+    with _failing(ValueError, EXIT_USAGE):
+        cfg = EnsembleConfig(thr_s=args.thr_s, thr_t=args.thr_t, thr_nms=args.thr_nms,
+                             thr_len=args.thr_len, merge_mode=args.mode, max_gap=args.interpolate)
 
     fused = ensemble_pipeline([_load(path) for path in args.input], cfg)
-    if args.interpolate is not None:
-        fused = TrackSet(
-            fused.sequence,
-            [linear_interpolate(t, args.interpolate) for t in fused.trajectories],
-        )
     with _failing(OSError, EXIT_INPUT, f"cannot write {args.output}: "):
         save_trackset(args.output, fused)
 
@@ -119,30 +113,31 @@ def cmd_eval(args: argparse.Namespace) -> None:
 
 
 def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
-    spec = ScenarioSpec()
+    config = {}
     if args.config is not None:
         with _failing(OSError, EXIT_INPUT, f"cannot read {args.config}: "):
-            text = Path(args.config).read_text(encoding="utf-8")
+            text = Path(args.config).read_text(encoding="utf-8-sig")
         with _failing(ValueError, EXIT_INPUT, f"{args.config}: "):
-            spec = parse_scenario_config(text)
+            config = _config_fields(text)
 
-    overrides = {}
-    for flag, name in (("objects", "num_objects"), ("frames", "num_frames"), ("seed", "seed")):
-        if getattr(args, flag) is not None:
-            overrides[name] = getattr(args, flag)
+    flags = {name: v for key, name in _SPEC_KEYS.items() if (v := getattr(args, key)) is not None}
     if args.arena is not None:
         try:
-            overrides["arena_w"], overrides["arena_h"] = parse_arena(args.arena)
+            flags["arena_w"], flags["arena_h"] = parse_arena(args.arena)
         except ValueError:
             raise _Failure(EXIT_USAGE, f"--arena expects WxH, got {args.arena!r}") from None
     if args.trackers is not None:
         if args.trackers < 0:
             raise _Failure(EXIT_USAGE, f"--trackers must be >= 0, got {args.trackers}")
-        overrides["trackers"] = (DEFAULT_DEGRADATION,) * args.trackers
-    elif not spec.trackers and not args.complementary:
-        overrides["trackers"] = (DEFAULT_DEGRADATION,) * 2
-    with _failing(ValueError, EXIT_USAGE):
-        return dataclasses.replace(spec, **overrides)
+        flags["trackers"] = (DEFAULT_DEGRADATION,) * args.trackers
+    elif not config.get("trackers") and not args.complementary:
+        flags["trackers"] = (DEFAULT_DEGRADATION,) * 2
+    try:
+        return ScenarioSpec(**{**config, **flags})
+    except ValueError as exc:
+        with _failing(ValueError, EXIT_INPUT, f"{args.config}: "):
+            ScenarioSpec(**config)  # the config is named when its own values are invalid
+        raise _Failure(EXIT_USAGE, str(exc)) from None
 
 
 def cmd_synth(args: argparse.Namespace) -> None:

@@ -2,8 +2,9 @@
 
 The pipeline pools every trajectory from every input tracker, merges
 trajectories that agree spatio-temporally (longer tracks act as anchors),
-then prunes redundant per-frame boxes with length-ranked NMS and finally
-discards trajectories that end up too short.
+then prunes redundant per-frame boxes with length-ranked NMS, discards
+trajectories that end up too short and, when a ``max_gap`` is set, fills
+short gaps inside the kept trajectories by linear interpolation.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .geometry import box_columns, same_frame_pairs
+from .interpolate import linear_interpolate
 from .model import TrackSet, Trajectory
 
 
@@ -27,13 +29,19 @@ class MergeMode(Enum):
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Thresholds and merge mode governing the fusion pipeline."""
+    """Thresholds, merge mode and gap filling governing the fusion pipeline.
+
+    ``max_gap``, when set, makes gap filling the pipeline's last stage:
+    ``linear_interpolate`` fills gaps of up to ``max_gap`` missing frames
+    in every kept trajectory (``merge --interpolate``).
+    """
 
     thr_s: float = 0.5
     thr_t: float = 0.5
     thr_nms: float = 0.7
     thr_len: int = 20
     merge_mode: MergeMode = MergeMode.DROP
+    max_gap: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("thr_s", "thr_t", "thr_nms"):
@@ -42,6 +50,8 @@ class EnsembleConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.thr_len < 0:
             raise ValueError(f"thr_len must be >= 0, got {self.thr_len}")
+        if self.max_gap is not None and self.max_gap < 1:
+            raise ValueError(f"max_gap must be >= 1, got {self.max_gap}")
         # accept the mode's value ("drop"), and reject unknown ones
         object.__setattr__(self, "merge_mode", MergeMode(self.merge_mode))
 
@@ -176,7 +186,8 @@ def length_filter(tracks: Sequence[Trajectory], thr_len: int) -> List[Trajectory
 def ensemble_pipeline(tracksets: Sequence[TrackSet], cfg: EnsembleConfig | None = None) -> TrackSet:
     """Run the full fusion pipeline on one sequence.
 
-    mix -> merge -> length NMS -> length filter, then relabel ids 1..M.
+    mix -> merge -> length NMS -> length filter, then relabel ids 1..M, and
+    fill gaps of up to ``cfg.max_gap`` frames when it is set.
     Deterministic: identical inputs and config produce identical output.
     """
     if not tracksets:
@@ -188,5 +199,7 @@ def ensemble_pipeline(tracksets: Sequence[TrackSet], cfg: EnsembleConfig | None 
     merged = [merge_group(group, cfg.merge_mode) for group in groups]
     pruned = length_nms(merged, cfg.thr_nms)
     kept = length_filter(pruned, cfg.thr_len)
-    relabeled = [t.with_id(i) for i, t in enumerate(kept, start=1)]
-    return TrackSet(tracksets[0].sequence, relabeled)
+    fused = [t.with_id(i) for i, t in enumerate(kept, start=1)]
+    if cfg.max_gap is not None:
+        fused = [linear_interpolate(t, cfg.max_gap) for t in fused]
+    return TrackSet(tracksets[0].sequence, fused)

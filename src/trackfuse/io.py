@@ -262,9 +262,10 @@ def serialize_trackset(ts: TrackSet) -> str:
 
 
 def load_trackset(path: str | Path, is_ground_truth: bool = False) -> TrackSet:
+    """``parse_trackset`` of the file's UTF-8 text; a leading byte-order mark is skipped."""
     path = Path(path)
     return parse_trackset(
-        path.read_text(encoding="utf-8"), is_ground_truth, sequence=path.stem
+        path.read_text(encoding="utf-8-sig"), is_ground_truth, sequence=path.stem
     )
 
 

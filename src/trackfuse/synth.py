@@ -289,15 +289,9 @@ def _parse_degradation(text: str) -> TrackerDegradation:
     return TrackerDegradation(**kwargs)
 
 
-def parse_scenario_config(text: str) -> ScenarioSpec:
-    """Parse a plain-text key=value scenario description.
-
-    Recognized keys: ``objects``, ``frames``, ``seed``, ``arena`` (``WxH``)
-    and one ``tracker`` line per tracker, whose value holds space-separated
-    ``idswitch= drop= jitter= segment=`` entries (missing entries are 0).
-    ``#`` starts a comment; blank lines are ignored.
-    """
-    fields: Dict[str, int] = {}
+def _config_fields(text: str) -> Dict[str, object]:
+    """The ``ScenarioSpec`` fields a config sets; each line is checked alone, the spec not."""
+    fields: Dict[str, object] = {}
     trackers: List[TrackerDegradation] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -318,4 +312,16 @@ def parse_scenario_config(text: str) -> ScenarioSpec:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
             raise ValueError(f"config line {line_no}: {exc}") from None
-    return ScenarioSpec(trackers=tuple(trackers), **fields)
+    fields["trackers"] = tuple(trackers)
+    return fields
+
+
+def parse_scenario_config(text: str) -> ScenarioSpec:
+    """Parse a plain-text key=value scenario description.
+
+    Recognized keys: ``objects``, ``frames``, ``seed``, ``arena`` (``WxH``)
+    and one ``tracker`` line per tracker, whose value holds space-separated
+    ``idswitch= drop= jitter= segment=`` entries (missing entries are 0).
+    ``#`` starts a comment; blank lines are ignored.
+    """
+    return ScenarioSpec(**_config_fields(text))

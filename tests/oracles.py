@@ -23,6 +23,7 @@ from scipy.optimize import linear_sum_assignment
 from trackfuse import BoundingBox, Detection, ParseError, TrackSet, Trajectory
 from trackfuse.ensemble import EnsembleConfig, length_filter, merge_group, mix
 from trackfuse.geometry import box_iou, st_iou
+from trackfuse.interpolate import linear_interpolate
 from trackfuse.io import DECIMALS, MAX_INDEX, MIN_BOX_SIZE
 from trackfuse.metrics import ClearScores, IdentityScores
 from trackfuse.rng import SplitMix64
@@ -326,10 +327,12 @@ def clear_mot_scalar(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> Cl
 
 
 def ensemble_pipeline_scalar(tracksets: Sequence[TrackSet], cfg: EnsembleConfig) -> TrackSet:
-    """``ensemble_pipeline`` with the scalar grouping and NMS."""
+    """``ensemble_pipeline`` with the scalar grouping and NMS; gaps are filled before the relabel."""
     pool = mix(tracksets)
     merged = [merge_group(g, cfg.merge_mode) for g in merge_groups_scalar(pool, cfg.thr_s, cfg.thr_t)]
     kept = length_filter(length_nms_scalar(merged, cfg.thr_nms), cfg.thr_len)
+    if cfg.max_gap is not None:
+        kept = [linear_interpolate(t, cfg.max_gap) for t in kept]
     return TrackSet(tracksets[0].sequence, [t.with_id(i) for i, t in enumerate(kept, start=1)])
 
 

@@ -11,8 +11,8 @@ from trackfuse import (
     EnsembleConfig,
     TrackSet,
     ensemble_pipeline,
-    linear_interpolate,
     load_trackset,
+    save_trackset,
     serialize_trackset,
 )
 from trackfuse import cli, metrics
@@ -151,8 +151,7 @@ def test_merge_interpolate_fills_gap(tmp_path):
     assert main(["merge", "-i", str(src), "-o", str(out), "--interpolate", "10"]) == 0
     fused = load_trackset(out)
     assert fused.trajectories[0].frames() == list(range(1, 55))
-    plain = ensemble_pipeline([load_trackset(src)])
-    expected = TrackSet(plain.sequence, [linear_interpolate(t, 10) for t in plain.trajectories])
+    expected = ensemble_pipeline([load_trackset(src)], EnsembleConfig(max_gap=10))
     assert out.read_text() == serialize_trackset(expected)
 
 
@@ -184,11 +183,17 @@ def test_merge_output_bytes_pinned(tmp_path, flags):
     scene = tmp_path / "scene"
     assert main(["synth", "--seed", "11", "--objects", "6", "--frames", "300",
                  "--trackers", "3", "-o", str(scene)]) == 0
-    inputs = [arg for k in (1, 2, 3) for arg in ("-i", str(scene / f"tracker_{k}.txt"))]
+    paths = [scene / f"tracker_{k}.txt" for k in (1, 2, 3)]
     out = tmp_path / "fused.txt"
     mode, *rest = flags.split()
-    assert main(["merge", *inputs, "-o", str(out), "--mode", mode, *rest]) == 0
+    assert main(["merge", *(arg for p in paths for arg in ("-i", str(p))),
+                 "-o", str(out), "--mode", mode, *rest]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MERGE_SHA256[flags]
+    # the library reaches the same bytes: merge runs ensemble_pipeline alone
+    cfg = EnsembleConfig(merge_mode=mode, max_gap=int(rest[1]) if rest else None)
+    library = tmp_path / "library.txt"
+    save_trackset(library, ensemble_pipeline([load_trackset(p) for p in paths], cfg))
+    assert hashlib.sha256(library.read_bytes()).hexdigest() == MERGE_SHA256[flags]
 
 
 def test_merge_missing_input_file(tmp_path, capsys):
@@ -445,13 +450,16 @@ FAILING_CONFIGS = {
     "negative_segment": "tracker = segment=-1\n",
     "zero_objects": "objects = 0\n",
     "small_arena": "arena = 50x600\n",
+    "two_objects": "objects = 2\n",  # valid alone: a flag that breaks it is a usage error
 }
 
 # Every failure path of the commands: the arguments (TMP stands for the
 # test's directory), the exit code and the one stderr line. They were
 # recorded before `main` became the only place that prints them; since then
 # only the two write errors changed, which repeated the path inside the
-# OSError's text.
+# OSError's text. `--interpolate` is checked before the thresholds, and a
+# config's values are checked with the flags applied: the config is named
+# only when it is invalid on its own.
 FAILURES = [
     ('merge -i TMP/gt.txt -o TMP/o.txt --thr-s 1.5', 1, 'trackfuse merge: error: thr_s must be in [0, 1], got 1.5'),
     ('merge -i TMP/gt.txt -o TMP/o.txt --thr-t -0.2', 1, 'trackfuse merge: error: thr_t must be in [0, 1], got -0.2'),
@@ -460,6 +468,7 @@ FAILURES = [
     ('merge -i TMP/gt.txt -o TMP/o.txt --interpolate 0', 1, 'trackfuse merge: error: --interpolate must be >= 1, got 0'),
     ('merge -i TMP/missing.txt -o TMP/o.txt --interpolate 0', 1, 'trackfuse merge: error: --interpolate must be >= 1, got 0'),
     ('merge -i TMP/missing.txt -o TMP/o.txt --thr-s 1.5', 1, 'trackfuse merge: error: thr_s must be in [0, 1], got 1.5'),
+    ('merge -i TMP/gt.txt -o TMP/o.txt --thr-s 1.5 --interpolate 0', 1, 'trackfuse merge: error: --interpolate must be >= 1, got 0'),
     ('merge -i TMP/missing.txt -o TMP/o.txt', 2, 'trackfuse merge: error: cannot read TMP/missing.txt: No such file or directory'),
     ('merge -i TMP/gt.txt -i TMP/dir -o TMP/o.txt', 2, 'trackfuse merge: error: cannot read TMP/dir: Is a directory'),
     ('merge -i TMP/gt.txt -i TMP/bad.txt -o TMP/o.txt', 2, 'trackfuse merge: error: TMP/bad.txt: line 1: box width -5.0 below 0.01'),
@@ -494,7 +503,8 @@ FAILURES = [
     ('synth -o TMP/s --config TMP/negative_segment.cfg', 2, 'trackfuse synth: error: TMP/negative_segment.cfg: config line 1: segment_drop must be >= 0, got -1'),
     ('synth -o TMP/s --config TMP/zero_objects.cfg', 2, 'trackfuse synth: error: TMP/zero_objects.cfg: num_objects must be >= 1, got 0'),
     ('synth -o TMP/s --config TMP/small_arena.cfg', 2, 'trackfuse synth: error: TMP/small_arena.cfg: arena width must be >= 96, got 50'),
-    ('synth -o TMP/s --config TMP/zero_objects.cfg --objects 2', 2, 'trackfuse synth: error: TMP/zero_objects.cfg: num_objects must be >= 1, got 0'),
+    ('synth -o TMP/s --config TMP/zero_objects.cfg --objects 0', 2, 'trackfuse synth: error: TMP/zero_objects.cfg: num_objects must be >= 1, got 0'),
+    ('synth -o TMP/s --config TMP/two_objects.cfg --arena 96x16', 1, 'trackfuse synth: error: arena height 16 too small for 2 objects'),
     ('synth -o TMP/s --config TMP/bad_key.cfg --trackers -1', 2, "trackfuse synth: error: TMP/bad_key.cfg: config line 1: unknown key 'colour'"),
     ('synth -o TMP/gt.txt/sub --frames 5', 2, 'trackfuse synth: error: cannot write to TMP/gt.txt/sub: Not a directory'),
 ]
@@ -514,6 +524,36 @@ def test_failures_are_pinned(tmp_path, capsys, argv, code, err):
     assert captured.out == ""
     assert captured.err.replace(str(tmp_path), "TMP") == err + "\n"
     assert sorted(tmp_path.rglob("*")) == before  # a failed command writes nothing
+
+
+def test_synth_flags_override_an_invalid_config_value(tmp_path):
+    config = tmp_path / "zero_objects.cfg"
+    config.write_text(FAILING_CONFIGS["zero_objects"])
+    out = tmp_path / "s"
+    assert main(["synth", "-o", str(out), "--config", str(config), "--objects", "2"]) == 0
+    assert len(load_trackset(out / "gt.txt", is_ground_truth=True)) == 2
+
+
+def test_config_with_byte_order_mark_reads_as_without(tmp_path):
+    text = "objects = 3\nframes = 40\nseed = 5\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    for config in (plain, marked):
+        assert main(["synth", "-o", str(tmp_path / config.stem), "--config", str(config)]) == 0
+    for name in ("gt.txt", "tracker_1.txt", "tracker_2.txt"):
+        assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert len(load_trackset(tmp_path / "marked" / "gt.txt", is_ground_truth=True)) == 3
+
+
+def test_eval_of_byte_order_marked_files_prints_the_same(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(GT_TEXT, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + GT_TEXT.encode())
+    assert main(["eval", "--gt", str(plain), "--pred", str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert main(["eval", "--gt", str(marked), "--pred", str(marked)]) == 0
+    assert capsys.readouterr() == expected
 
 
 @pytest.mark.parametrize("error", [ValueError, RuntimeError])

@@ -29,12 +29,17 @@ def test_config_defaults_and_validation():
     cfg = EnsembleConfig()
     assert (cfg.thr_s, cfg.thr_t, cfg.thr_nms, cfg.thr_len) == (0.5, 0.5, 0.7, 20)
     assert cfg.merge_mode is MergeMode.DROP
+    assert cfg.max_gap is None
     with pytest.raises(ValueError):
         EnsembleConfig(thr_s=1.2)
     with pytest.raises(ValueError):
         EnsembleConfig(thr_t=-0.1)
     with pytest.raises(ValueError):
         EnsembleConfig(thr_len=-1)
+    for gap in (0, -1):
+        with pytest.raises(ValueError, match=rf"^max_gap must be >= 1, got {gap}$"):
+            EnsembleConfig(max_gap=gap)
+    assert EnsembleConfig(max_gap=1).max_gap == 1
 
 
 def test_mix_pools_and_relabels():

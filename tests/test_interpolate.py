@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from trackfuse import linear_interpolate
+from trackfuse.interpolate import linear_interpolate
 
 from oracles import canonical, const_track, make_track, random_trajectory
 

@@ -14,7 +14,6 @@ from trackfuse import (
     TrackSet,
     Trajectory,
     ensemble_pipeline,
-    linear_interpolate,
     load_trackset,
     parse_trackset,
     save_trackset,
@@ -209,6 +208,22 @@ def test_load_and_save(tmp_path):
     assert out.read_text() == "1,1,10.00,20.00,30.00,40.00,0.90,-1,-1,-1\n"
 
 
+@pytest.mark.parametrize("is_ground_truth", [False, True])
+def test_byte_order_mark_is_skipped(tmp_path, is_ground_truth):
+    text = "1,1,10,20,30,40,1,-1,-1,-1\n2,1,11,20,30,40,0,-1,-1,-1\n1,2,50,20,30,40,1,-1,-1,-1\n"
+    plain, marked = tmp_path / "plain" / "seq.txt", tmp_path / "marked" / "seq.txt"
+    plain.parent.mkdir()
+    marked.parent.mkdir()
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    loaded = load_trackset(marked, is_ground_truth)
+    assert loaded == load_trackset(plain, is_ground_truth)
+    assert loaded.num_detections == (2 if is_ground_truth else 3)  # the flag-0 row is skipped
+    out = tmp_path / "out.txt"
+    save_trackset(out, loaded)
+    assert not out.read_bytes().startswith(b"\xef\xbb\xbf")  # the writer adds none
+
+
 # -- the columnar parser against the per-line oracle --------------------------
 
 INDEX = st.integers(1, 6).map(str)
@@ -319,10 +334,9 @@ def valid_text(draw) -> str:
 )
 def test_fused_output_reads_back_within_half_a_unit(texts, mode, thr, max_gap):
     inputs = [parse_trackset(text) for text in texts]
-    cfg = EnsembleConfig(thr_s=thr, thr_t=thr, thr_nms=max(thr, 0.3), thr_len=0, merge_mode=mode)
+    cfg = EnsembleConfig(thr_s=thr, thr_t=thr, thr_nms=max(thr, 0.3), thr_len=0, merge_mode=mode,
+                         max_gap=max_gap)
     fused = ensemble_pipeline(inputs, cfg)
-    if max_gap is not None:
-        fused = TrackSet(fused.sequence, [linear_interpolate(t, max_gap) for t in fused.trajectories])
     back = parse_trackset(serialize_trackset(fused))
     assert [t.id for t in back.trajectories] == sorted(t.id for t in fused.trajectories)
     by_id = {t.id: t for t in fused.trajectories}

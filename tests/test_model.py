@@ -12,11 +12,11 @@ from trackfuse import (
     MergeMode,
     TrackSet,
     Trajectory,
-    linear_interpolate,
     parse_trackset,
     serialize_trackset,
 )
 from trackfuse.ensemble import length_nms, merge_group, mix
+from trackfuse.interpolate import linear_interpolate
 
 
 def test_bounding_box_fields_and_derived():

@@ -32,6 +32,7 @@ from oracles import (
 
 THRESHOLDS = [0.0, 0.3, 0.5, 0.7, 1.0]
 MATCH_THRESHOLDS = [1e-9, 0.3, 0.5, 0.7, 1.0]  # IDF1 needs a threshold above 0
+MAX_GAPS = [None, 1, 5]  # no gap filling, then the smallest and a wider gap
 
 
 # --- vectorised IoU -------------------------------------------------------
@@ -430,12 +431,13 @@ def test_bad_iou_match_raises_before_any_join(monkeypatch, score, thr):
     assert calls == []
 
 
+@pytest.mark.parametrize("max_gap", MAX_GAPS)
 @pytest.mark.parametrize("mode", [MergeMode.DROP, MergeMode.AVERAGE])
 @pytest.mark.parametrize("seed", range(8))
-def test_pipeline_equals_scalar(seed, mode):
+def test_pipeline_equals_scalar(seed, mode, max_gap):
     tracksets = _scenario(seed)
     for thr in THRESHOLDS:
-        cfg = EnsembleConfig(thr_s=thr, thr_t=thr, thr_nms=thr, thr_len=5, merge_mode=mode)
+        cfg = EnsembleConfig(thr_s=thr, thr_t=thr, thr_nms=thr, thr_len=5, merge_mode=mode, max_gap=max_gap)
         assert ensemble_pipeline(tracksets, cfg) == ensemble_pipeline_scalar(tracksets, cfg)
 
 
@@ -494,9 +496,10 @@ def test_frames_present_on_one_side_only():
         {"thr_t": 1.0, "thr_s": 0.0, "thr_nms": 0.0, "thr_len": 0},
     ],
 )
+@pytest.mark.parametrize("max_gap", MAX_GAPS)
 @pytest.mark.parametrize("mode", [MergeMode.DROP, MergeMode.AVERAGE])
-def test_pipeline_edge_configs(overrides, mode):
-    cfg = EnsembleConfig(merge_mode=mode, **overrides)
+def test_pipeline_edge_configs(overrides, mode, max_gap):
+    cfg = EnsembleConfig(merge_mode=mode, max_gap=max_gap, **overrides)
     for seed in range(4):
         tracksets = _scenario(seed)
         assert ensemble_pipeline(tracksets, cfg) == ensemble_pipeline_scalar(tracksets, cfg)
