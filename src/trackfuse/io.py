@@ -33,6 +33,14 @@ ROW_BLOCK = 1 << 10
 _PLAIN_NON_DIGITS = b".,-+eE \n"
 # frame, id, x, y, w, h, confidence, then the three unused columns
 _LINE = ",".join(["%d", "%d", *[f"%.{DECIMALS}f"] * 5, "-1", "-1", "-1"]) + "\n"
+# What follows the confidence on every line.
+_TAIL = b",-1,-1,-1\n"
+# From this magnitude on, a value's count of 10**-DECIMALS units can pass
+# 2**53 and stop being exact in float64; a block holding one is written
+# with ``_LINE``.
+_EXACT_LIMIT = 2**53 / 10**DECIMALS
+# Dekker's splitter: x * _SPLIT cuts a float64 into two halves of 26 bits.
+_SPLIT = float(2**27 + 1)
 
 
 class ParseError(ValueError):
@@ -233,6 +241,91 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
     return TrackSet(sequence, trajectories)
 
 
+def _units(values: np.ndarray) -> np.ndarray:
+    """``|values|`` in units of ``10**-DECIMALS`` as int64, rounded as ``%`` rounds.
+
+    ``%`` rounds the exact binary value half to even. ``hi + lo`` is the
+    exact product ``|v| * 10**DECIMALS`` (Dekker's error-free product: ``v``
+    is split into two 26-bit halves, and the scale is short enough to need
+    no split). ``rint(hi)`` also rounds half to even, and it can differ only
+    when ``hi`` lies exactly half-way between two integers and ``lo`` is not
+    zero: the exact product then lies on ``lo``'s side of the tie.
+    Anywhere else ``lo``, at most half a unit in ``hi``'s last place, cannot
+    carry the product across a half. Magnitudes must be below
+    ``_EXACT_LIMIT``.
+    """
+    scale = float(10**DECIMALS)
+    v = np.abs(values)
+    hi = v * scale
+    high = v * _SPLIT
+    high -= high - v  # the top 26 bits of v; v - high is the rest
+    lo = high * scale - hi
+    lo += (v - high) * scale
+    units = np.rint(hi)
+    hi -= units  # exact: what rint dropped
+    units += (hi == 0.5) & (lo > 0)
+    units -= (hi == -0.5) & (lo < 0)
+    return units.astype(np.int64)
+
+
+def _write_digits(fields: np.ndarray, counts: np.ndarray, places: int) -> None:
+    """Write ``counts`` in decimal, right-aligned, into the 0 bytes of ``fields``.
+
+    ``fields`` is ``uint8[n, k, width]`` and ``counts`` ``int64[n, k]``,
+    non-negative; ``places`` digits go after a point, which ``fields``
+    already holds, and at least one before it. Leading zeros before that
+    stay 0 bytes. ``counts`` is used up.
+    """
+    width = fields.shape[2]
+    point = places > 0
+    quotient, digit = np.empty_like(counts), np.empty_like(counts)
+    for j in range(width - point):
+        np.floor_divide(counts, 10, out=quotient)
+        np.multiply(quotient, 10, out=digit)
+        np.subtract(counts, digit, out=digit)
+        if j <= places:
+            digit += ord("0")
+        else:  # a count used up has no digit left here: its byte stays 0
+            np.minimum(counts, 1, out=counts)
+            counts *= ord("0")
+            digit += counts
+        fields[:, :, width - 1 - j - (point and j >= places)] = digit
+        counts, quotient = quotient, counts
+
+
+def _block_text(frames: np.ndarray, ids: np.ndarray, values: np.ndarray) -> str:
+    """The lines of one block: frames and ids, and ``float64[n, 5]`` x, y, w, h, confidence.
+
+    Each line is laid out in fixed columns wide enough for the block's
+    longest field, padded with 0 bytes that are then dropped, so the text
+    is built from one ``uint8`` array. A block with a magnitude at or above
+    ``_EXACT_LIMIT`` goes to ``%`` instead.
+    """
+    if not (np.abs(values) < _EXACT_LIMIT).all():
+        columns = [frames.tolist(), ids.tolist(), *values.T.tolist()]
+        flat: List[object] = [None] * (len(columns) * len(frames))  # the fields of one line after another
+        for field, column in enumerate(columns):
+            flat[field :: len(columns)] = column
+        return _LINE * len(frames) % tuple(flat)
+
+    n = len(frames)
+    indices = np.stack([frames, ids], axis=1)
+    units = _units(values)
+    index_width = len(str(int(indices.max())))
+    digits = max(DECIMALS + 1, len(str(int(units.max()))))
+    number = b"\0" * (digits - DECIMALS + 1) + b"." + b"\0" * DECIMALS  # sign, digits and point
+    template = (b"\0" * index_width + b",") * 2 + b",".join([number] * 5) + _TAIL
+    lines = np.tile(np.frombuffer(template, np.uint8), (n, 1))
+    split = 2 * (index_width + 1)
+    index_fields = lines[:, :split].reshape(n, 2, index_width + 1)
+    # each value with the comma after it; the last one's comma opens the tail
+    value_fields = lines[:, split : split + 5 * (len(number) + 1)].reshape(n, 5, len(number) + 1)
+    _write_digits(index_fields[:, :, :-1], indices, 0)
+    _write_digits(value_fields[:, :, 1:-1], units, DECIMALS)
+    np.multiply(np.signbit(values), ord("-"), out=value_fields[:, :, 0], casting="unsafe")
+    return lines[lines != 0].tobytes().decode("ascii")
+
+
 def _serialized(ts: TrackSet) -> Iterator[str]:
     """The result lines of ``ts``, ``ROW_BLOCK`` rows at a time."""
     tracks = ts.trajectories
@@ -244,11 +337,7 @@ def _serialized(ts: TrackSet) -> Iterator[str]:
     order = np.lexsort((ids, frames))
     for start in range(0, len(order), ROW_BLOCK):
         rows = order[start : start + ROW_BLOCK]
-        columns = [frames[rows].tolist(), ids[rows].tolist(), *xywh[rows].T.tolist(), conf[rows].tolist()]
-        values: List[object] = [None] * (len(columns) * len(rows))  # the fields of one line after another
-        for field, column in enumerate(columns):
-            values[field :: len(columns)] = column
-        yield _LINE * len(rows) % tuple(values)
+        yield _block_text(frames[rows], ids[rows], np.column_stack([xywh[rows], conf[rows]]))
 
 
 def serialize_trackset(ts: TrackSet) -> str:

@@ -272,7 +272,8 @@ def parse_arena(text: str) -> Tuple[int, int]:
     return int(w), int(h)
 
 
-def _parse_degradation(text: str) -> TrackerDegradation:
+def _degradation_entries(text: str) -> Dict[str, float | int]:
+    """The ``TrackerDegradation`` fields of one ``tracker`` value, not yet range-checked."""
     kwargs: Dict[str, float | int] = {}
     for token in text.split():
         key, sep, value = token.partition("=")
@@ -286,11 +287,16 @@ def _parse_degradation(text: str) -> TrackerDegradation:
             kwargs[field] = int(value) if field == "segment_drop" else float(value)
         except ValueError:
             raise ValueError(f"malformed number {value!r}") from None
-    return TrackerDegradation(**kwargs)
+    return kwargs
 
 
-def _config_fields(text: str) -> Dict[str, object]:
-    """The ``ScenarioSpec`` fields a config sets; each line is checked alone, the spec not."""
+def _config_fields(text: str, with_trackers: bool = True) -> Dict[str, object]:
+    """The ``ScenarioSpec`` fields a config sets; each line is checked alone, the spec not.
+
+    Without ``with_trackers``, for a caller that replaces the trackers, the
+    ``tracker`` lines are read but their values not range-checked, and no
+    trackers are returned.
+    """
     fields: Dict[str, object] = {}
     trackers: List[TrackerDegradation] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -307,12 +313,15 @@ def _config_fields(text: str) -> Dict[str, object]:
             elif key == "arena":
                 fields["arena_w"], fields["arena_h"] = parse_arena(value)
             elif key == "tracker":
-                trackers.append(_parse_degradation(value))
+                entries = _degradation_entries(value)
+                if with_trackers:
+                    trackers.append(TrackerDegradation(**entries))
             else:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
             raise ValueError(f"config line {line_no}: {exc}") from None
-    fields["trackers"] = tuple(trackers)
+    if with_trackers:
+        fields["trackers"] = tuple(trackers)
     return fields
 
 

@@ -17,6 +17,7 @@ from trackfuse import (
 )
 from trackfuse import cli, metrics
 from trackfuse.cli import main
+from trackfuse.synth import parse_scenario_config
 
 from oracles import canonical, const_track
 
@@ -459,7 +460,8 @@ FAILING_CONFIGS = {
 # only the two write errors changed, which repeated the path inside the
 # OSError's text. `--interpolate` is checked before the thresholds, and a
 # config's values are checked with the flags applied: the config is named
-# only when it is invalid on its own.
+# only when it is invalid on its own. `--trackers` replaces the config's
+# trackers, so their lines are then read but their values not checked.
 FAILURES = [
     ('merge -i TMP/gt.txt -o TMP/o.txt --thr-s 1.5', 1, 'trackfuse merge: error: thr_s must be in [0, 1], got 1.5'),
     ('merge -i TMP/gt.txt -o TMP/o.txt --thr-t -0.2', 1, 'trackfuse merge: error: thr_t must be in [0, 1], got -0.2'),
@@ -506,6 +508,10 @@ FAILURES = [
     ('synth -o TMP/s --config TMP/zero_objects.cfg --objects 0', 2, 'trackfuse synth: error: TMP/zero_objects.cfg: num_objects must be >= 1, got 0'),
     ('synth -o TMP/s --config TMP/two_objects.cfg --arena 96x16', 1, 'trackfuse synth: error: arena height 16 too small for 2 objects'),
     ('synth -o TMP/s --config TMP/bad_key.cfg --trackers -1', 2, "trackfuse synth: error: TMP/bad_key.cfg: config line 1: unknown key 'colour'"),
+    ('synth -o TMP/s --config TMP/out_of_range.cfg --trackers -1', 1, 'trackfuse synth: error: --trackers must be >= 0, got -1'),
+    ('synth -o TMP/s --config TMP/out_of_range.cfg --objects 2', 2, 'trackfuse synth: error: TMP/out_of_range.cfg: config line 3: drop_rate must be in [0, 1], got 1.5'),
+    ('synth -o TMP/s --config TMP/out_of_range.cfg --complementary', 2, 'trackfuse synth: error: TMP/out_of_range.cfg: config line 3: drop_rate must be in [0, 1], got 1.5'),
+    ('synth -o TMP/s --config TMP/bad_tracker_number.cfg --trackers 2', 2, "trackfuse synth: error: TMP/bad_tracker_number.cfg: config line 1: malformed number 'lots'"),
     ('synth -o TMP/gt.txt/sub --frames 5', 2, 'trackfuse synth: error: cannot write to TMP/gt.txt/sub: Not a directory'),
 ]
 
@@ -532,6 +538,18 @@ def test_synth_flags_override_an_invalid_config_value(tmp_path):
     out = tmp_path / "s"
     assert main(["synth", "-o", str(out), "--config", str(config), "--objects", "2"]) == 0
     assert len(load_trackset(out / "gt.txt", is_ground_truth=True)) == 2
+
+
+def test_trackers_flag_replaces_an_out_of_range_config_tracker(tmp_path):
+    config = tmp_path / "out_of_range.cfg"
+    config.write_text(FAILING_CONFIGS["out_of_range"])
+    with pytest.raises(ValueError, match=r"config line 3: drop_rate must be in \[0, 1\], got 1.5"):
+        parse_scenario_config(FAILING_CONFIGS["out_of_range"])
+    assert main(["synth", "-o", str(tmp_path / "flag"), "--config", str(config), "--trackers", "2"]) == 0
+    assert main(["synth", "-o", str(tmp_path / "plain"), "--trackers", "2"]) == 0
+    for name in ("gt.txt", "tracker_1.txt", "tracker_2.txt"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert not (tmp_path / "flag" / "tracker_3.txt").exists()
 
 
 def test_config_with_byte_order_mark_reads_as_without(tmp_path):

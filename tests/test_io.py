@@ -171,6 +171,122 @@ def test_writer_matches_per_box_format_oracle(monkeypatch, block):
         assert serialize_trackset(ts) == serialize_trackset_scalar(ts)
 
 
+# -- the writer rounds as `%` does ---------------------------------------------
+
+# Every value half a cent from two written neighbours, up to 200.00, with the
+# float64 on either side of it. `%` rounds their exact binary values, which
+# lie just above, just below or, for multiples of 1/8, exactly at the half.
+_HALF_CENTS = (np.arange(2 * 10**4) + 0.5) / 100
+HALF_CENT_SWEEP = np.concatenate(
+    [_HALF_CENTS, np.nextafter(_HALF_CENTS, np.inf), np.nextafter(_HALF_CENTS, -np.inf)]
+)
+# From this magnitude on a block is written with `%`: its count of
+# hundredths can pass 2**53.
+FALLBACK_BOUND = 2**53 / 100
+
+
+def _one_row_per_value(values) -> TrackSet:
+    """Frame k holds value k as x and negated as y, |value| (at least 0.005) as w and h."""
+    values = np.asarray(values, dtype=np.float64)
+    sizes = np.maximum(np.abs(values), 0.005)
+    unit = np.abs(values[np.abs(values) <= 1])
+    conf = np.resize(unit, len(values)) if len(unit) else np.full(len(values), 0.5)
+    xywh = np.column_stack([values, -values, sizes, sizes])
+    return TrackSet("s", [Trajectory(1, np.arange(1, len(values) + 1), xywh, conf)])
+
+
+def _assert_writes_as_percent(ts: TrackSet) -> None:
+    """The written text equals the per-box writer's, and each value equals its ``'%.2f'``."""
+    text = serialize_trackset(ts)
+    assert text == serialize_trackset_scalar(ts)
+    (traj,) = ts.trajectories
+    written = [line.split(",")[2:7] for line in text.splitlines()]
+    values = np.column_stack([traj.xywh, traj.conf]).tolist()
+    assert written == [["%.2f" % v for v in row] for row in values]
+
+
+@pytest.mark.parametrize("block", [1, 3, trackfuse.io.ROW_BLOCK])
+def test_writer_rounds_half_cent_neighbours_as_percent(monkeypatch, block):
+    # ROW_BLOCK only changes how many lines share one layout, so the small
+    # blocks, at about 0.1 ms a line, take every 41st value
+    monkeypatch.setattr(trackfuse.io, "ROW_BLOCK", block)
+    _assert_writes_as_percent(_one_row_per_value(HALF_CENT_SWEEP[:: 1 if block > 3 else 41]))
+
+
+@pytest.mark.parametrize("block", [1, 3, trackfuse.io.ROW_BLOCK])
+def test_writer_signs_and_fallback_bound(monkeypatch, block):
+    monkeypatch.setattr(trackfuse.io, "ROW_BLOCK", block)
+    zeros = _one_row_per_value([-0.0, 0.0, -0.004, 0.004, -0.005, 0.005])
+    assert serialize_trackset(zeros).splitlines()[:3] == [
+        "1,1,-0.00,0.00,0.01,0.01,0.00,-1,-1,-1",
+        "2,1,0.00,-0.00,0.01,0.01,0.00,-1,-1,-1",
+        "3,1,-0.00,0.00,0.01,0.01,0.00,-1,-1,-1",
+    ]
+    _assert_writes_as_percent(zeros)
+    below = np.nextafter(FALLBACK_BOUND, 0)
+    ordinary = [12.345, 0.125, 2.675, 199.995, 7.0]
+    for edge in (below, FALLBACK_BOUND, np.nextafter(FALLBACK_BOUND, np.inf), 1e15):
+        # alone, then in one block with ordinary rows, first and last
+        for values in ([edge], [edge, *ordinary], [*ordinary, edge, 3.5]):
+            _assert_writes_as_percent(_one_row_per_value(values))
+
+
+def test_writer_falls_back_to_percent_only_at_the_bound(monkeypatch):
+    calls = mock.Mock(wraps=trackfuse.io._units)
+    monkeypatch.setattr(trackfuse.io, "_units", calls)
+    below = np.nextafter(FALLBACK_BOUND, 0)
+    serialize_trackset(_one_row_per_value([below, -below, 1.005]))
+    assert calls.call_count == 1
+    for edge in (FALLBACK_BOUND, -FALLBACK_BOUND, 1e15):
+        serialize_trackset(_one_row_per_value([edge, 1.005]))
+    assert calls.call_count == 1
+
+
+def _digit_count_trackset() -> TrackSet:
+    """Frames and ids of every digit count from 1 to 16: the first and last of each, up to 2**53 - 1."""
+    edges = sorted({v for d in range(1, 17) for v in (10 ** (d - 1), min(10**d - 1, 2**53 - 1))})
+    xywh = np.tile([1.005, -2.675, 0.125, 10.0], (len(edges), 1))
+    return TrackSet("s", [Trajectory(i, edges, xywh, np.full(len(edges), 0.5)) for i in edges])
+
+
+@pytest.mark.parametrize("block", [1, 3, trackfuse.io.ROW_BLOCK])
+def test_writer_frames_and_ids_of_every_digit_count(monkeypatch, block):
+    monkeypatch.setattr(trackfuse.io, "ROW_BLOCK", block)
+    ts = _digit_count_trackset()
+    text = serialize_trackset(ts)
+    assert text == serialize_trackset_scalar(ts)
+    assert len(text.splitlines()) == 32 * 32
+    assert text.splitlines()[-1].startswith(f"{2**53 - 1},{2**53 - 1},1.00,-2.67,0.12,10.00,0.50,")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_index = st.one_of(st.integers(1, 12), st.integers(1, 2**53 - 1))
+
+
+@st.composite
+def finite_trackset(draw) -> TrackSet:
+    """Boxes at any finite coordinates, sizes of at least 0.005 and any confidence."""
+    boxes = draw(st.dictionaries(
+        st.tuples(_index, _index),
+        st.tuples(_finite, _finite, st.floats(0.005, 1e300), st.floats(0.005, 1e300), st.floats(0.0, 1.0)),
+        min_size=1, max_size=30,
+    ))
+    by_id: dict = {}
+    for (frame, track_id), box in sorted(boxes.items()):
+        by_id.setdefault(track_id, []).append((frame, box))
+    return TrackSet("s", [
+        Trajectory(track_id, [f for f, _ in rows], [b[:4] for _, b in rows], [b[4] for _, b in rows])
+        for track_id, rows in by_id.items()
+    ])
+
+
+@settings(max_examples=300)
+@given(finite_trackset(), st.sampled_from([1, 3, trackfuse.io.ROW_BLOCK]))
+def test_writer_matches_per_box_writer_on_finite_coordinates(ts, block):
+    with mock.patch.object(trackfuse.io, "ROW_BLOCK", block):
+        assert serialize_trackset(ts) == serialize_trackset_scalar(ts)
+
+
 def test_round_trip_is_stable_after_one_pass():
     rng = random.Random(123)
     for _ in range(20):

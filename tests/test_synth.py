@@ -13,8 +13,10 @@ from trackfuse import (
     ensemble_pipeline,
     evaluate,
     generate_scenario,
+    save_trackset,
     serialize_trackset,
 )
+from trackfuse.cli import main
 from trackfuse.rng import SplitMix64, stream
 from trackfuse.synth import (
     DEFAULT_DEGRADATION,
@@ -203,6 +205,29 @@ def test_benchmark_scale_scenarios_are_pinned(spec, digests):
     assert [
         hashlib.sha256(serialize_trackset(ts).encode()).hexdigest() for ts in (gt, *trackers)
     ] == digests
+
+
+# SHA-256 of the fused file `trackfuse merge` writes from the trackers of
+# each pinned scenario, as the `%` writer wrote it. Averaged boxes carry
+# arbitrary binary fractions, so many values sit near a half-cent.
+PINNED_FUSED = [
+    (PINNED_SCENARIOS[0][0], [], "e48ad34b89a2ba492a9312e9125d08317d6e3760da9359b784039c2882a202f0"),
+    (PINNED_SCENARIOS[1][0], ["--mode", "average", "--interpolate", "20"],
+     "3da521ad5bdf0306c08986e16a2f79e1f3f6d0a66d12a0554c3c2ccda411d331"),
+]
+
+
+@pytest.mark.parametrize("spec, flags, digest", PINNED_FUSED)
+def test_benchmark_scale_fused_files_are_pinned(tmp_path, spec, flags, digest):
+    _, trackers = generate_scenario(spec)
+    inputs = []
+    for k, ts in enumerate(trackers, start=1):
+        path = tmp_path / f"tracker_{k}.txt"
+        save_trackset(path, ts)
+        inputs += ["-i", str(path)]
+    out = tmp_path / "fused.txt"
+    assert main(["merge", *inputs, "-o", str(out), *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 SWEEP_DEGRADATIONS = [
