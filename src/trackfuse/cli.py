@@ -118,7 +118,7 @@ def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
         with _failing(OSError, EXIT_INPUT, f"cannot read {args.config}: "):
             text = Path(args.config).read_text(encoding="utf-8-sig")
         with _failing(ValueError, EXIT_INPUT, f"{args.config}: "):
-            config = _config_fields(text, with_trackers=args.trackers is None)
+            config = _config_fields(text, with_trackers=args.trackers is None and not args.complementary)
 
     flags = {name: v for key, name in _SPEC_KEYS.items() if (v := getattr(args, key)) is not None}
     if args.arena is not None:

@@ -113,7 +113,7 @@ def merge_groups(pool: Sequence[Trajectory], thr_s: float, thr_t: float) -> List
 
     The st-IoU of every pair comes from one same-frame overlap join: the
     frames where the pair's boxes have IoU above ``thr_s``, counted and
-    divided by the shorter length, as ``st_iou`` defines it.
+    divided by the shorter length (inclusive frame span).
     """
     ordered = sorted(pool, key=lambda t: (-t.length, t.id))
     n = len(ordered)

@@ -1,8 +1,8 @@
-"""Overlap geometry: box IoU, spatio-temporal IoU and the same-frame overlap join.
+"""Overlap geometry: the same-frame overlap join over box columns.
 
-``box_iou`` and ``st_iou`` are the scalar definitions. ``same_frame_pairs``
-computes the same box IoU for every pair of boxes that share a frame, over
-box columns, and feeds merge grouping, NMS and IDF1.
+``same_frame_pairs`` computes the box IoU of every pair of boxes that share
+a frame and intersect, and feeds merge grouping, NMS, CLEAR and IDF1. It is
+the package's one definition of box overlap.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import BoundingBox, Trajectory
+from .model import Trajectory
 
 # Box columns: frames int64[n], owner index int64[n], boxes float64[n, 4]
 # as (x, y, w, h). An owner is the index of the box's trajectory in a list.
@@ -20,36 +20,6 @@ BoxColumns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 # The most candidate box pairs the join builds at once, unless one frame
 # alone holds more. It bounds the join's memory and does not change results.
 PAIR_BLOCK = 1 << 14
-
-
-def box_iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; 0 when they do not overlap."""
-    if a == b:
-        return 1.0
-    ix = min(a.right, b.right) - max(a.x, b.x)
-    if ix <= 0:
-        return 0.0
-    iy = min(a.bottom, b.bottom) - max(a.y, b.y)
-    if iy <= 0:
-        return 0.0
-    inter = ix * iy
-    # rounding in right/bottom can push the ratio a hair past 1
-    return min(inter / (a.area + b.area - inter), 1.0)
-
-
-def st_iou(ti: Trajectory, tj: Trajectory, thr_s: float) -> float:
-    """Spatio-temporal IoU of two trajectories.
-
-    Counts the common frames whose box IoU strictly exceeds ``thr_s`` and
-    divides by the length of the shorter trajectory (inclusive frame span),
-    so a short track fully covered by a long one still scores 1. Returns 0
-    when the trajectories never share a frame.
-    """
-    if ti.stop < tj.start or tj.stop < ti.start:
-        return 0.0
-    di, dj = ti.detections, tj.detections
-    inter = sum(1 for f in di.keys() & dj.keys() if box_iou(di[f].box, dj[f].box) > thr_s)
-    return inter / min(ti.length, tj.length)
 
 
 def box_columns(tracks: Sequence[Trajectory]) -> BoxColumns:
@@ -65,7 +35,7 @@ def box_columns(tracks: Sequence[Trajectory]) -> BoxColumns:
 def _sorted(cols: BoxColumns) -> BoxColumns:
     """Frames, owners and float64[6, n] (x, y, right, bottom, w, h) rows, sorted by (frame, owner).
 
-    Right and bottom are computed as ``BoundingBox`` computes them.
+    Right is ``x + w`` and bottom is ``y + h``, each rounded once.
     """
     frames, owners, boxes = cols
     order = np.lexsort((owners, frames))
@@ -82,8 +52,8 @@ def _intersecting(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Positions in (ia, ib) of the box pairs that intersect, and their IoU.
 
-    Repeats ``box_iou``'s float operations in its order, so every IoU is
-    bit-identical to it and pairs left out have IoU 0.
+    Pairs left out, such as boxes that only share an edge, have IoU 0. Every
+    IoU is bit-identical to the scalar ``box_iou`` in ``tests/oracles.py``.
     """
     ix = np.minimum(ea[2, ia], eb[2, ib])
     ix -= np.maximum(ea[0, ia], eb[0, ib])
@@ -107,8 +77,8 @@ def same_frame_pairs(
 
     Yields ``(frame, owner_a, owner_b, iou)`` arrays, one entry for every
     same-frame pair of a box of ``a`` and a box of ``b`` that intersect,
-    with their ``box_iou``. Pairs that do not intersect have IoU 0 and are
-    left out. Without ``b`` the join pairs ``a`` with itself and yields each
+    with their IoU. Pairs that do not intersect have IoU 0 and are left
+    out. Without ``b`` the join pairs ``a`` with itself and yields each
     pair of distinct owners once, lower owner first. Pairs come in (frame,
     owner_a, owner_b) order. They are built one block of whole frames at a
     time, and a block holds at most ``PAIR_BLOCK`` candidate pairs unless

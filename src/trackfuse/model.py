@@ -2,8 +2,8 @@
 
 A trajectory stores its boxes as columns: ascending frames, an ``(n, 4)``
 array of ``(x, y, w, h)`` boxes and the confidences, all read-only.
-``BoundingBox`` and ``Detection`` are the per-box view of those columns, for
-callers that want one box at a time.
+``BoundingBox`` and ``Detection`` are a per-box view of the columns, reached
+only through ``Trajectory.detections``; no stage of the package builds them.
 
 All types are immutable values. Functions elsewhere in the package never
 mutate them, so they are safe to share across threads.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -48,18 +48,6 @@ class BoundingBox:
         if self.h <= 0:
             raise ValueError(f"non-positive box height {self.h}")
 
-    @property
-    def right(self) -> float:
-        return self.x + self.w
-
-    @property
-    def bottom(self) -> float:
-        return self.y + self.h
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
 
 @dataclass(frozen=True, slots=True)
 class Detection:
@@ -77,8 +65,8 @@ class Detection:
 
 
 def _checked_id(track_id: int) -> int:
-    if not 1 <= track_id < MAX_INDEX:
-        raise ValueError(f"trajectory id must be in [1, 2**53), got {track_id}")
+    if not isinstance(track_id, (int, np.integer)) or not 1 <= track_id < MAX_INDEX:
+        raise ValueError(f"trajectory id must be an integer in [1, 2**53), got {track_id!r}")
     return track_id
 
 
@@ -128,9 +116,9 @@ class Trajectory:
     read-only. Frames between ``start`` and ``stop`` may be missing (gaps);
     ``length`` is the inclusive frame span ``stop - start + 1`` regardless
     of gaps. The constructor accepts only what the writer can write and the
-    parser read back: frames and ids below ``MAX_INDEX``, and sizes of at
-    least ``MIN_BOX_SIZE / 2``, the smallest that ``DECIMALS`` places round
-    up to ``MIN_BOX_SIZE``.
+    parser read back: integer frames and ids below ``MAX_INDEX``, and sizes
+    of at least ``MIN_BOX_SIZE / 2``, the smallest that ``DECIMALS`` places
+    round up to ``MIN_BOX_SIZE``.
     """
 
     id: int
@@ -143,9 +131,10 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         _checked_id(self.id)
-        frame = _read_only(np.array(self.frame, dtype=np.int64).reshape(-1))
-        if len(frame) == 0:
-            raise ValueError("trajectory must contain at least one detection")
+        frame = np.asarray(self.frame).reshape(-1)
+        if len(frame) == 0 or frame.dtype.kind not in "iu":  # a cast would truncate float frames
+            raise ValueError(f"frames must be a non-empty integer array, got {frame.dtype}[{len(frame)}]")
+        frame = _read_only(frame.astype(np.int64))
         # reshape raises ValueError when the column lengths differ
         xywh = _read_only(np.array(self.xywh, dtype=np.float64).reshape(len(frame), 4))
         conf = _read_only(np.array(self.conf, dtype=np.float64).reshape(len(frame)))
@@ -173,20 +162,6 @@ class Trajectory:
         object.__setattr__(traj, "conf", _read_only(conf))
         object.__setattr__(traj, "_detections", None)
         return traj
-
-    @classmethod
-    def from_detections(cls, track_id: int, detections: Iterable[Detection]) -> "Trajectory":
-        """Build a trajectory from detections in any frame order, rejecting duplicate frames."""
-        dets = sorted(detections, key=lambda d: d.frame)
-        for prev, det in zip(dets, dets[1:]):
-            if prev.frame == det.frame:
-                raise ValueError(f"duplicate frame {det.frame} in trajectory {track_id}")
-        return cls(
-            track_id,
-            [d.frame for d in dets],
-            [(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets],
-            [d.confidence for d in dets],
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trajectory):
@@ -219,9 +194,6 @@ class Trajectory:
     @property
     def length(self) -> int:
         return self.stop - self.start + 1
-
-    def frames(self) -> List[int]:
-        return self.frame.tolist()
 
     def with_id(self, new_id: int) -> "Trajectory":
         """The same boxes under another id; the columns are shared."""

@@ -1,14 +1,17 @@
-"""Independent brute-force oracles and fixture builders used by the tests.
+"""Independent brute-force oracles, scalar references and fixture builders used by the tests.
 
-Everything here recomputes results from first principles (exhaustive frame
-scans, permutation enumeration, Monte-Carlo sampling) so the library is
-checked against code that shares none of its logic. The scalar pipeline
-stages at the end are the exception: they are the per-pair ``box_iou``
-loops that merge grouping, NMS and IDF1 ran before the overlap join, and
-the per-line parser that ran before the columnar one, the per-box
-formatter that ran before the block writer, and synth's per-frame
-degradation loop that ran before the block draws, kept as differential
-references.
+The brute-force oracles recompute results from first principles (exhaustive
+frame scans, permutation enumeration, Monte-Carlo sampling), so the library
+is checked against code that shares none of its logic.
+
+The scalar references are the exception. ``box_iou`` and ``st_iou`` are the
+one-pair definitions of box and spatio-temporal IoU; the library's
+same-frame overlap join must give bit-identical IoUs. The scalar pipeline
+stages are the per-pair ``box_iou`` loops that merge grouping, NMS, CLEAR
+and IDF1 ran before the overlap join, the per-line parser that ran before
+the columnar one, the per-box formatter that ran before the block writer,
+and synth's per-frame degradation loop that ran before the block draws,
+kept as differential references.
 """
 
 from __future__ import annotations
@@ -22,12 +25,41 @@ from scipy.optimize import linear_sum_assignment
 
 from trackfuse import BoundingBox, Detection, ParseError, TrackSet, Trajectory
 from trackfuse.ensemble import EnsembleConfig, length_filter, merge_group, mix
-from trackfuse.geometry import box_iou, st_iou
 from trackfuse.interpolate import linear_interpolate
 from trackfuse.io import DECIMALS, MAX_INDEX, MIN_BOX_SIZE
 from trackfuse.metrics import ClearScores, IdentityScores
 from trackfuse.rng import SplitMix64
 from trackfuse.synth import TrackerDegradation
+
+
+def box_iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection over union of two boxes; 0 when they do not overlap."""
+    if a == b:
+        return 1.0
+    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
+    if ix <= 0:
+        return 0.0
+    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
+    if iy <= 0:
+        return 0.0
+    inter = ix * iy
+    # rounding in the right/bottom edges can push the ratio a hair past 1
+    return min(inter / (a.w * a.h + b.w * b.h - inter), 1.0)
+
+
+def st_iou(ti: Trajectory, tj: Trajectory, thr_s: float) -> float:
+    """Spatio-temporal IoU of two trajectories.
+
+    Counts the common frames whose box IoU strictly exceeds ``thr_s`` and
+    divides by the length of the shorter trajectory (inclusive frame span),
+    so a short track fully covered by a long one still scores 1. Returns 0
+    when the trajectories never share a frame.
+    """
+    if ti.stop < tj.start or tj.stop < ti.start:
+        return 0.0
+    di, dj = ti.detections, tj.detections
+    inter = sum(1 for f in di.keys() & dj.keys() if box_iou(di[f].box, dj[f].box) > thr_s)
+    return inter / min(ti.length, tj.length)
 
 
 def iou_naive(a: BoundingBox, b: BoundingBox) -> float:
@@ -43,7 +75,7 @@ def iou_naive(a: BoundingBox, b: BoundingBox) -> float:
 
 def st_iou_naive(ti: Trajectory, tj: Trajectory, thr_s: float) -> float:
     """Walk every frame of the combined span, recomputing from scratch."""
-    frames_i, frames_j = ti.frames(), tj.frames()
+    frames_i, frames_j = ti.frame.tolist(), tj.frame.tolist()
     lo = min(frames_i + frames_j)
     hi = max(frames_i + frames_j)
     inter = 0
@@ -97,14 +129,11 @@ def brute_force_min_cost(cost: Sequence[Sequence[float]]) -> float:
 
 def make_track(
     track_id: int,
-    boxes: Dict[int, Tuple[float, float, float, float] | BoundingBox],
+    boxes: Dict[int, Tuple[float, float, float, float]],
     confidence: float = 1.0,
 ) -> Trajectory:
-    dets = []
-    for f, b in sorted(boxes.items()):
-        box = b if isinstance(b, BoundingBox) else BoundingBox(*b)
-        dets.append(Detection(f, box, confidence))
-    return Trajectory.from_detections(track_id, dets)
+    frames = sorted(boxes)
+    return Trajectory(track_id, frames, [boxes[f] for f in frames], [confidence] * len(frames))
 
 
 def const_track(
@@ -131,14 +160,15 @@ def random_trajectory(
     stop = start + span - 1
     x, y = rng.uniform(0.0, arena), rng.uniform(0.0, arena)
     w, h = rng.uniform(8.0, 40.0), rng.uniform(8.0, 40.0)
-    dets = []
+    frames, boxes = [], []
     for f in range(start, stop + 1):
         x += rng.uniform(-4.0, 4.0)
         y += rng.uniform(-4.0, 4.0)
         if f not in (start, stop) and rng.random() < 0.15:
             continue  # internal gap
-        dets.append(Detection(f, BoundingBox(x, y, w, h)))
-    return Trajectory.from_detections(track_id, dets)
+        frames.append(f)
+        boxes.append((x, y, w, h))
+    return Trajectory(track_id, frames, boxes, [1.0] * len(frames))
 
 
 def random_trackset(
@@ -216,9 +246,9 @@ def length_nms_scalar(tracks: Sequence[Trajectory], thr_nms: float) -> List[Traj
 
     out: List[Trajectory] = []
     for t in tracks:
-        dets = [d for f, d in t.detections.items() if (t.id, f) not in suppressed]
-        if dets:
-            out.append(Trajectory.from_detections(t.id, dets))
+        keep = [(t.id, f) not in suppressed for f in t.frame.tolist()]
+        if any(keep):
+            out.append(Trajectory(t.id, t.frame[keep], t.xywh[keep], t.conf[keep]))
     return out
 
 
@@ -393,10 +423,11 @@ def parse_trackset_scalar(text: str, is_ground_truth: bool = False, sequence: st
             raise ParseError(line_no, str(exc)) from exc
         per_id.setdefault(track_id, []).append(det)
 
-    trajectories = [
-        Trajectory.from_detections(track_id, dets)
-        for track_id, dets in sorted(per_id.items())
-    ]
+    trajectories = []
+    for track_id, dets in sorted(per_id.items()):
+        dets.sort(key=lambda d: d.frame)
+        boxes = [(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets]
+        trajectories.append(Trajectory(track_id, [d.frame for d in dets], boxes, [d.confidence for d in dets]))
     return TrackSet(sequence, trajectories)
 
 

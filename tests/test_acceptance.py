@@ -25,15 +25,16 @@ from trackfuse import (
 )
 from trackfuse.cli import main
 from trackfuse.ensemble import length_nms, merge_group, merge_groups, mix
-from trackfuse.geometry import box_iou, st_iou
 
 from oracles import (
+    box_iou,
     brute_force_min_cost,
     canonical,
     const_track,
     make_track,
     random_trackset,
     random_trajectory,
+    st_iou,
     st_iou_naive,
 )
 

@@ -151,7 +151,7 @@ def test_merge_interpolate_fills_gap(tmp_path):
     out = tmp_path / "out.txt"
     assert main(["merge", "-i", str(src), "-o", str(out), "--interpolate", "10"]) == 0
     fused = load_trackset(out)
-    assert fused.trajectories[0].frames() == list(range(1, 55))
+    assert fused.trajectories[0].frame.tolist() == list(range(1, 55))
     expected = ensemble_pipeline([load_trackset(src)], EnsembleConfig(max_gap=10))
     assert out.read_text() == serialize_trackset(expected)
 
@@ -167,7 +167,7 @@ def test_merge_output_of_smallest_writable_box_reparses(tmp_path):
     assert main(["merge", "-i", str(a), "-i", str(b), "-o", str(out),
                  "--thr-len", "0", "--mode", "average", "--interpolate", "5"]) == 0
     (fused,) = load_trackset(out).trajectories
-    assert fused.frames() == list(range(1, 10))
+    assert fused.frame.tolist() == list(range(1, 10))
     assert fused.detections[1].box.w == 0.01
     assert fused.detections[1].confidence == 0.75  # the two inputs were averaged
 
@@ -461,7 +461,8 @@ FAILING_CONFIGS = {
 # OSError's text. `--interpolate` is checked before the thresholds, and a
 # config's values are checked with the flags applied: the config is named
 # only when it is invalid on its own. `--trackers` replaces the config's
-# trackers, so their lines are then read but their values not checked.
+# trackers and `--complementary` ignores them, so their lines are then read
+# but their values not checked.
 FAILURES = [
     ('merge -i TMP/gt.txt -o TMP/o.txt --thr-s 1.5', 1, 'trackfuse merge: error: thr_s must be in [0, 1], got 1.5'),
     ('merge -i TMP/gt.txt -o TMP/o.txt --thr-t -0.2', 1, 'trackfuse merge: error: thr_t must be in [0, 1], got -0.2'),
@@ -510,7 +511,7 @@ FAILURES = [
     ('synth -o TMP/s --config TMP/bad_key.cfg --trackers -1', 2, "trackfuse synth: error: TMP/bad_key.cfg: config line 1: unknown key 'colour'"),
     ('synth -o TMP/s --config TMP/out_of_range.cfg --trackers -1', 1, 'trackfuse synth: error: --trackers must be >= 0, got -1'),
     ('synth -o TMP/s --config TMP/out_of_range.cfg --objects 2', 2, 'trackfuse synth: error: TMP/out_of_range.cfg: config line 3: drop_rate must be in [0, 1], got 1.5'),
-    ('synth -o TMP/s --config TMP/out_of_range.cfg --complementary', 2, 'trackfuse synth: error: TMP/out_of_range.cfg: config line 3: drop_rate must be in [0, 1], got 1.5'),
+    ('synth -o TMP/s --config TMP/bad_tracker_number.cfg --complementary', 2, "trackfuse synth: error: TMP/bad_tracker_number.cfg: config line 1: malformed number 'lots'"),
     ('synth -o TMP/s --config TMP/bad_tracker_number.cfg --trackers 2', 2, "trackfuse synth: error: TMP/bad_tracker_number.cfg: config line 1: malformed number 'lots'"),
     ('synth -o TMP/gt.txt/sub --frames 5', 2, 'trackfuse synth: error: cannot write to TMP/gt.txt/sub: Not a directory'),
 ]
@@ -550,6 +551,23 @@ def test_trackers_flag_replaces_an_out_of_range_config_tracker(tmp_path):
     for name in ("gt.txt", "tracker_1.txt", "tracker_2.txt"):
         assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
     assert not (tmp_path / "flag" / "tracker_3.txt").exists()
+
+
+def test_complementary_ignores_an_out_of_range_config_tracker(tmp_path):
+    # the config of a pinned failure row, alone and after lines that size and seed the scenario
+    configs = {
+        "alone": (FAILING_CONFIGS["out_of_range"], []),
+        "sized": ("objects = 3\nframes = 50\nseed = 9\n" + FAILING_CONFIGS["out_of_range"], ["--objects", "3", "--frames", "50", "--seed", "9"]),
+    }
+    files = ["gt.txt", "tracker_1.txt", "tracker_2.txt"]
+    for name, (text, flags) in configs.items():
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(text)
+        assert main(["synth", "-o", str(tmp_path / name), "--config", str(config), "--complementary"]) == 0
+        assert main(["synth", "-o", str(tmp_path / f"{name}_flags"), *flags, "--complementary"]) == 0
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == files
+        for file in files:
+            assert (tmp_path / name / file).read_bytes() == (tmp_path / f"{name}_flags" / file).read_bytes()
 
 
 def test_config_with_byte_order_mark_reads_as_without(tmp_path):

@@ -4,9 +4,8 @@ import pytest
 
 from trackfuse import EnsembleConfig, MergeMode, TrackSet, ensemble_pipeline, serialize_trackset
 from trackfuse.ensemble import length_filter, length_nms, merge_group, merge_groups, mix
-from trackfuse.geometry import box_iou, st_iou
 
-from oracles import canonical, const_track, make_track, random_trackset
+from oracles import box_iou, canonical, const_track, make_track, random_trackset, st_iou
 
 
 def algorithm_fixture():
@@ -115,7 +114,7 @@ def test_merge_group_drop_keeps_longest_member_box():
     long = make_track(1, {f: (0.0, 0.0, 10.0, 10.0) for f in range(1, 11)})
     short = make_track(2, {f: (2.0, 0.0, 10.0, 10.0) for f in range(8, 14)})
     merged = merge_group([long, short], MergeMode.DROP)
-    assert merged.frames() == list(range(1, 14))
+    assert merged.frame.tolist() == list(range(1, 14))
     assert merged.detections[9].box.x == 0.0  # both present: long wins
     assert merged.detections[12].box.x == 2.0  # only short present
 
@@ -169,7 +168,7 @@ def test_length_nms_suppresses_shorter_owner():
     assert overlap > 0.7
     kept = length_nms([long, short], 0.7)
     by_id = {t.id: t for t in kept}
-    assert by_id[1].frames() == list(range(1, 11))
+    assert by_id[1].frame.tolist() == list(range(1, 11))
     assert 2 not in by_id  # every frame of the short track overlapped
 
 
@@ -178,8 +177,8 @@ def test_length_nms_removes_only_contested_frames():
     short = make_track(2, {4: (1.0, 0.0, 10.0, 10.0), 6: (500.0, 500.0, 10.0, 10.0)})
     kept = length_nms([long, short], 0.7)
     by_id = {t.id: t for t in kept}
-    assert by_id[1].frames() == list(range(1, 11))
-    assert by_id[2].frames() == [6]  # frame 4 lost, frame 6 uncontested
+    assert by_id[1].frame.tolist() == list(range(1, 11))
+    assert by_id[2].frame.tolist() == [6]  # frame 4 lost, frame 6 uncontested
 
 
 def test_length_nms_tie_breaks_by_lower_id():
@@ -238,7 +237,7 @@ def test_pipeline_joins_complementary_halves():
     assert st_iou(first, second, 0.5) == pytest.approx(31 / 60)
     out = ensemble_pipeline([TrackSet("s", [first]), TrackSet("s", [second])])
     assert len(out) == 1
-    assert out.trajectories[0].frames() == list(range(1, 101))
+    assert out.trajectories[0].frame.tolist() == list(range(1, 101))
 
 
 def test_pipeline_thr_t_one_disables_merging():

@@ -1,9 +1,17 @@
 import random
 
 from trackfuse import BoundingBox
-from trackfuse.geometry import box_iou, st_iou
 
-from oracles import const_track, iou_monte_carlo, iou_naive, make_track, random_trajectory, st_iou_naive
+from oracles import (
+    box_iou,
+    const_track,
+    iou_monte_carlo,
+    iou_naive,
+    make_track,
+    random_trajectory,
+    st_iou,
+    st_iou_naive,
+)
 
 
 def test_box_iou_identical_is_exactly_one():

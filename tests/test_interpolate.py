@@ -17,7 +17,7 @@ def test_midpoint_insertion():
     out = linear_interpolate(t, 2)
     box = out.detections[2].box
     assert (box.x, box.y, box.w, box.h) == (5.0, 0.0, 10.0, 10.0)
-    assert out.frames() == [1, 2, 3]
+    assert out.frame.tolist() == [1, 2, 3]
 
 
 def test_gap_larger_than_max_gap_untouched():
@@ -29,15 +29,14 @@ def test_gap_boundary_exactly_max_gap_filled():
     # 20 missing frames between 1 and 22
     t = make_track(1, {1: (0.0, 0.0, 10.0, 10.0), 22: (21.0, 0.0, 10.0, 10.0)})
     out = linear_interpolate(t, 20)
-    assert out.frames() == list(range(1, 23))
-    assert linear_interpolate(t, 19).frames() == [1, 22]
+    assert out.frame.tolist() == list(range(1, 23))
+    assert linear_interpolate(t, 19).frame.tolist() == [1, 22]
 
 
 def test_confidence_interpolated():
-    from trackfuse import BoundingBox, Detection, Trajectory
+    from trackfuse import Trajectory
 
-    box = BoundingBox(0.0, 0.0, 10.0, 10.0)
-    t = Trajectory.from_detections(1, [Detection(1, box, 1.0), Detection(3, box, 0.5)])
+    t = Trajectory(1, [1, 3], [(0.0, 0.0, 10.0, 10.0)] * 2, [1.0, 0.5])
     out = linear_interpolate(t, 5)
     assert out.detections[2].confidence == pytest.approx(0.75)
 
@@ -53,10 +52,10 @@ def test_originals_unchanged_and_envelope():
     for _ in range(30):
         t = random_trajectory(rng, 1)
         out = linear_interpolate(t, 20)
-        assert set(out.frames()) >= set(t.frames())
+        assert set(out.frame.tolist()) >= set(t.frame.tolist())
         for f, det in t.detections.items():
             assert out.detections[f] == det
-        frames = t.frames()
+        frames = t.frame.tolist()
         for f0, f1 in zip(frames, frames[1:]):
             b0, b1 = t.detections[f0].box, t.detections[f1].box
             for f in range(f0 + 1, f1):

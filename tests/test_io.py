@@ -43,7 +43,7 @@ def test_parse_groups_by_id_and_sorts_frames():
     text = "5,2,0,0,10,10,1\n1,2,0,0,10,10,1\n3,1,0,0,10,10,1"
     ts = parse_trackset(text)
     assert [t.id for t in ts.trajectories] == [1, 2]
-    assert ts.trajectories[1].frames() == [1, 5]
+    assert ts.trajectories[1].frame.tolist() == [1, 5]
 
 
 def test_parse_short_line_defaults_confidence():
@@ -99,7 +99,7 @@ def test_parse_errors_carry_line_number(text, fragment):
 def test_parse_accepts_frames_and_ids_just_below_2_to_the_53():
     ts = parse_trackset("9007199254740991,9007199254740991,10,20,30,40,1")
     assert ts.trajectories[0].id == 2**53 - 1
-    assert ts.trajectories[0].frames() == [2**53 - 1]
+    assert ts.trajectories[0].frame.tolist() == [2**53 - 1]
     assert serialize_trackset(ts).startswith("9007199254740991,9007199254740991,")
 
 
@@ -115,7 +115,7 @@ def test_parse_ground_truth_skips_inactive_rows():
     text = "1,1,10,20,30,40,0,1,1\n2,1,10,20,30,40,1,1,1\n3,2,10,20,30,40,1,7,0.4"
     ts = parse_trackset(text, is_ground_truth=True)
     assert [t.id for t in ts.trajectories] == [1, 2]
-    assert ts.trajectories[0].frames() == [2]  # the flag-0 row is gone
+    assert ts.trajectories[0].frame.tolist() == [2]  # the flag-0 row is gone
     # class and visibility columns are ignored, confidence forced to 1
     assert ts.trajectories[1].detections[3].confidence == 1.0
 
@@ -305,7 +305,7 @@ def test_round_trip_preserves_values_within_precision():
         by_id = {t.id: t for t in parsed.trajectories}
         for traj in ts.trajectories:
             other = by_id[traj.id]
-            assert other.frames() == traj.frames()
+            assert other.frame.tolist() == traj.frame.tolist()
             for f, det in traj.detections.items():
                 box, other_box = det.box, other.detections[f].box
                 for a, b in zip(

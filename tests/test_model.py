@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+import trackfuse.model
 from trackfuse import (
     BoundingBox,
     Detection,
@@ -17,13 +18,6 @@ from trackfuse import (
 )
 from trackfuse.ensemble import length_nms, merge_group, mix
 from trackfuse.interpolate import linear_interpolate
-
-
-def test_bounding_box_fields_and_derived():
-    box = BoundingBox(10.0, 20.0, 30.0, 40.0)
-    assert box.right == 40.0
-    assert box.bottom == 60.0
-    assert box.area == 1200.0
 
 
 @pytest.mark.parametrize("bad", [(0, 0, 0, 10), (0, 0, 10, 0), (0, 0, -5, 10), (0, 0, 10, -1)])
@@ -50,49 +44,44 @@ def test_detection_rejects_bad_frame_and_confidence():
         Detection(1, box, confidence=-0.1)
 
 
+BOX = (0.0, 0.0, 10.0, 10.0)
+
+
 def test_trajectory_span_and_gaps():
-    box = BoundingBox(0, 0, 10, 10)
-    traj = Trajectory.from_detections(1, [Detection(f, box) for f in (2, 5, 9)])
+    traj = Trajectory(1, np.array([2, 5, 9], np.uint16), [BOX] * 3, [1.0] * 3)  # any integer dtype
+    assert traj.frame.dtype == np.int64
     assert traj.start == 2
     assert traj.stop == 9
     assert traj.length == 8  # span counts the gap frames too
-    assert traj.frames() == [2, 5, 9]
-
-
-def test_trajectory_normalizes_frame_order():
-    box = BoundingBox(0, 0, 10, 10)
-    traj = Trajectory.from_detections(1, [Detection(9, box), Detection(2, box)])
-    assert traj.frames() == [2, 9]
+    assert traj.frame.tolist() == [2, 5, 9]
 
 
 def test_trajectory_rejects_empty_and_duplicates():
-    box = BoundingBox(0, 0, 10, 10)
     with pytest.raises(ValueError):
-        Trajectory.from_detections(1, [])
+        Trajectory(1, [], [], [])
     with pytest.raises(ValueError):
-        Trajectory.from_detections(1, [Detection(3, box), Detection(3, box)])
+        Trajectory(1, [3, 3], [BOX] * 2, [1.0] * 2)
     with pytest.raises(ValueError):
-        Trajectory.from_detections(0, [Detection(1, box)])
+        Trajectory(0, [1], [BOX], [1.0])
 
 
 def test_trajectory_with_id():
-    box = BoundingBox(0, 0, 10, 10)
-    traj = Trajectory.from_detections(1, [Detection(1, box)])
-    assert traj.with_id(7).id == 7
+    traj = Trajectory(1, [1], [BOX], [1.0])
+    for new_id in (7, np.int64(7), np.uint32(7)):  # Python and numpy integers
+        assert traj.with_id(new_id).id == 7
+        assert Trajectory(new_id, [1], [BOX], [1.0]).id == 7
 
 
 def test_trackset_rejects_duplicate_ids():
-    box = BoundingBox(0, 0, 10, 10)
-    t1 = Trajectory.from_detections(1, [Detection(1, box)])
-    t2 = Trajectory.from_detections(1, [Detection(2, box)])
+    t1 = Trajectory(1, [1], [BOX], [1.0])
+    t2 = Trajectory(1, [2], [BOX], [1.0])
     with pytest.raises(ValueError):
         TrackSet("s", [t1, t2])
 
 
 def test_trackset_counts():
-    box = BoundingBox(0, 0, 10, 10)
-    t1 = Trajectory.from_detections(1, [Detection(f, box) for f in (1, 2)])
-    t2 = Trajectory.from_detections(2, [Detection(5, box)])
+    t1 = Trajectory(1, [1, 2], [BOX] * 2, [1.0] * 2)
+    t2 = Trajectory(2, [5], [BOX], [1.0])
     ts = TrackSet("s", [t1, t2])
     assert len(ts) == 2
     assert ts.num_detections == 3
@@ -101,7 +90,7 @@ def test_trackset_counts():
 def test_value_types_pickle_copy_and_stay_frozen():
     box = BoundingBox(1.5, 2.5, 3.0, 4.0)
     det = Detection(3, box, 0.25)
-    traj = Trajectory.from_detections(4, [det, Detection(5, box)])
+    traj = Trajectory(4, [3, 5], [(1.5, 2.5, 3.0, 4.0)] * 2, [0.25, 1.0])
     ts = TrackSet("seq", [traj])
     for value, field in [(box, "x"), (det, "frame"), (traj, "id"), (ts, "sequence")]:
         assert not hasattr(value, "__dict__")  # slotted
@@ -125,14 +114,14 @@ def test_trajectory_columns_are_read_only_and_survive_pickle_and_copy():
         for column in (value.frame, value.xywh, value.conf):
             with pytest.raises(ValueError):
                 column[0] = 9
-    assert traj.frames() == [1, 2, 4]
+    assert traj.frame.tolist() == [1, 2, 4]
 
 
 def test_trajectory_copies_the_columns_it_is_given():
     frame, xywh, conf = np.array([1, 2]), np.ones((2, 4)), np.ones(2)
     traj = Trajectory(1, frame, xywh, conf)
     frame[0], xywh[0, 0], conf[0] = 5, 7.0, 0.0
-    assert traj.frames() == [1, 2] and traj.xywh[0, 0] == 1.0 and traj.conf[0] == 1.0
+    assert traj.frame.tolist() == [1, 2] and traj.xywh[0, 0] == 1.0 and traj.conf[0] == 1.0
 
 
 def test_trajectory_equality_compares_id_and_columns_exactly():
@@ -160,6 +149,9 @@ def test_trajectory_equality_compares_id_and_columns_exactly():
         ([1, 2**53], [(0, 0, 1, 1)] * 2, [1, 1]),  # frame the parser cannot read back
         ([1], [(0, 0, np.nextafter(0.005, 0), 1)], [1]),  # width written as 0.00
         ([1], [(0, 0, 1, np.nextafter(0.005, 0))], [1]),  # height written as 0.00
+        ([1.5, 2.7], [(0, 0, 1, 1)] * 2, [1, 1]),  # a cast would truncate them to 1, 2
+        (np.array([1.0, 2.0]), [(0, 0, 1, 1)] * 2, [1, 1]),  # float frames, even whole ones
+        ([1, 2.0], [(0, 0, 1, 1)] * 2, [1, 1]),
     ],
 )
 def test_trajectory_rejects_invalid_columns(frame, xywh, conf):
@@ -169,10 +161,12 @@ def test_trajectory_rejects_invalid_columns(frame, xywh, conf):
 
 def test_trajectory_ids_stay_below_2_to_the_53():
     traj = _track()
-    with pytest.raises(ValueError):
-        traj.with_id(2**53)
-    with pytest.raises(ValueError):
-        Trajectory(2**53, traj.frame, traj.xywh, traj.conf)
+    # the writer would write 1.5 as id 1, next to a real id 1 that the reader then rejects
+    for bad_id in (2**53, 0, 1.5, 2.5, 2.0, np.float64(3.0), "4"):
+        with pytest.raises(ValueError):
+            traj.with_id(bad_id)
+        with pytest.raises(ValueError):
+            Trajectory(bad_id, traj.frame, traj.xywh, traj.conf)
 
 
 def test_smallest_accepted_trajectory_reads_back():
@@ -180,17 +174,27 @@ def test_smallest_accepted_trajectory_reads_back():
     last = 2**53 - 1
     traj = Trajectory(last, [1, last], [(0, 0, 0.005, 0.005)] * 2, [1, 1])
     (again,) = parse_trackset(serialize_trackset(TrackSet("s", [traj]))).trajectories
-    assert again.id == last and again.frames() == [1, last]
+    assert again.id == last and again.frame.tolist() == [1, last]
     assert (again.xywh[:, 2:] == 0.01).all()
 
 
-def test_detections_mapping_is_built_from_the_columns():
+def test_detections_mapping_is_built_from_the_columns(monkeypatch):
     traj = _track()
+
+    def no_detection(*args, **kwargs):
+        raise AssertionError("a per-box Detection was built")
+
+    # counting boxes and listing frames read the columns only
+    monkeypatch.setattr(trackfuse.model, "Detection", no_detection)
     assert len(traj.detections) == 3 and list(traj.detections) == [1, 2, 4]
+    monkeypatch.undo()
     assert traj.detections[4] == Detection(4, BoundingBox(4.0, 2.0, 10.0, 5.0), 0.5)
     assert 3 not in traj.detections
     assert traj.detections is traj.detections
-    assert Trajectory.from_detections(1, traj.detections.values()) == traj
+    dets = list(traj.detections.values())
+    assert [d.frame for d in dets] == traj.frame.tolist()
+    assert [[d.box.x, d.box.y, d.box.w, d.box.h] for d in dets] == traj.xywh.tolist()
+    assert [d.confidence for d in dets] == traj.conf.tolist()
 
 
 def test_stage_outputs_have_read_only_columns():

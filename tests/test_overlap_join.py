@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trackfuse import BoundingBox, Detection, EnsembleConfig, MergeMode, TrackSet, Trajectory, ensemble_pipeline
+from trackfuse import BoundingBox, EnsembleConfig, MergeMode, TrackSet, Trajectory, ensemble_pipeline
 from trackfuse import geometry, metrics
 from trackfuse.ensemble import length_nms, merge_group, merge_groups, mix
-from trackfuse.geometry import box_columns, box_iou, same_frame_pairs
+from trackfuse.geometry import box_columns, same_frame_pairs
 from trackfuse.metrics import ClearScores, EvalReport, clear_mot, evaluate, idf1
 
 from oracles import (
+    box_iou,
     clear_mot_scalar,
     const_track,
     ensemble_pipeline_scalar,
@@ -58,9 +59,9 @@ def box_pairs(draw):
     elif kind == "identical":
         b = BoundingBox(a.x, a.y, a.w, a.h)
     elif kind == "shared_x":  # b starts where a ends
-        b = BoundingBox(a.right, draw(coord), draw(size), draw(size))
+        b = BoundingBox(a.x + a.w, draw(coord), draw(size), draw(size))
     elif kind == "shared_y":
-        b = BoundingBox(draw(coord), a.bottom, draw(size), draw(size))
+        b = BoundingBox(draw(coord), a.y + a.h, draw(size), draw(size))
     elif kind == "nested":
         fx, fy, fw, fh = (draw(unit) for _ in range(4))
         b = BoundingBox(a.x + fx * a.w / 2, a.y + fy * a.h / 2, max(a.w * fw / 2, 0.01), max(a.h * fh / 2, 0.01))
@@ -204,18 +205,16 @@ def _jittered_copy(rng: random.Random, ts: TrackSet, jitter: float) -> TrackSet:
     """A second tracker that follows ``ts``; some boxes are exact copies."""
     tracks = []
     for t in ts.trajectories:
-        dets = []
-        for f, d in t.detections.items():
+        frames, boxes = [], []
+        for f, (x, y, w, h) in zip(t.frame.tolist(), t.xywh.tolist()):
             if rng.random() < 0.1:
                 continue
-            b = d.box
-            if rng.random() < 0.3:
-                box = b
-            else:
-                box = BoundingBox(b.x + rng.uniform(-jitter, jitter), b.y + rng.uniform(-jitter, jitter), b.w, b.h)
-            dets.append(Detection(f, box))
-        if dets:
-            tracks.append(Trajectory.from_detections(t.id, dets))
+            if rng.random() >= 0.3:
+                x, y = x + rng.uniform(-jitter, jitter), y + rng.uniform(-jitter, jitter)
+            frames.append(f)
+            boxes.append((x, y, w, h))
+        if frames:
+            tracks.append(Trajectory(t.id, frames, boxes, [1.0] * len(frames)))
     return TrackSet(ts.sequence, tracks)
 
 
@@ -274,9 +273,9 @@ def test_clear_mot_equals_scalar(seed):
             assert clear_mot(pred, gt, thr) == clear_mot_scalar(pred, gt, thr)
 
 
-def _moving(track_id, start, stop, x0, dx):
-    """A 10-pixel box moving ``dx`` per frame along x, from ``x0`` at ``start``."""
-    return make_track(track_id, {f: (x0 + dx * (f - start), 0.0, 10.0, 10.0) for f in range(start, stop + 1)})
+def _moving(start, stop, x0, dx):
+    """The boxes by frame of a 10-pixel box moving ``dx`` per frame along x, from ``x0`` at ``start``."""
+    return {f: (x0 + dx * (f - start), 0.0, 10.0, 10.0) for f in range(start, stop + 1)}
 
 
 def _exact_duplicates():
@@ -292,12 +291,11 @@ def _one_prediction_over_two_objects():
 
 
 def _crossing_objects_swap_ids():
-    gt = TrackSet("s", [_moving(1, 1, 20, 0.0, 2.0), _moving(2, 1, 20, 38.0, -2.0)])
+    gt = TrackSet("s", [make_track(1, _moving(1, 20, 0.0, 2.0)), make_track(2, _moving(1, 20, 38.0, -2.0))])
     # each prediction follows one object up to the crossing and the other after it
-    first = {**_moving(5, 1, 10, 0.5, 2.0).detections, **_moving(5, 11, 20, 18.5, -2.0).detections}
-    second = {**_moving(6, 1, 10, 37.5, -2.0).detections, **_moving(6, 11, 20, 19.5, 2.0).detections}
-    pred = [Trajectory.from_detections(i, dets.values()) for i, dets in ((5, first), (6, second))]
-    return gt, TrackSet("s", pred)
+    first = make_track(5, {**_moving(1, 10, 0.5, 2.0), **_moving(11, 20, 18.5, -2.0)})
+    second = make_track(6, {**_moving(1, 10, 37.5, -2.0), **_moving(11, 20, 19.5, 2.0)})
+    return gt, TrackSet("s", [first, second])
 
 
 def _gap_then_new_id():

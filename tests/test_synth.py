@@ -157,7 +157,7 @@ def test_gt_shape_and_arena_bounds():
         for det in traj.detections.values():
             box = det.box
             assert box.x >= 0 and box.y >= 0
-            assert box.right <= 640 and box.bottom <= 480
+            assert box.x + box.w <= 640 and box.y + box.h <= 480
 
 
 def test_adding_a_tracker_does_not_change_existing_ones():
