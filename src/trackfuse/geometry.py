@@ -3,6 +3,13 @@
 ``same_frame_pairs`` computes the box IoU of every pair of boxes that share
 a frame and intersect, and feeds merge grouping, NMS, CLEAR and IDF1. It is
 the package's one definition of box overlap.
+
+The join never lists candidate pairs. It lays out a block of whole frames
+with the largest frame first, each frame's rows in owner order. For an
+offset ``d``, the rows of the frames holding more than ``d`` boxes then
+form a prefix of the block, and every row is compared with the row ``d``
+after it by a few comparisons of two contiguous slices of that prefix. Only
+the pairs found get their IoU computed.
 """
 
 from __future__ import annotations
@@ -16,10 +23,12 @@ from .model import Trajectory
 # Box columns: frames int64[n], owner index int64[n], boxes float64[n, 4]
 # as (x, y, w, h). An owner is the index of the box's trajectory in a list.
 BoxColumns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+# The join's output: (frame, owner_a, owner_b, iou) arrays.
+Pairs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-# The most candidate box pairs the join builds at once, unless one frame
-# alone holds more. It bounds the join's memory and does not change results.
-PAIR_BLOCK = 1 << 14
+# The most box rows the join lays out at once, unless one frame alone holds
+# more. It bounds the join's memory and does not change results.
+BLOCK_ROWS = 1 << 12
 
 
 def box_columns(tracks: Sequence[Trajectory]) -> BoxColumns:
@@ -32,47 +41,24 @@ def box_columns(tracks: Sequence[Trajectory]) -> BoxColumns:
     return frames, owners, np.concatenate([t.xywh for t in tracks])
 
 
-def _sorted(cols: BoxColumns) -> BoxColumns:
-    """Frames, owners and float64[6, n] (x, y, right, bottom, w, h) rows, sorted by (frame, owner).
-
-    Right is ``x + w`` and bottom is ``y + h``, each rounded once.
-    """
-    frames, owners, boxes = cols
+def _frame_runs(cols: BoxColumns) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows in (frame, owner) order, and each frame's value, first position and row count in it."""
+    frames, owners, _ = cols
     order = np.lexsort((owners, frames))
-    edges = np.empty((6, len(order)))
-    for row, col in ((0, 0), (1, 1), (4, 2), (5, 3)):
-        np.take(boxes[:, col], order, out=edges[row])
-    np.add(edges[0], edges[4], out=edges[2])
-    np.add(edges[1], edges[5], out=edges[3])
-    return frames[order], owners[order], edges
+    if len(order) < 2**31:  # kept while the join runs, so in 32 bits where they fit
+        order = order.astype(np.int32)
+    ordered = frames[order]
+    first = np.flatnonzero(np.concatenate(([len(order) > 0], ordered[1:] != ordered[:-1])))
+    return order, ordered[first], first, np.diff(np.append(first, len(order)))
 
 
-def _intersecting(
-    ea: np.ndarray, eb: np.ndarray, ia: np.ndarray, ib: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Positions in (ia, ib) of the box pairs that intersect, and their IoU.
-
-    Pairs left out, such as boxes that only share an edge, have IoU 0. Every
-    IoU is bit-identical to the scalar ``box_iou`` in ``tests/oracles.py``.
-    """
-    ix = np.minimum(ea[2, ia], eb[2, ib])
-    ix -= np.maximum(ea[0, ia], eb[0, ib])
-    keep = np.flatnonzero(ix > 0)
-    ia, ib, ix = ia[keep], ib[keep], ix[keep]
-    iy = np.minimum(ea[3, ia], eb[3, ib])
-    iy -= np.maximum(ea[1, ia], eb[1, ib])
-    hit = iy > 0
-    keep, ia, ib = keep[hit], ia[hit], ib[hit]
-    inter = ix[hit] * iy[hit]
-    a, b = ea[:, ia], eb[:, ib]
-    iou = np.minimum(inter / (a[4] * a[5] + b[4] * b[5] - inter), 1.0)
-    iou[(a[[0, 1, 4, 5]] == b[[0, 1, 4, 5]]).all(axis=0)] = 1.0  # equal (x, y, w, h)
-    return keep, iou
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``[start, start + count)``, concatenated."""
+    before = np.cumsum(counts) - counts
+    return np.repeat(starts - before, counts) + np.arange(counts.sum())
 
 
-def same_frame_pairs(
-    a: BoxColumns, b: Optional[BoxColumns] = None
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+def same_frame_pairs(a: BoxColumns, b: Optional[BoxColumns] = None) -> Iterator[Pairs]:
     """Join two sets of box columns on frame, yielding the overlapping pairs.
 
     Yields ``(frame, owner_a, owner_b, iou)`` arrays, one entry for every
@@ -80,48 +66,121 @@ def same_frame_pairs(
     with their IoU. Pairs that do not intersect have IoU 0 and are left
     out. Without ``b`` the join pairs ``a`` with itself and yields each
     pair of distinct owners once, lower owner first. Pairs come in (frame,
-    owner_a, owner_b) order. They are built one block of whole frames at a
-    time, and a block holds at most ``PAIR_BLOCK`` candidate pairs unless
-    one frame alone holds more.
+    owner_a, owner_b) order. Frames that cannot hold a pair are skipped;
+    the others are joined one block of whole frames at a time, and a block
+    holds at most ``BLOCK_ROWS`` box rows, those of ``a`` and ``b``
+    together, unless one frame alone holds more.
     """
     self_join = b is None
-    fa, oa, ea = a = _sorted(a)
-    fb, ob, eb = b = a if self_join else _sorted(b)
-    bounds = np.append(np.flatnonzero(np.diff(fa, prepend=fa[:1] - 1)), len(fa))  # frame start rows, then n
-    sizes = np.diff(bounds)
+    order_a, frames_a, start_a, count_a = _frame_runs(a)
     if self_join:
-        # a row pairs with the later rows of its frame
-        per_frame = sizes * (sizes - 1) // 2
+        b, order_b = a, order_a
+        pairing = count_a > 1
+        start_a, count_a = start_a[pairing], count_a[pairing]
+        start_b, count_b = start_a, np.zeros_like(count_a)
     else:
-        frames = fa[bounds[:-1]]
-        b_starts = np.searchsorted(fb, frames, side="left")
-        b_sizes = np.searchsorted(fb, frames, side="right") - b_starts
-        per_frame = sizes * b_sizes
-    for lo, hi, total in _frame_blocks(per_frame):
-        if total == 0:
-            continue
-        rows = np.arange(bounds[lo], bounds[hi])
-        if self_join:
-            first = rows + 1
-            count = np.repeat(bounds[lo + 1 : hi + 1], sizes[lo:hi]) - first
-        else:
-            first = np.repeat(b_starts[lo:hi], sizes[lo:hi])
-            count = np.repeat(b_sizes[lo:hi], sizes[lo:hi])
-        ia = np.repeat(rows, count)
-        ib = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(total)
-        keep, iou = _intersecting(ea, eb, ia, ib)
-        ia, ib = ia[keep], ib[keep]
-        yield fa[ia], oa[ia], ob[ib], iou
-
-
-def _frame_blocks(per_frame: np.ndarray) -> Iterator[Tuple[int, int, int]]:
-    """Split frames into runs ``[lo, hi)`` of at most ``PAIR_BLOCK`` pairs, unless one frame alone holds more.
-
-    Yields ``(lo, hi, pairs in the run)``.
-    """
-    before = np.append(0, np.cumsum(per_frame))  # pairs in earlier frames
+        order_b, frames_b, start_b, count_b = _frame_runs(b)
+        _, in_a, in_b = np.intersect1d(frames_a, frames_b, assume_unique=True, return_indices=True)
+        start_a, count_a, start_b, count_b = start_a[in_a], count_a[in_a], start_b[in_b], count_b[in_b]
+    sizes = count_a + count_b
+    ends = np.cumsum(sizes)  # rows up to each frame's end
     lo = 0
-    while lo < len(per_frame):
-        hi = max(int(np.searchsorted(before, before[lo] + PAIR_BLOCK, side="right")) - 1, lo + 1)
-        yield lo, hi, int(before[hi] - before[lo])
+    while lo < len(ends):
+        hi = max(int(np.searchsorted(ends, ends[lo] - sizes[lo] + BLOCK_ROWS, side="right")), lo + 1)
+        rows_a = order_a[_ranges(start_a[lo:hi], count_a[lo:hi])]
+        rows_b = order_b[_ranges(start_b[lo:hi], count_b[lo:hi])]
+        yield _block_pairs(a, b, rows_a, count_a[lo:hi], rows_b, count_b[lo:hi], self_join)
         lo = hi
+
+
+def _block_pairs(
+    a: BoxColumns,
+    b: BoxColumns,
+    rows_a: np.ndarray,
+    count_a: np.ndarray,
+    rows_b: np.ndarray,
+    count_b: np.ndarray,
+    self_join: bool,
+) -> Pairs:
+    """The intersecting pairs of one block of frames, in (frame, owner_a, owner_b) order.
+
+    ``rows_a`` are the block's rows of ``a`` in (frame, owner) order, and
+    ``count_a`` their number in each frame; the same for ``b``, which is
+    empty in a self-join. Every IoU is bit-identical to the scalar
+    ``box_iou`` in ``tests/oracles.py``.
+    """
+    sizes = count_a + count_b
+    laid = np.argsort(-sizes, kind="stable")  # frames, largest first
+    laid_sizes = sizes[laid]
+    ends = np.cumsum(laid_sizes)  # end row of each laid-out frame
+    offset = np.empty_like(sizes)  # first row of each frame in the layout
+    offset[laid] = ends - laid_sizes
+    n, largest = int(ends[-1]), int(laid_sizes[0])
+    at_a = _ranges(offset, count_a)  # layout row of each row of a, in output order
+    at_b = _ranges(offset + count_a, count_b)  # b's rows follow a's in their frame
+
+    # Row p pairs with row q = p + d when low[:, q] < high[:, p] in every
+    # row and low[:2, p] < high[:2, q]: both x intervals and both y
+    # intervals overlap, q lies in p's frame and, in a cross join, p is a box
+    # of a and q one of b.
+    low = np.empty((3 if self_join else 4, n))  # x, y, layout row, -layout row
+    high = np.empty_like(low)  # right, bottom, frame end, 1 - first row of b in the frame
+    size = np.empty((2, n))  # w, h
+    source = np.empty(n, np.int64)  # layout row -> row of its side's columns
+    for side, at, rows in ((a, at_a, rows_a), (b, at_b, rows_b)):
+        source[at] = rows
+        for row, col in ((low[0], 0), (low[1], 1), (size[0], 2), (size[1], 3)):
+            row[at] = side[2][:, col][rows]
+    x, y, right, bottom, (w, h) = low[0], low[1], high[0], high[1], size
+    np.add(low[:2], size, out=high[:2])  # right and bottom, rounded once
+    low[2] = np.arange(n)
+    high[2] = np.repeat(ends, laid_sizes)
+    if not self_join:
+        high[3] = np.repeat(laid_sizes - ends - count_a[laid] + 1, laid_sizes)
+        high[2][at_b] = -1.0
+    # A box whose right edge rounds onto its left, or bottom onto top,
+    # intersects nothing. With it left out, every pair found intersects.
+    thin = (right <= x) | (bottom <= y)
+    low[2][thin], high[2][thin] = np.inf, -1.0
+    if not self_join:
+        np.negative(low[2], out=low[3])
+
+    # for each offset d, the rows of the frames holding more than d boxes
+    prefix = ends[np.searchsorted(-laid_sizes, -np.arange(1, largest), side="left") - 1]
+    checks = np.empty((len(low) + 2, n), bool)
+    paired = np.empty(n, bool)
+    found = []
+    for d, m in enumerate(prefix.tolist(), 1):
+        check = checks[:, : m - d]
+        np.less(low[:, d:m], high[:, : m - d], out=check[:-2])
+        np.less(low[:2, : m - d], high[:2, d:m], out=check[-2:])
+        found.append(np.logical_and.reduce(check, out=paired[: m - d]).nonzero()[0])
+    del checks, paired
+
+    # One integer sort puts the pairs in (frame, owner_a, owner_b) order:
+    # p's rank in that order, then the offset, which rises with owner_b.
+    rank = np.empty(n, np.int64)
+    rank[at_a] = np.arange(len(at_a))
+    key = rank[np.concatenate(found)] * largest
+    key += np.repeat(np.arange(1, largest), [len(f) for f in found])
+    del found, rank
+    key.sort()
+    p, q = np.divmod(key, largest)
+    del key
+    p = at_a[p]
+    q += p
+
+    # the IoU with the scalar box_iou's float operations, in its order
+    ix = np.minimum(right[p], right[q])
+    ix -= np.maximum(x[p], x[q])
+    inter = np.minimum(bottom[p], bottom[q])
+    inter -= np.maximum(y[p], y[q])
+    inter *= ix
+    del ix
+    union = w[p] * h[p]
+    union += w[q] * h[q]
+    union -= inter
+    iou = np.minimum(inter / union, 1.0)
+    iou[(x[p] == x[q]) & (y[p] == y[q]) & (w[p] == w[q]) & (h[p] == h[q])] = 1.0  # equal boxes
+    p, q = source[p], source[q]  # layout rows -> rows of a and of b
+    return a[0][p], a[1][p], b[1][q], iou

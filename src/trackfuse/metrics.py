@@ -77,12 +77,11 @@ def _hits(gt: TrackSet, pred: TrackSet, iou_match: float) -> Tuple[_Side, _Side,
         raise ValueError(f"iou_match must be in (0, 1], got {iou_match}")
     gt_cols = box_columns(sorted(gt.trajectories, key=lambda t: t.id))
     pred_cols = box_columns(sorted(pred.trajectories, key=lambda t: t.id))
+    # the join reads the boxes in place, so they live until the hits are built
     blocks = same_frame_pairs(gt_cols, pred_cols)
-    gt_side, pred_side = gt_cols[:2], pred_cols[:2]
-    del gt_cols, pred_cols  # the join sorts its own copies; free the boxes while it runs
     hits = (tuple(column[pairs[3] >= iou_match] for column in pairs) for pairs in blocks)
     no_hits = (np.empty(0, np.int64),) * 3 + (np.empty(0),)
-    return gt_side, pred_side, tuple(np.concatenate(column) for column in zip(no_hits, *hits))
+    return gt_cols[:2], pred_cols[:2], tuple(np.concatenate(column) for column in zip(no_hits, *hits))
 
 
 def _by_frame(side: _Side) -> _Side:

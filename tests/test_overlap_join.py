@@ -4,9 +4,13 @@ Merge grouping, length NMS and IDF1 must give exactly what the scalar
 ``box_iou`` loops in ``oracles`` give, on seeded sweeps and edge inputs.
 """
 
+import collections
+import gc
+import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from trackfuse import geometry, metrics
 from trackfuse.ensemble import length_nms, merge_group, merge_groups, mix
 from trackfuse.geometry import box_columns, same_frame_pairs
 from trackfuse.metrics import ClearScores, EvalReport, clear_mot, evaluate, idf1
+from trackfuse.synth import DEFAULT_DEGRADATION, ScenarioSpec, generate_scenario
 
 from oracles import (
     box_iou,
@@ -134,6 +139,11 @@ def test_join_yields_exactly_the_intersecting_pairs(seed):
     assert _joined(a, b) == _brute_pairs(a, b)
 
 
+def _columns(rows):
+    arr = np.array(rows, dtype=float).reshape(-1, 6)
+    return arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2:].copy()
+
+
 def _stacked_columns(rng, frame_sizes):
     """Nearly identical boxes, so every same-frame pair intersects; rows shuffled."""
     rows = [
@@ -142,17 +152,38 @@ def _stacked_columns(rng, frame_sizes):
         for k in range(n)
     ]
     rng.shuffle(rows)
-    arr = np.array(rows)
-    return arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2:].copy()
+    return _columns(rows)
+
+
+def _random_columns(rng, frame_sizes, arena=40.0):
+    """Boxes 2-12 px a side scattered over an ``arena``-wide square; rows shuffled.
+
+    A frame's owners are distinct, drawn from twice the frame's size, so
+    they are neither contiguous nor from 0.
+    """
+    rows = []
+    for f, n in frame_sizes.items():
+        for k in rng.sample(range(2 * n), n):
+            rows.append((f, k, rng.uniform(0, arena), rng.uniform(0, arena), rng.uniform(2, 12), rng.uniform(2, 12)))
+    rng.shuffle(rows)
+    return _columns(rows)
 
 
 def _check_blocks(a, b, bound):
-    """Pairs per frame, checking that blocks hold whole frames and respect the bound."""
+    """Pairs per frame, checking that blocks hold whole frames and at most ``bound`` rows.
+
+    Every same-frame pair of ``_stacked_columns`` intersects, so the frames
+    of a block are the frames of its pairs. Its rows are their boxes, those
+    of ``a`` and ``b`` together.
+    """
+    rows = collections.Counter(a[0].tolist())
+    if b is not None:
+        rows.update(b[0].tolist())
     pairs_per_frame = {}
     for frame, _, _, _ in same_frame_pairs(a, b):
         frames = set(frame.tolist())
         assert not frames & set(pairs_per_frame), "a frame split across blocks"
-        assert len(frame) <= bound or len(frames) == 1
+        assert sum(rows[f] for f in frames) <= bound or len(frames) == 1
         for f in frame.tolist():
             pairs_per_frame[f] = pairs_per_frame.get(f, 0) + 1
     return pairs_per_frame
@@ -160,7 +191,7 @@ def _check_blocks(a, b, bound):
 
 @pytest.mark.parametrize("bound", [1, 5, 37])
 def test_join_blocks_hold_at_most_the_bound(monkeypatch, bound):
-    monkeypatch.setattr(geometry, "PAIR_BLOCK", bound)
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", bound)
     rng = random.Random(bound)
     sizes_a = {f: rng.randint(1, 9) for f in rng.sample(range(1, 60), 30)}
     sizes_b = {f: rng.randint(1, 9) for f in rng.sample(range(1, 60), 30)}
@@ -173,12 +204,121 @@ def test_join_blocks_hold_at_most_the_bound(monkeypatch, bound):
 
 def test_join_block_bound_at_its_real_value():
     rng = random.Random(0)
-    crowded = int(math.isqrt(2 * geometry.PAIR_BLOCK)) + 2  # one frame alone exceeds the bound
-    sizes = {1: 3, 2: crowded, 3: 4, 4: 90, 5: 90, 6: 2}
-    a = _stacked_columns(rng, sizes)
-    counts = _check_blocks(a, None, geometry.PAIR_BLOCK)
-    assert counts == {f: n * (n - 1) // 2 for f, n in sizes.items()}
-    assert counts[2] > geometry.PAIR_BLOCK
+    crowded = geometry.BLOCK_ROWS + 2  # one frame alone exceeds the bound
+    sizes = {1: 3, 3: 4, 4: 90, 5: 90, 6: 2}
+    # frame 2 is a chain of boxes, each overlapping only its neighbours, so
+    # that its pairs grow with its rows, not with their square
+    chain = [(2, k, 8.0 * k, 0.0, 10.0, 10.0) for k in range(crowded)]
+    stacked = _stacked_columns(rng, sizes)
+    rows = chain + np.column_stack([stacked[0], stacked[1], stacked[2]]).tolist()
+    rng.shuffle(rows)
+    a = _columns(rows)
+    counts = _check_blocks(a, None, geometry.BLOCK_ROWS)
+    assert counts == {2: crowded - 1, **{f: n * (n - 1) // 2 for f, n in sizes.items()}}
+    linked = [(f, i, j, iou) for f, i, j, iou in _joined(a) if f == 2]
+    boxes = [BoundingBox(8.0 * k, 0.0, 10.0, 10.0) for k in range(crowded)]
+    assert linked == [(2, k, k + 1, box_iou(boxes[k], boxes[k + 1])) for k in range(crowded - 1)]
+
+
+def _skewed_frames(rng):
+    # one frame of 240 boxes among frames of 1-3 boxes
+    return {f: rng.randint(1, 3) for f in range(1, 30)} | {17: 240}
+
+
+def _layout_cases():
+    """(name, a, b) inputs whose frames stress the join's layout."""
+    rng = random.Random(5)
+    yield "skewed", _random_columns(rng, _skewed_frames(rng)), _random_columns(rng, _skewed_frames(rng))
+    one_box = {f: 1 for f in range(1, 40)}
+    yield "one box a frame", _random_columns(rng, one_box, 10.0), _random_columns(rng, one_box, 10.0)
+    # frames 1-12 hold only boxes of a, 30-40 only boxes of b, 13-29 both
+    only_a = {f: rng.randint(1, 6) for f in range(1, 30)}
+    only_b = {f: rng.randint(1, 6) for f in range(13, 41)}
+    yield "one side only", _random_columns(rng, only_a, 20.0), _random_columns(rng, only_b, 20.0)
+    # the same frames and owners on both sides; b repeats a third of a's boxes exactly
+    a = _random_columns(rng, {f: 6 for f in range(1, 15)}, 25.0)
+    b = _random_columns(rng, {f: 6 for f in range(1, 15)}, 25.0)
+    b = (a[0], a[1], np.where(np.arange(len(a[0]))[:, None] % 3 == 0, a[2], b[2]))
+    yield "same owners on both sides", a, b
+
+
+@pytest.mark.parametrize("bound", [1, 3, None])
+@pytest.mark.parametrize("case", list(_layout_cases()), ids=lambda case: case[0])
+def test_join_layouts_equal_brute_force(monkeypatch, case, bound):
+    if bound is not None:
+        monkeypatch.setattr(geometry, "BLOCK_ROWS", bound)
+    _, a, b = case
+    assert _joined(a) == _brute_pairs(a)
+    assert _joined(b) == _brute_pairs(b)
+    assert _joined(a, b) == _brute_pairs(a, b)
+    assert _joined(b, a) == _brute_pairs(b, a)
+
+
+frame_sizes = st.dictionaries(
+    st.integers(1, 40), st.one_of(st.integers(1, 6), st.integers(7, 40)), max_size=12
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_sizes, frame_sizes, st.sampled_from([1, 2, 3, 7, None]), st.integers(0, 2**32 - 1))
+def test_join_equals_brute_force_on_drawn_frame_sizes(sizes_a, sizes_b, bound, seed):
+    rng = random.Random(seed)
+    a, b = _random_columns(rng, sizes_a, 30.0), _random_columns(rng, sizes_b, 30.0)
+    with pytest.MonkeyPatch.context() as patch:
+        if bound is not None:
+            patch.setattr(geometry, "BLOCK_ROWS", bound)
+        assert _joined(a) == _brute_pairs(a)
+        assert _joined(a, b) == _brute_pairs(a, b)
+
+
+def _digest(blocks):
+    """SHA-256 of the yielded columns, each concatenated over the blocks."""
+    columns = list(zip(*blocks))
+    digest = hashlib.sha256()
+    for column, dtype in zip(columns, ("<i8", "<i8", "<i8", "<f8")):
+        digest.update(np.concatenate(column).astype(dtype).tobytes())
+    return digest.hexdigest()
+
+
+def test_join_output_is_pinned_at_benchmark_scale():
+    # the benchmark's bands input at seed 7; recorded with the join that
+    # built every candidate pair before this one replaced it
+    gt, trackers = generate_scenario(ScenarioSpec(20, 600, 800, 600, 7, (DEFAULT_DEGRADATION,) * 3))
+    pool = box_columns(mix(trackers))
+    assert _digest(same_frame_pairs(pool)) == "bc9a3d739f65d1ed27c8121de434eb5c18890707bb1d3eb9a8cbedb66a08d990"
+    cross = same_frame_pairs(box_columns(gt.trajectories), box_columns(trackers[0].trajectories))
+    assert _digest(cross) == "97f51d09aec8cf4c026ca7cd7dffb3729adb1ab6b9a3d7a56cdc822043c7954b"
+
+
+def _crowded_columns(frames, seed):
+    """60 boxes 30-60 px a side in each frame of a 400 x 300 arena."""
+    rng = np.random.default_rng(seed)
+    n = frames * 60
+    boxes = np.column_stack([rng.uniform(0, 400, n), rng.uniform(0, 300, n), rng.uniform(30, 60, (n, 2))])
+    return np.repeat(np.arange(1, frames + 1), 60), np.tile(np.arange(60), frames), boxes
+
+
+def _join_peak(*columns):
+    """The most memory the join holds at once while it is drained."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        collections.deque(same_frame_pairs(*columns), maxlen=0)  # keeps no block
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_join_memory_is_bounded_by_the_block():
+    # Ten times the frames must not cost ten times the memory: what grows
+    # with the input is the row order (4 bytes a row) and a few numbers a
+    # frame; the rest is one block's layout and pairs.
+    few = _join_peak(_crowded_columns(60, 1))
+    many = _join_peak(_crowded_columns(600, 1))
+    assert many <= 1.5 * few
+    few = _join_peak(_crowded_columns(60, 1), _crowded_columns(60, 2))
+    many = _join_peak(_crowded_columns(600, 1), _crowded_columns(600, 2))
+    assert many <= 1.5 * few
 
 
 def test_join_leaves_out_boxes_that_only_touch():
@@ -187,6 +327,21 @@ def test_join_leaves_out_boxes_that_only_touch():
     assert _joined(touching) == []
     assert _joined(touching, touching) == [(1, 0, 0, 1.0), (1, 1, 1, 1.0), (2, 0, 0, 1.0), (2, 1, 1, 1.0)]
     assert _joined(nested) == [(1, 0, 1, 0.25)]
+
+
+def test_join_leaves_out_boxes_too_thin_to_intersect():
+    # at 1e16 a float64 step is 2, so x + 0.5 rounds back to x (and y + 0.5
+    # to y): those boxes have no area to share, though their intervals
+    # reach over their neighbours' edges
+    thin_x = (1e16, 0.0, 0.5, 10.0)
+    thin_y = (0.0, 1e16, 10.0, 0.5)
+    rows = [(1, 0, *thin_x), (1, 1, 1e16 - 4.0, 0.0, 8.0, 10.0), (2, 0, *thin_y), (2, 1, 0.0, 1e16 - 4.0, 10.0, 8.0)]
+    a = _columns(rows)
+    assert _brute_pairs(a) == _joined(a) == []
+    # box_iou calls a box and its copy equal before it measures their
+    # overlap; the join leaves a thin box out even against its copy
+    assert _joined(a, a) == [(1, 1, 1, 1.0), (2, 1, 1, 1.0)]
+    assert [row for row in _brute_pairs(a, a) if row[1] == 1] == _joined(a, a)
 
 
 def test_join_of_empty_columns():
@@ -439,11 +594,12 @@ def test_pipeline_equals_scalar(seed, mode, max_gap):
         assert ensemble_pipeline(tracksets, cfg) == ensemble_pipeline_scalar(tracksets, cfg)
 
 
-def test_stages_do_not_depend_on_the_block_bound(monkeypatch):
+@pytest.mark.parametrize("bound", [1, 3])
+def test_stages_do_not_depend_on_the_block_bound(monkeypatch, bound):
     tracksets = _scenario(1)
     pool = mix(tracksets)
     cfg = EnsembleConfig(thr_s=0.3, thr_t=0.3, thr_nms=0.5, thr_len=0)
-    monkeypatch.setattr(geometry, "PAIR_BLOCK", 3)
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", bound)
     assert _ids(merge_groups(pool, 0.3, 0.3)) == _ids(merge_groups_scalar(pool, 0.3, 0.3))
     assert length_nms(pool, 0.5) == length_nms_scalar(pool, 0.5)
     assert idf1(tracksets[0], tracksets[-1]) == idf1_scalar(tracksets[0], tracksets[-1])
