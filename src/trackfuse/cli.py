@@ -26,6 +26,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 
+# a file that cannot be read, or whose bytes are not UTF-8 text
+_UNREADABLE = (OSError, UnicodeDecodeError)
+
 
 class _Failure(Exception):
     """A command's failure: ``main`` prints the message and exits with ``code``."""
@@ -36,7 +39,9 @@ class _Failure(Exception):
 
 
 @contextmanager
-def _failing(error: type[Exception], code: int, prefix: str = "") -> Iterator[None]:
+def _failing(
+    error: type[Exception] | tuple[type[Exception], ...], code: int, prefix: str = ""
+) -> Iterator[None]:
     """Turn ``error`` raised in the block into a ``_Failure``, its message led by ``prefix``."""
     try:
         yield
@@ -55,7 +60,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path: str, is_ground_truth: bool = False) -> TrackSet:
-    with _failing(OSError, EXIT_INPUT, f"cannot read {path}: "), _failing(ParseError, EXIT_INPUT, f"{path}: "):
+    unreadable = _failing(_UNREADABLE, EXIT_INPUT, f"cannot read {path}: ")
+    with unreadable, _failing(ParseError, EXIT_INPUT, f"{path}: "):
         return load_trackset(path, is_ground_truth)
 
 
@@ -115,7 +121,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
 def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
     config = {}
     if args.config is not None:
-        with _failing(OSError, EXIT_INPUT, f"cannot read {args.config}: "):
+        with _failing(_UNREADABLE, EXIT_INPUT, f"cannot read {args.config}: "):
             text = Path(args.config).read_text(encoding="utf-8-sig")
         with _failing(ValueError, EXIT_INPUT, f"{args.config}: "):
             config = _config_fields(text, with_trackers=args.trackers is None and not args.complementary)

@@ -118,9 +118,10 @@ def merge_groups(pool: Sequence[Trajectory], thr_s: float, thr_t: float) -> List
     ordered = sorted(pool, key=lambda t: (-t.length, t.id))
     n = len(ordered)
     keys = [np.empty(0, np.int64)]  # higher rank * n + lower rank, once per matching frame
-    for _, higher, lower, iou in same_frame_pairs(box_columns(ordered)):
+    for frames, higher, lower, iou in same_frame_pairs(box_columns(ordered)):
         hit = iou > thr_s
         keys.append(higher[hit] * n + lower[hit])
+        del frames, higher, lower, iou, hit  # freed before the join builds its next block
     pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
     first, second = pairs // n, pairs % n
     lengths = np.array([t.length for t in ordered], dtype=np.int64)
@@ -162,6 +163,7 @@ def length_nms(tracks: Sequence[Trajectory], thr_nms: float) -> List[Trajectory]
         for f, a, b in zip(frames[hit].tolist(), higher[hit].tolist(), lower[hit].tolist()):
             if (a, f) not in suppressed:
                 suppressed.add((b, f))
+        del frames, higher, lower, iou, hit  # freed before the join builds its next block
 
     dropped: Dict[int, List[int]] = {}  # track index -> suppressed frames
     for rank, f in suppressed:

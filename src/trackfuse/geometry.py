@@ -1,8 +1,11 @@
 """Overlap geometry: the same-frame overlap join over box columns.
 
-``same_frame_pairs`` computes the box IoU of every pair of boxes that share
-a frame and intersect, and feeds merge grouping, NMS, CLEAR and IDF1. It is
-the package's one definition of box overlap.
+``same_frame_pairs`` computes the box IoU of every pair of boxes of
+distinct owners that share a frame and intersect, and feeds merge grouping,
+NMS, CLEAR and IDF1. It is the package's one definition of box overlap. It
+joins one set of box columns with itself; two sets, such as ground truth
+and predictions, are joined as one set with the second set's owners after
+the first's, keeping the pairs of a first owner and a second.
 
 The join never lists candidate pairs. It lays out a block of whole frames
 with the largest frame first, each frame's rows in owner order. For an
@@ -14,7 +17,7 @@ the pairs found get their IoU computed.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -41,15 +44,15 @@ def box_columns(tracks: Sequence[Trajectory]) -> BoxColumns:
     return frames, owners, np.concatenate([t.xywh for t in tracks])
 
 
-def _frame_runs(cols: BoxColumns) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rows in (frame, owner) order, and each frame's value, first position and row count in it."""
+def _frame_runs(cols: BoxColumns) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows in (frame, owner) order, and each frame's first position and row count in it."""
     frames, owners, _ = cols
     order = np.lexsort((owners, frames))
     if len(order) < 2**31:  # kept while the join runs, so in 32 bits where they fit
         order = order.astype(np.int32)
     ordered = frames[order]
     first = np.flatnonzero(np.concatenate(([len(order) > 0], ordered[1:] != ordered[:-1])))
-    return order, ordered[first], first, np.diff(np.append(first, len(order)))
+    return order, first, np.diff(np.append(first, len(order)))
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -58,92 +61,62 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - before, counts) + np.arange(counts.sum())
 
 
-def same_frame_pairs(a: BoxColumns, b: Optional[BoxColumns] = None) -> Iterator[Pairs]:
-    """Join two sets of box columns on frame, yielding the overlapping pairs.
+def same_frame_pairs(cols: BoxColumns) -> Iterator[Pairs]:
+    """Join a set of box columns with itself on frame, yielding the overlapping pairs.
 
     Yields ``(frame, owner_a, owner_b, iou)`` arrays, one entry for every
-    same-frame pair of a box of ``a`` and a box of ``b`` that intersect,
-    with their IoU. Pairs that do not intersect have IoU 0 and are left
-    out. Without ``b`` the join pairs ``a`` with itself and yields each
-    pair of distinct owners once, lower owner first. Pairs come in (frame,
-    owner_a, owner_b) order. Frames that cannot hold a pair are skipped;
-    the others are joined one block of whole frames at a time, and a block
-    holds at most ``BLOCK_ROWS`` box rows, those of ``a`` and ``b``
-    together, unless one frame alone holds more.
+    same-frame pair of boxes of distinct owners that intersect, with their
+    IoU and the lower owner first. Pairs that do not intersect have IoU 0
+    and are left out. Pairs come in (frame, owner_a, owner_b) order.
+    Frames that cannot hold a pair are skipped; the others are joined one
+    block of whole frames at a time, and a block holds at most
+    ``BLOCK_ROWS`` box rows, unless one frame alone holds more.
     """
-    self_join = b is None
-    order_a, frames_a, start_a, count_a = _frame_runs(a)
-    if self_join:
-        b, order_b = a, order_a
-        pairing = count_a > 1
-        start_a, count_a = start_a[pairing], count_a[pairing]
-        start_b, count_b = start_a, np.zeros_like(count_a)
-    else:
-        order_b, frames_b, start_b, count_b = _frame_runs(b)
-        _, in_a, in_b = np.intersect1d(frames_a, frames_b, assume_unique=True, return_indices=True)
-        start_a, count_a, start_b, count_b = start_a[in_a], count_a[in_a], start_b[in_b], count_b[in_b]
-    sizes = count_a + count_b
+    order, start, count = _frame_runs(cols)
+    pairing = count > 1
+    start, sizes = start[pairing], count[pairing]
     ends = np.cumsum(sizes)  # rows up to each frame's end
     lo = 0
     while lo < len(ends):
         hi = max(int(np.searchsorted(ends, ends[lo] - sizes[lo] + BLOCK_ROWS, side="right")), lo + 1)
-        rows_a = order_a[_ranges(start_a[lo:hi], count_a[lo:hi])]
-        rows_b = order_b[_ranges(start_b[lo:hi], count_b[lo:hi])]
-        yield _block_pairs(a, b, rows_a, count_a[lo:hi], rows_b, count_b[lo:hi], self_join)
+        yield _block_pairs(cols, order[_ranges(start[lo:hi], sizes[lo:hi])], sizes[lo:hi])
         lo = hi
 
 
-def _block_pairs(
-    a: BoxColumns,
-    b: BoxColumns,
-    rows_a: np.ndarray,
-    count_a: np.ndarray,
-    rows_b: np.ndarray,
-    count_b: np.ndarray,
-    self_join: bool,
-) -> Pairs:
+def _block_pairs(cols: BoxColumns, rows: np.ndarray, sizes: np.ndarray) -> Pairs:
     """The intersecting pairs of one block of frames, in (frame, owner_a, owner_b) order.
 
-    ``rows_a`` are the block's rows of ``a`` in (frame, owner) order, and
-    ``count_a`` their number in each frame; the same for ``b``, which is
-    empty in a self-join. Every IoU is bit-identical to the scalar
-    ``box_iou`` in ``tests/oracles.py``.
+    ``rows`` are the block's rows of ``cols`` in (frame, owner) order, and
+    ``sizes`` their number in each frame. Every IoU is bit-identical to
+    the scalar ``box_iou`` in ``tests/oracles.py``, with the lower owner's
+    box as its first operand.
     """
-    sizes = count_a + count_b
     laid = np.argsort(-sizes, kind="stable")  # frames, largest first
     laid_sizes = sizes[laid]
     ends = np.cumsum(laid_sizes)  # end row of each laid-out frame
     offset = np.empty_like(sizes)  # first row of each frame in the layout
     offset[laid] = ends - laid_sizes
     n, largest = int(ends[-1]), int(laid_sizes[0])
-    at_a = _ranges(offset, count_a)  # layout row of each row of a, in output order
-    at_b = _ranges(offset + count_a, count_b)  # b's rows follow a's in their frame
+    at = _ranges(offset, sizes)  # layout row of each row, in output order
 
     # Row p pairs with row q = p + d when low[:, q] < high[:, p] in every
     # row and low[:2, p] < high[:2, q]: both x intervals and both y
-    # intervals overlap, q lies in p's frame and, in a cross join, p is a box
-    # of a and q one of b.
-    low = np.empty((3 if self_join else 4, n))  # x, y, layout row, -layout row
-    high = np.empty_like(low)  # right, bottom, frame end, 1 - first row of b in the frame
+    # intervals overlap, and q lies in p's frame.
+    low = np.empty((3, n))  # x, y, layout row
+    high = np.empty_like(low)  # right, bottom, frame end
     size = np.empty((2, n))  # w, h
-    source = np.empty(n, np.int64)  # layout row -> row of its side's columns
-    for side, at, rows in ((a, at_a, rows_a), (b, at_b, rows_b)):
-        source[at] = rows
-        for row, col in ((low[0], 0), (low[1], 1), (size[0], 2), (size[1], 3)):
-            row[at] = side[2][:, col][rows]
+    source = np.empty(n, np.int64)  # layout row -> row of the columns
+    source[at] = rows
+    for row, col in ((low[0], 0), (low[1], 1), (size[0], 2), (size[1], 3)):
+        row[at] = cols[2][:, col][rows]
     x, y, right, bottom, (w, h) = low[0], low[1], high[0], high[1], size
     np.add(low[:2], size, out=high[:2])  # right and bottom, rounded once
     low[2] = np.arange(n)
     high[2] = np.repeat(ends, laid_sizes)
-    if not self_join:
-        high[3] = np.repeat(laid_sizes - ends - count_a[laid] + 1, laid_sizes)
-        high[2][at_b] = -1.0
     # A box whose right edge rounds onto its left, or bottom onto top,
     # intersects nothing. With it left out, every pair found intersects.
     thin = (right <= x) | (bottom <= y)
     low[2][thin], high[2][thin] = np.inf, -1.0
-    if not self_join:
-        np.negative(low[2], out=low[3])
 
     # for each offset d, the rows of the frames holding more than d boxes
     prefix = ends[np.searchsorted(-laid_sizes, -np.arange(1, largest), side="left") - 1]
@@ -160,14 +133,14 @@ def _block_pairs(
     # One integer sort puts the pairs in (frame, owner_a, owner_b) order:
     # p's rank in that order, then the offset, which rises with owner_b.
     rank = np.empty(n, np.int64)
-    rank[at_a] = np.arange(len(at_a))
+    rank[at] = np.arange(n)
     key = rank[np.concatenate(found)] * largest
     key += np.repeat(np.arange(1, largest), [len(f) for f in found])
     del found, rank
     key.sort()
     p, q = np.divmod(key, largest)
     del key
-    p = at_a[p]
+    p = at[p]
     q += p
 
     # the IoU with the scalar box_iou's float operations, in its order
@@ -182,5 +155,5 @@ def _block_pairs(
     union -= inter
     iou = np.minimum(inter / union, 1.0)
     iou[(x[p] == x[q]) & (y[p] == y[q]) & (w[p] == w[q]) & (h[p] == h[q])] = 1.0  # equal boxes
-    p, q = source[p], source[q]  # layout rows -> rows of a and of b
-    return a[0][p], a[1][p], b[1][q], iou
+    p, q = source[p], source[q]  # layout rows -> rows of the columns
+    return cols[0][p], cols[1][p], cols[1][q], iou

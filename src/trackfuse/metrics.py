@@ -70,18 +70,27 @@ _Hits = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 def _hits(gt: TrackSet, pred: TrackSet, iou_match: float) -> Tuple[_Side, _Side, _Hits]:
     """The frames and owners of both sides' boxes, and their hits, from one same-frame join.
 
-    CLEAR and IDF1 read only hits, so ``evaluate`` scores both from one
-    call. A bad ``iou_match`` raises before the join runs.
+    Both sides are joined as one set of boxes: the ground-truth tracks
+    by id, owners 0..G-1 and their rows first, then the predicted tracks
+    by id. The join's pairs of a ground-truth owner and a predicted one
+    at or above ``iou_match`` are the hits, with the ground-truth box as
+    the IoU's first operand. CLEAR and IDF1 read only hits, so
+    ``evaluate`` scores both from one call. A bad ``iou_match`` raises
+    before the join runs.
     """
     if not 0.0 < iou_match <= 1.0:
         raise ValueError(f"iou_match must be in (0, 1], got {iou_match}")
-    gt_cols = box_columns(sorted(gt.trajectories, key=lambda t: t.id))
-    pred_cols = box_columns(sorted(pred.trajectories, key=lambda t: t.id))
-    # the join reads the boxes in place, so they live until the hits are built
-    blocks = same_frame_pairs(gt_cols, pred_cols)
-    hits = (tuple(column[pairs[3] >= iou_match] for column in pairs) for pairs in blocks)
-    no_hits = (np.empty(0, np.int64),) * 3 + (np.empty(0),)
-    return gt_cols[:2], pred_cols[:2], tuple(np.concatenate(column) for column in zip(no_hits, *hits))
+    num_gt = len(gt.trajectories)
+    by_id = [t for ts in (gt, pred) for t in sorted(ts.trajectories, key=lambda t: t.id)]
+    cols = frames, owners, _ = box_columns(by_id)
+    hits = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
+    for frame, owner_a, owner_b, iou in same_frame_pairs(cols):
+        hit = (owner_a < num_gt) & (owner_b >= num_gt) & (iou >= iou_match)
+        hits.append((frame[hit], owner_a[hit], owner_b[hit] - num_gt, iou[hit]))
+        del frame, owner_a, owner_b, iou, hit  # freed before the join builds its next block
+    split = gt.num_detections
+    gt_side, pred_side = (frames[:split], owners[:split]), (frames[split:], owners[split:] - num_gt)
+    return gt_side, pred_side, tuple(np.concatenate(column) for column in zip(*hits))
 
 
 def _by_frame(side: _Side) -> _Side:

@@ -462,7 +462,8 @@ FAILING_CONFIGS = {
 # config's values are checked with the flags applied: the config is named
 # only when it is invalid on its own. `--trackers` replaces the config's
 # trackers and `--complementary` ignores them, so their lines are then read
-# but their values not checked.
+# but their values not checked. A file whose bytes are not UTF-8 text cannot
+# be read, like a missing one.
 FAILURES = [
     ('merge -i TMP/gt.txt -o TMP/o.txt --thr-s 1.5', 1, 'trackfuse merge: error: thr_s must be in [0, 1], got 1.5'),
     ('merge -i TMP/gt.txt -o TMP/o.txt --thr-t -0.2', 1, 'trackfuse merge: error: thr_t must be in [0, 1], got -0.2'),
@@ -475,6 +476,7 @@ FAILURES = [
     ('merge -i TMP/missing.txt -o TMP/o.txt', 2, 'trackfuse merge: error: cannot read TMP/missing.txt: No such file or directory'),
     ('merge -i TMP/gt.txt -i TMP/dir -o TMP/o.txt', 2, 'trackfuse merge: error: cannot read TMP/dir: Is a directory'),
     ('merge -i TMP/gt.txt -i TMP/bad.txt -o TMP/o.txt', 2, 'trackfuse merge: error: TMP/bad.txt: line 1: box width -5.0 below 0.01'),
+    ('merge -i TMP/gt.txt -i TMP/not_utf8.txt -o TMP/o.txt', 2, "trackfuse merge: error: cannot read TMP/not_utf8.txt: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"),
     ('merge -i TMP/gt.txt -o TMP/missing_dir/o.txt', 2, 'trackfuse merge: error: cannot write TMP/missing_dir/o.txt: No such file or directory'),
     ('eval --gt TMP/missing.txt --pred TMP/gt.txt --iou 0', 1, 'trackfuse eval: error: --iou must be in (0, 1], got 0.0'),
     ('eval --gt TMP/gt.txt --pred TMP/gt.txt --iou 1.5', 1, 'trackfuse eval: error: --iou must be in (0, 1], got 1.5'),
@@ -483,6 +485,8 @@ FAILURES = [
     ('eval --gt TMP/dir --pred TMP/gt.txt', 2, 'trackfuse eval: error: cannot read TMP/dir: Is a directory'),
     ('eval --gt TMP/gt.txt --pred TMP/bad.txt', 2, 'trackfuse eval: error: TMP/bad.txt: line 1: box width -5.0 below 0.01'),
     ('eval --gt TMP/bad.txt --pred TMP/gt.txt', 2, 'trackfuse eval: error: TMP/bad.txt: line 1: box width -5.0 below 0.01'),
+    ('eval --gt TMP/not_utf8.txt --pred TMP/gt.txt', 2, "trackfuse eval: error: cannot read TMP/not_utf8.txt: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"),
+    ('eval --gt TMP/gt.txt --pred TMP/not_utf8.txt', 2, "trackfuse eval: error: cannot read TMP/not_utf8.txt: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"),
     ('eval --gt TMP/empty.txt --pred TMP/gt.txt', 2, 'trackfuse eval: error: ground truth TMP/empty.txt contains no boxes'),
     ('synth -o TMP/s --objects 0', 1, 'trackfuse synth: error: num_objects must be >= 1, got 0'),
     ('synth -o TMP/s --frames 0', 1, 'trackfuse synth: error: num_frames must be >= 1, got 0'),
@@ -494,6 +498,7 @@ FAILURES = [
     ('synth -o TMP/s --complementary --objects 1', 1, 'trackfuse synth: error: complementary_pair needs at least 2 objects'),
     ('synth -o TMP/s --config TMP/missing.cfg', 2, 'trackfuse synth: error: cannot read TMP/missing.cfg: No such file or directory'),
     ('synth -o TMP/s --config TMP/dir', 2, 'trackfuse synth: error: cannot read TMP/dir: Is a directory'),
+    ('synth -o TMP/s --config TMP/not_utf8.cfg', 2, "trackfuse synth: error: cannot read TMP/not_utf8.cfg: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
     ('synth -o TMP/s --config TMP/no_eq.cfg', 2, 'trackfuse synth: error: TMP/no_eq.cfg: config line 1: expected key=value'),
     ('synth -o TMP/s --config TMP/bad_key.cfg', 2, "trackfuse synth: error: TMP/bad_key.cfg: config line 1: unknown key 'colour'"),
     ('synth -o TMP/s --config TMP/bad_number.cfg', 2, "trackfuse synth: error: TMP/bad_number.cfg: config line 1: invalid literal for int() with base 10: 'banana'"),
@@ -522,6 +527,8 @@ def test_failures_are_pinned(tmp_path, capsys, argv, code, err):
     (tmp_path / "gt.txt").write_text(GT_TEXT)
     (tmp_path / "empty.txt").write_text("")
     (tmp_path / "bad.txt").write_text("1,1,10,20,-5,40,1,-1,-1,-1\n")
+    (tmp_path / "not_utf8.txt").write_bytes(b"1,1,10,10,5,5,1\n\xff,2\n")
+    (tmp_path / "not_utf8.cfg").write_bytes(b"objects = 4\n\xff\n")
     (tmp_path / "dir").mkdir()
     for name, text in FAILING_CONFIGS.items():
         (tmp_path / f"{name}.cfg").write_text(text)

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackfuse import BoundingBox, EnsembleConfig, MergeMode, TrackSet, Trajectory, ensemble_pipeline
-from trackfuse import geometry, metrics
+from trackfuse import ensemble, geometry, metrics
 from trackfuse.ensemble import length_nms, merge_group, merge_groups, mix
 from trackfuse.geometry import box_columns, same_frame_pairs
-from trackfuse.metrics import ClearScores, EvalReport, clear_mot, evaluate, idf1
+from trackfuse.metrics import ClearScores, EvalReport, IdentityScores, clear_mot, evaluate, idf1
 from trackfuse.synth import DEFAULT_DEGRADATION, ScenarioSpec, generate_scenario
 
 from oracles import (
@@ -76,12 +77,16 @@ def box_pairs(draw):
 
 
 def join_iou(pairs):
-    """The join's IoU of each pair, the two boxes put alone in a frame of their own."""
-    frames = np.arange(1, len(pairs) + 1)
-    owners = np.zeros(len(pairs), dtype=np.int64)
-    a, b = ((frames, owners, np.array([(x.x, x.y, x.w, x.h) for x in side])) for side in zip(*pairs))
+    """The join's IoU of each pair, the two boxes put alone in a frame of their own.
+
+    The first box of a pair is owner 0 and the second owner 1, so the join
+    takes the first as ``box_iou``'s first operand.
+    """
+    frames = np.repeat(np.arange(1, len(pairs) + 1), 2)
+    owners = np.tile(np.arange(2), len(pairs))
+    boxes = np.array([(x.x, x.y, x.w, x.h) for pair in pairs for x in pair])
     got = [0.0] * len(pairs)  # pairs the join leaves out do not intersect
-    for frame, _, _, iou in same_frame_pairs(a, b):
+    for frame, _, _, iou in same_frame_pairs((frames, owners, boxes)):
         for f, v in zip(frame.tolist(), iou.tolist()):
             got[f - 1] = v
     return got
@@ -126,8 +131,30 @@ def _brute_pairs(a, b=None):
     return sorted(out)
 
 
-def _joined(a, b=None):
-    return [row for block in same_frame_pairs(a, b) for row in zip(*(col.tolist() for col in block))]
+def _rows(blocks):
+    return [row for block in blocks for row in zip(*(col.tolist() for col in block))]
+
+
+def _joined(cols):
+    return _rows(same_frame_pairs(cols))
+
+
+def _both(a, b):
+    """The columns of ``a`` and ``b`` as one set, b's owners shifted past a's, and the shift."""
+    shift = int(a[1].max()) + 1 if len(a[1]) else 0
+    return tuple(np.concatenate(pair) for pair in zip(a, (b[0], b[1] + shift, b[2]))), shift
+
+
+def _cross_blocks(a, b):
+    """The blocks of the self-join of ``_both(a, b)``, kept to its a -> b pairs, b's owners shifted back."""
+    both, shift = _both(a, b)
+    for frame, owner_a, owner_b, iou in same_frame_pairs(both):
+        cross = (owner_a < shift) & (owner_b >= shift)
+        yield frame[cross], owner_a[cross], owner_b[cross] - shift, iou[cross]
+
+
+def _cross_joined(a, b):
+    return _rows(_cross_blocks(a, b))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -136,7 +163,7 @@ def test_join_yields_exactly_the_intersecting_pairs(seed):
     a = box_columns(random_trackset(rng, max_tracks=6, max_start=5, max_span=12, arena=40.0).trajectories)
     b = box_columns(random_trackset(rng, max_tracks=6, max_start=5, max_span=12, arena=40.0).trajectories)
     assert _joined(a) == _brute_pairs(a)
-    assert _joined(a, b) == _brute_pairs(a, b)
+    assert _cross_joined(a, b) == _brute_pairs(a, b)
 
 
 def _columns(rows):
@@ -169,18 +196,15 @@ def _random_columns(rng, frame_sizes, arena=40.0):
     return _columns(rows)
 
 
-def _check_blocks(a, b, bound):
+def _check_blocks(cols, bound):
     """Pairs per frame, checking that blocks hold whole frames and at most ``bound`` rows.
 
     Every same-frame pair of ``_stacked_columns`` intersects, so the frames
-    of a block are the frames of its pairs. Its rows are their boxes, those
-    of ``a`` and ``b`` together.
+    of a block are the frames of its pairs. Its rows are their boxes.
     """
-    rows = collections.Counter(a[0].tolist())
-    if b is not None:
-        rows.update(b[0].tolist())
+    rows = collections.Counter(cols[0].tolist())
     pairs_per_frame = {}
-    for frame, _, _, _ in same_frame_pairs(a, b):
+    for frame, _, _, _ in same_frame_pairs(cols):
         frames = set(frame.tolist())
         assert not frames & set(pairs_per_frame), "a frame split across blocks"
         assert sum(rows[f] for f in frames) <= bound or len(frames) == 1
@@ -196,9 +220,13 @@ def test_join_blocks_hold_at_most_the_bound(monkeypatch, bound):
     sizes_a = {f: rng.randint(1, 9) for f in rng.sample(range(1, 60), 30)}
     sizes_b = {f: rng.randint(1, 9) for f in rng.sample(range(1, 60), 30)}
     a, b = _stacked_columns(rng, sizes_a), _stacked_columns(rng, sizes_b)
-    self_pairs = _check_blocks(a, None, bound)
+    self_pairs = _check_blocks(a, bound)
     assert self_pairs == {f: n * (n - 1) // 2 for f, n in sizes_a.items() if n > 1}
-    cross_pairs = _check_blocks(a, b, bound)
+    # a and b as one set: a block counts the rows of both
+    sizes = collections.Counter(sizes_a) + collections.Counter(sizes_b)
+    both_pairs = _check_blocks(_both(a, b)[0], bound)
+    assert both_pairs == {f: n * (n - 1) // 2 for f, n in sizes.items() if n > 1}
+    cross_pairs = collections.Counter(f for f, _, _, _ in _cross_joined(a, b))
     assert cross_pairs == {f: n * sizes_b[f] for f, n in sizes_a.items() if f in sizes_b}
 
 
@@ -213,7 +241,7 @@ def test_join_block_bound_at_its_real_value():
     rows = chain + np.column_stack([stacked[0], stacked[1], stacked[2]]).tolist()
     rng.shuffle(rows)
     a = _columns(rows)
-    counts = _check_blocks(a, None, geometry.BLOCK_ROWS)
+    counts = _check_blocks(a, geometry.BLOCK_ROWS)
     assert counts == {2: crowded - 1, **{f: n * (n - 1) // 2 for f, n in sizes.items()}}
     linked = [(f, i, j, iou) for f, i, j, iou in _joined(a) if f == 2]
     boxes = [BoundingBox(8.0 * k, 0.0, 10.0, 10.0) for k in range(crowded)]
@@ -250,8 +278,8 @@ def test_join_layouts_equal_brute_force(monkeypatch, case, bound):
     _, a, b = case
     assert _joined(a) == _brute_pairs(a)
     assert _joined(b) == _brute_pairs(b)
-    assert _joined(a, b) == _brute_pairs(a, b)
-    assert _joined(b, a) == _brute_pairs(b, a)
+    assert _cross_joined(a, b) == _brute_pairs(a, b)
+    assert _cross_joined(b, a) == _brute_pairs(b, a)
 
 
 frame_sizes = st.dictionaries(
@@ -268,7 +296,7 @@ def test_join_equals_brute_force_on_drawn_frame_sizes(sizes_a, sizes_b, bound, s
         if bound is not None:
             patch.setattr(geometry, "BLOCK_ROWS", bound)
         assert _joined(a) == _brute_pairs(a)
-        assert _joined(a, b) == _brute_pairs(a, b)
+        assert _cross_joined(a, b) == _brute_pairs(a, b)
 
 
 def _digest(blocks):
@@ -282,11 +310,13 @@ def _digest(blocks):
 
 def test_join_output_is_pinned_at_benchmark_scale():
     # the benchmark's bands input at seed 7; recorded with the join that
-    # built every candidate pair before this one replaced it
+    # built every candidate pair before this one replaced it, and the
+    # ground truth x tracker pairs with the join's a x b mode before
+    # ground truth and predictions were joined as one set
     gt, trackers = generate_scenario(ScenarioSpec(20, 600, 800, 600, 7, (DEFAULT_DEGRADATION,) * 3))
     pool = box_columns(mix(trackers))
     assert _digest(same_frame_pairs(pool)) == "bc9a3d739f65d1ed27c8121de434eb5c18890707bb1d3eb9a8cbedb66a08d990"
-    cross = same_frame_pairs(box_columns(gt.trajectories), box_columns(trackers[0].trajectories))
+    cross = _cross_blocks(box_columns(gt.trajectories), box_columns(trackers[0].trajectories))
     assert _digest(cross) == "97f51d09aec8cf4c026ca7cd7dffb3729adb1ab6b9a3d7a56cdc822043c7954b"
 
 
@@ -298,12 +328,12 @@ def _crowded_columns(frames, seed):
     return np.repeat(np.arange(1, frames + 1), 60), np.tile(np.arange(60), frames), boxes
 
 
-def _join_peak(*columns):
+def _join_peak(cols):
     """The most memory the join holds at once while it is drained."""
     gc.collect()
     tracemalloc.start()
     try:
-        collections.deque(same_frame_pairs(*columns), maxlen=0)  # keeps no block
+        collections.deque(same_frame_pairs(cols), maxlen=0)  # keeps no block
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -316,8 +346,9 @@ def test_join_memory_is_bounded_by_the_block():
     few = _join_peak(_crowded_columns(60, 1))
     many = _join_peak(_crowded_columns(600, 1))
     assert many <= 1.5 * few
-    few = _join_peak(_crowded_columns(60, 1), _crowded_columns(60, 2))
-    many = _join_peak(_crowded_columns(600, 1), _crowded_columns(600, 2))
+    # two sides joined as one set, built before the memory is traced
+    few = _join_peak(_both(_crowded_columns(60, 1), _crowded_columns(60, 2))[0])
+    many = _join_peak(_both(_crowded_columns(600, 1), _crowded_columns(600, 2))[0])
     assert many <= 1.5 * few
 
 
@@ -325,7 +356,7 @@ def test_join_leaves_out_boxes_that_only_touch():
     touching = box_columns([const_track(1, 1, 2), const_track(2, 1, 2, box=(10.0, 0.0, 5.0, 5.0))])
     nested = box_columns([const_track(1, 1, 1), const_track(2, 1, 1, box=(2.0, 2.0, 5.0, 5.0))])
     assert _joined(touching) == []
-    assert _joined(touching, touching) == [(1, 0, 0, 1.0), (1, 1, 1, 1.0), (2, 0, 0, 1.0), (2, 1, 1, 1.0)]
+    assert _cross_joined(touching, touching) == [(1, 0, 0, 1.0), (1, 1, 1, 1.0), (2, 0, 0, 1.0), (2, 1, 1, 1.0)]
     assert _joined(nested) == [(1, 0, 1, 0.25)]
 
 
@@ -340,16 +371,16 @@ def test_join_leaves_out_boxes_too_thin_to_intersect():
     assert _brute_pairs(a) == _joined(a) == []
     # box_iou calls a box and its copy equal before it measures their
     # overlap; the join leaves a thin box out even against its copy
-    assert _joined(a, a) == [(1, 1, 1, 1.0), (2, 1, 1, 1.0)]
-    assert [row for row in _brute_pairs(a, a) if row[1] == 1] == _joined(a, a)
+    assert _cross_joined(a, a) == [(1, 1, 1, 1.0), (2, 1, 1, 1.0)]
+    assert [row for row in _brute_pairs(a, a) if row[1] == 1] == _cross_joined(a, a)
 
 
 def test_join_of_empty_columns():
     empty = box_columns([])
     one = box_columns([const_track(1, 1, 3)])
     assert _joined(empty) == []
-    assert _joined(empty, one) == []
-    assert _joined(one, empty) == []
+    assert _cross_joined(empty, one) == []
+    assert _cross_joined(one, empty) == []
     assert _joined(one) == []
 
 
@@ -605,6 +636,59 @@ def test_stages_do_not_depend_on_the_block_bound(monkeypatch, bound):
     assert idf1(tracksets[0], tracksets[-1]) == idf1_scalar(tracksets[0], tracksets[-1])
     assert clear_mot(tracksets[0], tracksets[-1]) == clear_mot_scalar(tracksets[0], tracksets[-1])
     assert ensemble_pipeline(tracksets, cfg) == ensemble_pipeline_scalar(tracksets, cfg)
+
+
+def _watched(join, blocks_per_call):
+    """``join``, asserting before it builds each next block that its caller dropped the last one's arrays."""
+
+    def watched(*columns):
+        blocks = join(*columns)
+        blocks_per_call.append(0)
+        while (block := next(blocks, None)) is not None:
+            blocks_per_call[-1] += 1
+            last = [weakref.ref(column) for column in block]
+            yield block
+            del block
+            assert all(ref() is None for ref in last), "a block is still held while the join builds the next"
+
+    return watched
+
+
+def test_stages_release_each_block_before_the_next(monkeypatch):
+    blocks_per_call = []
+    watched = _watched(geometry.same_frame_pairs, blocks_per_call)
+    monkeypatch.setattr(ensemble, "same_frame_pairs", watched)
+    monkeypatch.setattr(metrics, "same_frame_pairs", watched)
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", 4)
+    tracksets = _scenario(1)
+    cfg = EnsembleConfig(thr_s=0.3, thr_t=0.3, thr_nms=0.5, thr_len=0)
+    assert ensemble_pipeline(tracksets, cfg) == ensemble_pipeline_scalar(tracksets, cfg)
+    gt, pred = tracksets[0], tracksets[-1]
+    assert evaluate(gt, pred) == EvalReport(clear_mot_scalar(gt, pred), idf1_scalar(gt, pred))
+    # merge grouping, NMS and evaluate, each over many blocks
+    assert len(blocks_per_call) == 3 and min(blocks_per_call) > 10
+
+
+def _sides_overlap_only_themselves():
+    # ground-truth boxes overlap each other at IoU 0.905 and, in frames 4-8,
+    # 1; the predictions do the same 50 px away, where no ground truth is
+    gt = [const_track(1, 1, 10), const_track(2, 1, 10, box=(0.5, 0.0, 10.0, 10.0)), const_track(3, 4, 8)]
+    pred = [const_track(i, start, stop, box=(x, 0.0, 10.0, 10.0))
+            for i, start, stop, x in ((1, 1, 10, 50.0), (2, 3, 12, 50.5), (3, 4, 8, 50.0))]
+    return TrackSet("s", gt), TrackSet("s", pred)
+
+
+@pytest.mark.parametrize("thr", MATCH_THRESHOLDS)
+def test_scoring_keeps_only_ground_truth_to_prediction_pairs(thr):
+    # one join pairs both sides' boxes; its pairs within one side are no hits
+    gt, pred = _sides_overlap_only_themselves()
+    for a, b in ((gt, pred), (pred, gt)):
+        report = evaluate(a, b, thr)
+        assert report == EvalReport(clear_mot(a, b, thr), idf1(a, b, thr))
+        assert report == EvalReport(clear_mot_scalar(a, b, thr), idf1_scalar(a, b, thr))
+        num_a, num_b = a.num_detections, b.num_detections
+        assert report.identity == IdentityScores(0, num_b, num_a, 0.0)
+        assert report.clear == ClearScores(num_a, num_b, num_a, 0, 1.0 - (num_a + num_b) / num_a)
 
 
 # --- edge inputs ------------------------------------------------------------
