@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, List, Optional
 
-from .ensemble import EnsembleConfig, ensemble_pipeline
+from .ensemble import EnsembleConfig, MergeMode, ensemble_pipeline
 from .io import ParseError, load_trackset, save_trackset
 from .metrics import EvalReport, evaluate
 from .model import TrackSet
@@ -25,9 +25,6 @@ from .synth import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
-
-# a file that cannot be read, or whose bytes are not UTF-8 text
-_UNREADABLE = (OSError, UnicodeDecodeError)
 
 
 class _Failure(Exception):
@@ -60,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path: str, is_ground_truth: bool = False) -> TrackSet:
-    unreadable = _failing(_UNREADABLE, EXIT_INPUT, f"cannot read {path}: ")
+    unreadable = _failing(OSError, EXIT_INPUT, f"cannot read {path}: ")
     with unreadable, _failing(ParseError, EXIT_INPUT, f"{path}: "):
         return load_trackset(path, is_ground_truth)
 
@@ -121,7 +118,8 @@ def cmd_eval(args: argparse.Namespace) -> None:
 def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
     config = {}
     if args.config is not None:
-        with _failing(_UNREADABLE, EXIT_INPUT, f"cannot read {args.config}: "):
+        # a config that cannot be read, or whose bytes are not UTF-8 text
+        with _failing((OSError, UnicodeDecodeError), EXIT_INPUT, f"cannot read {args.config}: "):
             text = Path(args.config).read_text(encoding="utf-8-sig")
         with _failing(ValueError, EXIT_INPUT, f"{args.config}: "):
             config = _config_fields(text, with_trackers=args.trackers is None and not args.complementary)
@@ -177,17 +175,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", action="append", required=True, metavar="FILE",
                    help="input result file in MOTChallenge format (repeatable)")
     p.add_argument("-o", "--output", required=True, metavar="FILE", help="fused output file")
-    p.add_argument("--thr-s", type=float, default=0.5,
-                   help="per-frame spatial IoU threshold (default 0.5)")
-    p.add_argument("--thr-t", type=float, default=0.5,
-                   help="trajectory overlap-ratio threshold for merging (default 0.5)")
-    p.add_argument("--thr-nms", type=float, default=0.7,
-                   help="per-frame NMS IoU threshold (default 0.7)")
-    p.add_argument("--thr-len", type=int, default=20,
-                   help="minimum trajectory span in frames (default 20)")
-    p.add_argument("--mode", choices=["drop", "average"], default="drop",
+    p.add_argument("--thr-s", type=float, default=EnsembleConfig.thr_s,
+                   help="per-frame spatial IoU threshold (default %(default)s)")
+    p.add_argument("--thr-t", type=float, default=EnsembleConfig.thr_t,
+                   help="trajectory overlap-ratio threshold for merging (default %(default)s)")
+    p.add_argument("--thr-nms", type=float, default=EnsembleConfig.thr_nms,
+                   help="per-frame NMS IoU threshold (default %(default)s)")
+    p.add_argument("--thr-len", type=int, default=EnsembleConfig.thr_len,
+                   help="minimum trajectory span in frames (default %(default)s)")
+    p.add_argument("--mode", choices=[m.value for m in MergeMode], default=EnsembleConfig.merge_mode.value,
                    help="overlapping-box integration: keep the longer track's box, "
-                   "or average all boxes (default drop)")
+                   "or average all boxes (default %(default)s)")
     p.add_argument("--interpolate", type=int, metavar="MAX_GAP",
                    help="afterwards, fill trajectory gaps of up to MAX_GAP frames")
     p.set_defaults(func=cmd_merge)

@@ -12,7 +12,8 @@ with the largest frame first, each frame's rows in owner order. For an
 offset ``d``, the rows of the frames holding more than ``d`` boxes then
 form a prefix of the block, and every row is compared with the row ``d``
 after it by a few comparisons of two contiguous slices of that prefix. Only
-the pairs found get their IoU computed.
+the pairs found get their IoU computed. Every pair found intersects, as
+box values are within ``MAX_COORD``, where no edge rounds onto its opposite.
 """
 
 from __future__ import annotations
@@ -113,10 +114,6 @@ def _block_pairs(cols: BoxColumns, rows: np.ndarray, sizes: np.ndarray) -> Pairs
     np.add(low[:2], size, out=high[:2])  # right and bottom, rounded once
     low[2] = np.arange(n)
     high[2] = np.repeat(ends, laid_sizes)
-    # A box whose right edge rounds onto its left, or bottom onto top,
-    # intersects nothing. With it left out, every pair found intersects.
-    thin = (right <= x) | (bottom <= y)
-    low[2][thin], high[2][thin] = np.inf, -1.0
 
     # for each offset d, the rows of the frames holding more than d boxes
     prefix = ends[np.searchsorted(-laid_sizes, -np.arange(1, largest), side="left") - 1]

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .geometry import box_columns
-from .model import DECIMALS, MAX_INDEX, MIN_BOX_SIZE, TrackSet, Trajectory
+from .model import DECIMALS, MAX_COORD, MAX_INDEX, MIN_BOX_SIZE, TrackSet, Trajectory
 
 # Characters of text the parser splits into lines and converts at once. A
 # block ends at a line break. It bounds the parser's temporary memory and
@@ -31,14 +31,8 @@ TEXT_BLOCK = 1 << 14
 ROW_BLOCK = 1 << 10
 # Besides ASCII digits, the bytes a block may hold to go to numpy's text reader.
 _PLAIN_NON_DIGITS = b".,-+eE \n"
-# frame, id, x, y, w, h, confidence, then the three unused columns
-_LINE = ",".join(["%d", "%d", *[f"%.{DECIMALS}f"] * 5, "-1", "-1", "-1"]) + "\n"
 # What follows the confidence on every line.
 _TAIL = b",-1,-1,-1\n"
-# From this magnitude on, a value's count of 10**-DECIMALS units can pass
-# 2**53 and stop being exact in float64; a block holding one is written
-# with ``_LINE``.
-_EXACT_LIMIT = 2**53 / 10**DECIMALS
 # Dekker's splitter: x * _SPLIT cuts a float64 into two halves of 26 bits.
 _SPLIT = float(2**27 + 1)
 
@@ -186,8 +180,9 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
     Raises:
         ParseError: malformed number, frame or id that is not an integer in
             [1, 2**53), box width or height below ``MIN_BOX_SIZE``,
-            non-finite coordinate or confidence, or a duplicate (frame, id)
-            pair. It names the first offending line.
+            non-finite coordinate or confidence, box value beyond
+            ``MAX_COORD`` in magnitude, or a duplicate (frame, id) pair.
+            It names the first offending line.
     """
     rows, counts, line_nos, read_error = _rows(text)
     frame, track_id, x, y, w, h, seventh = rows.T
@@ -222,6 +217,9 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
     for name, value in zip("xywh", (x, y, w, h)):
         checks.append((~np.isfinite(value) & ~skipped, lambda r, name=name, value=value:
                        f"non-finite bounding box field {name}={value[r].item()!r}"))
+    for name, value in zip("xywh", (x, y, w, h)):
+        checks.append(((np.abs(value) > MAX_COORD) & ~skipped, lambda r, name=name, value=value:
+                       f"bounding box field {name}={value[r].item()!r} beyond 2**44 in magnitude"))
     checks.append((np.isnan(conf) & ~skipped, lambda r: f"confidence outside [0, 1]: {conf[r].item()}"))
 
     bad = np.logical_or.reduce([offending for offending, _ in checks])
@@ -251,8 +249,7 @@ def _units(values: np.ndarray) -> np.ndarray:
     when ``hi`` lies exactly half-way between two integers and ``lo`` is not
     zero: the exact product then lies on ``lo``'s side of the tie.
     Anywhere else ``lo``, at most half a unit in ``hi``'s last place, cannot
-    carry the product across a half. Magnitudes must be below
-    ``_EXACT_LIMIT``.
+    carry the product across a half. Counts of values up to ``MAX_COORD`` are exact.
     """
     scale = float(10**DECIMALS)
     v = np.abs(values)
@@ -298,16 +295,8 @@ def _block_text(frames: np.ndarray, ids: np.ndarray, values: np.ndarray) -> str:
 
     Each line is laid out in fixed columns wide enough for the block's
     longest field, padded with 0 bytes that are then dropped, so the text
-    is built from one ``uint8`` array. A block with a magnitude at or above
-    ``_EXACT_LIMIT`` goes to ``%`` instead.
+    is built from one ``uint8`` array.
     """
-    if not (np.abs(values) < _EXACT_LIMIT).all():
-        columns = [frames.tolist(), ids.tolist(), *values.T.tolist()]
-        flat: List[object] = [None] * (len(columns) * len(frames))  # the fields of one line after another
-        for field, column in enumerate(columns):
-            flat[field :: len(columns)] = column
-        return _LINE * len(frames) % tuple(flat)
-
     n = len(frames)
     indices = np.stack([frames, ids], axis=1)
     units = _units(values)
@@ -351,11 +340,13 @@ def serialize_trackset(ts: TrackSet) -> str:
 
 
 def load_trackset(path: str | Path, is_ground_truth: bool = False) -> TrackSet:
-    """``parse_trackset`` of the file's UTF-8 text; a leading byte-order mark is skipped."""
+    """``parse_trackset`` of the file's UTF-8 text; a leading byte-order mark is skipped.
+
+    A byte that is not UTF-8 reads as a lone surrogate and fails as its line's ``ParseError``.
+    """
     path = Path(path)
-    return parse_trackset(
-        path.read_text(encoding="utf-8-sig"), is_ground_truth, sequence=path.stem
-    )
+    text = path.read_text(encoding="utf-8-sig", errors="surrogateescape")
+    return parse_trackset(text, is_ground_truth, sequence=path.stem)
 
 
 def save_trackset(path: str | Path, ts: TrackSet) -> None:

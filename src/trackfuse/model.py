@@ -27,6 +27,14 @@ MIN_BOX_SIZE = 10.0**-DECIMALS
 # Frames and ids must stay below it: every token is read as a float, and
 # floats stop representing every integer there.
 MAX_INDEX = 2**53
+# Box values (x, y, w, h) must stay within it in magnitude. 2**44 * 10**DECIMALS
+# < 2**53, so every value in range has an exact count of hundredths and the
+# writer needs one path. Half an ulp at 2**44 is 2**-9, below the smallest
+# size (MIN_BOX_SIZE / 2), so every right edge lies past its left, every
+# bottom past its top, and every pair the overlap join finds intersects. As
+# a power of two, it keeps rounded sums of n values in range within n * 2**44,
+# so averaged and interpolated boxes stay in range and fused files read back.
+MAX_COORD = 2.0**44
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,9 +124,10 @@ class Trajectory:
     read-only. Frames between ``start`` and ``stop`` may be missing (gaps);
     ``length`` is the inclusive frame span ``stop - start + 1`` regardless
     of gaps. The constructor accepts only what the writer can write and the
-    parser read back: integer frames and ids below ``MAX_INDEX``, and sizes
-    of at least ``MIN_BOX_SIZE / 2``, the smallest that ``DECIMALS`` places
-    round up to ``MIN_BOX_SIZE``.
+    parser read back: integer frames and ids below ``MAX_INDEX``, sizes of
+    at least ``MIN_BOX_SIZE / 2``, the smallest that ``DECIMALS`` places
+    round up to ``MIN_BOX_SIZE``, and box values of at most ``MAX_COORD``
+    in magnitude.
     """
 
     id: int
@@ -144,6 +153,8 @@ class Trajectory:
             raise ValueError(f"frames of trajectory {self.id} are not ascending and unique")
         if not np.isfinite(xywh).all():
             raise ValueError("non-finite bounding box field")
+        if (np.abs(xywh) > MAX_COORD).any():
+            raise ValueError("bounding box field beyond 2**44 in magnitude")
         if (xywh[:, 2:] < MIN_BOX_SIZE / 2).any():
             raise ValueError(f"box width or height below {MIN_BOX_SIZE / 2}")
         if not ((conf >= 0.0) & (conf <= 1.0)).all():

@@ -26,7 +26,7 @@ from scipy.optimize import linear_sum_assignment
 from trackfuse import BoundingBox, Detection, ParseError, TrackSet, Trajectory
 from trackfuse.ensemble import EnsembleConfig, length_filter, merge_group, mix
 from trackfuse.interpolate import linear_interpolate
-from trackfuse.io import DECIMALS, MAX_INDEX, MIN_BOX_SIZE
+from trackfuse.io import DECIMALS, MAX_COORD, MAX_INDEX, MIN_BOX_SIZE
 from trackfuse.metrics import ClearScores, IdentityScores
 from trackfuse.rng import SplitMix64
 from trackfuse.synth import TrackerDegradation
@@ -418,7 +418,11 @@ def parse_trackset_scalar(text: str, is_ground_truth: bool = False, sequence: st
         seen.add((frame, track_id))
 
         try:
-            det = Detection(frame, BoundingBox(x, y, w, h), conf)
+            box = BoundingBox(x, y, w, h)
+            for name, value in zip("xywh", (x, y, w, h)):
+                if abs(value) > MAX_COORD:
+                    raise ValueError(f"bounding box field {name}={value!r} beyond 2**44 in magnitude")
+            det = Detection(frame, box, conf)
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from exc
         per_id.setdefault(track_id, []).append(det)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import random
@@ -233,6 +234,19 @@ def test_merge_bad_flags_are_usage_errors(tmp_path, flags):
     assert code == 1
 
 
+def test_bare_merge_parses_to_the_config_defaults():
+    args = cli.build_parser().parse_args(["merge", "-i", "a", "-o", "b"])
+    parsed = {"thr_s": args.thr_s, "thr_t": args.thr_t, "thr_nms": args.thr_nms, "thr_len": args.thr_len,
+              "merge_mode": args.mode, "max_gap": args.interpolate}
+    default = EnsembleConfig()
+    assert set(parsed) == {f.name for f in dataclasses.fields(default)}
+    for name, value in parsed.items():
+        expected = getattr(default, name)
+        expected = expected.value if name == "merge_mode" else expected
+        assert (value, type(value)) == (expected, type(expected)), name
+    assert (args.thr_s, args.thr_t, args.thr_nms, args.thr_len, args.mode) == (0.5, 0.5, 0.7, 20, "drop")
+
+
 def test_eval_perfect(tmp_path, capsys):
     gt = tmp_path / "gt.txt"
     gt.write_text(GT_TEXT)
@@ -462,8 +476,9 @@ FAILING_CONFIGS = {
 # config's values are checked with the flags applied: the config is named
 # only when it is invalid on its own. `--trackers` replaces the config's
 # trackers and `--complementary` ignores them, so their lines are then read
-# but their values not checked. A file whose bytes are not UTF-8 text cannot
-# be read, like a missing one.
+# but their values not checked. A result file's bytes that are not UTF-8
+# fail as their line's parse error; a config's cannot be read, like a
+# missing one. Box values beyond 2**44 in magnitude are rejected.
 FAILURES = [
     ('merge -i TMP/gt.txt -o TMP/o.txt --thr-s 1.5', 1, 'trackfuse merge: error: thr_s must be in [0, 1], got 1.5'),
     ('merge -i TMP/gt.txt -o TMP/o.txt --thr-t -0.2', 1, 'trackfuse merge: error: thr_t must be in [0, 1], got -0.2'),
@@ -476,7 +491,8 @@ FAILURES = [
     ('merge -i TMP/missing.txt -o TMP/o.txt', 2, 'trackfuse merge: error: cannot read TMP/missing.txt: No such file or directory'),
     ('merge -i TMP/gt.txt -i TMP/dir -o TMP/o.txt', 2, 'trackfuse merge: error: cannot read TMP/dir: Is a directory'),
     ('merge -i TMP/gt.txt -i TMP/bad.txt -o TMP/o.txt', 2, 'trackfuse merge: error: TMP/bad.txt: line 1: box width -5.0 below 0.01'),
-    ('merge -i TMP/gt.txt -i TMP/not_utf8.txt -o TMP/o.txt', 2, "trackfuse merge: error: cannot read TMP/not_utf8.txt: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"),
+    ('merge -i TMP/gt.txt -i TMP/not_utf8.txt -o TMP/o.txt', 2, 'trackfuse merge: error: TMP/not_utf8.txt: line 2: expected at least 6 columns, got 2'),
+    ('merge -i TMP/gt.txt -i TMP/beyond.txt -o TMP/o.txt', 2, 'trackfuse merge: error: TMP/beyond.txt: line 1: bounding box field x=1e+16 beyond 2**44 in magnitude'),
     ('merge -i TMP/gt.txt -o TMP/missing_dir/o.txt', 2, 'trackfuse merge: error: cannot write TMP/missing_dir/o.txt: No such file or directory'),
     ('eval --gt TMP/missing.txt --pred TMP/gt.txt --iou 0', 1, 'trackfuse eval: error: --iou must be in (0, 1], got 0.0'),
     ('eval --gt TMP/gt.txt --pred TMP/gt.txt --iou 1.5', 1, 'trackfuse eval: error: --iou must be in (0, 1], got 1.5'),
@@ -485,8 +501,8 @@ FAILURES = [
     ('eval --gt TMP/dir --pred TMP/gt.txt', 2, 'trackfuse eval: error: cannot read TMP/dir: Is a directory'),
     ('eval --gt TMP/gt.txt --pred TMP/bad.txt', 2, 'trackfuse eval: error: TMP/bad.txt: line 1: box width -5.0 below 0.01'),
     ('eval --gt TMP/bad.txt --pred TMP/gt.txt', 2, 'trackfuse eval: error: TMP/bad.txt: line 1: box width -5.0 below 0.01'),
-    ('eval --gt TMP/not_utf8.txt --pred TMP/gt.txt', 2, "trackfuse eval: error: cannot read TMP/not_utf8.txt: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"),
-    ('eval --gt TMP/gt.txt --pred TMP/not_utf8.txt', 2, "trackfuse eval: error: cannot read TMP/not_utf8.txt: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"),
+    ('eval --gt TMP/not_utf8.txt --pred TMP/gt.txt', 2, 'trackfuse eval: error: TMP/not_utf8.txt: line 2: expected at least 6 columns, got 2'),
+    ('eval --gt TMP/gt.txt --pred TMP/not_utf8.txt', 2, 'trackfuse eval: error: TMP/not_utf8.txt: line 2: expected at least 6 columns, got 2'),
     ('eval --gt TMP/empty.txt --pred TMP/gt.txt', 2, 'trackfuse eval: error: ground truth TMP/empty.txt contains no boxes'),
     ('synth -o TMP/s --objects 0', 1, 'trackfuse synth: error: num_objects must be >= 1, got 0'),
     ('synth -o TMP/s --frames 0', 1, 'trackfuse synth: error: num_frames must be >= 1, got 0'),
@@ -528,6 +544,7 @@ def test_failures_are_pinned(tmp_path, capsys, argv, code, err):
     (tmp_path / "empty.txt").write_text("")
     (tmp_path / "bad.txt").write_text("1,1,10,20,-5,40,1,-1,-1,-1\n")
     (tmp_path / "not_utf8.txt").write_bytes(b"1,1,10,10,5,5,1\n\xff,2\n")
+    (tmp_path / "beyond.txt").write_text("1,1,1e16,0,10,10,1\n")
     (tmp_path / "not_utf8.cfg").write_bytes(b"objects = 4\n\xff\n")
     (tmp_path / "dir").mkdir()
     for name, text in FAILING_CONFIGS.items():

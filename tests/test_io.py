@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackfuse.io
+from trackfuse.model import MAX_COORD
 from trackfuse import (
     EnsembleConfig,
     MergeMode,
@@ -21,6 +22,10 @@ from trackfuse import (
 )
 
 from oracles import parse_trackset_scalar, random_trackset, serialize_trackset_scalar
+
+# the float64 just past the bound on box values, and the one just below it
+PAST = float(np.nextafter(MAX_COORD, np.inf))
+BELOW = float(np.nextafter(MAX_COORD, 0))
 
 
 def test_parse_two_line_result():
@@ -86,6 +91,14 @@ def test_parse_tolerates_spaces_and_trailing_commas():
         ("9007199254740992,1,10,20,30,40,1", "frame"),
         ("1,9007199254740992,10,20,30,40,1", "id"),
         ("1,1e300,10,20,30,40,1", "id"),
+        # box values past 2**44 in magnitude
+        (f"1,1,{PAST},20,30,40,1", f"x={PAST} beyond 2**44"),
+        (f"1,1,{-PAST},20,30,40,1", f"x={-PAST} beyond 2**44"),
+        (f"1,1,10,{PAST},30,40,1", f"y={PAST} beyond 2**44"),
+        (f"1,1,10,{-PAST},30,40,1", f"y={-PAST} beyond 2**44"),
+        (f"1,1,10,20,{PAST},40,1", f"w={PAST} beyond 2**44"),
+        (f"1,1,10,20,30,{PAST},1", f"h={PAST} beyond 2**44"),
+        ("1,1,1e16,inf,30,40,1", "non-finite bounding box field y=inf"),  # before the range
     ],
 )
 def test_parse_errors_carry_line_number(text, fragment):
@@ -101,6 +114,16 @@ def test_parse_accepts_frames_and_ids_just_below_2_to_the_53():
     assert ts.trajectories[0].id == 2**53 - 1
     assert ts.trajectories[0].frame.tolist() == [2**53 - 1]
     assert serialize_trackset(ts).startswith("9007199254740991,9007199254740991,")
+
+
+def test_parse_accepts_box_values_at_2_to_the_44():
+    m = "17592186044416.00"
+    text = f"1,1,{m},-{m},{m},{m},1.00,-1,-1,-1\n2,1,-{m},{m},0.01,0.01,1.00,-1,-1,-1\n"
+    ts = parse_trackset(text)
+    assert ts.trajectories[0].xywh.tolist() == [
+        [MAX_COORD, -MAX_COORD, MAX_COORD, MAX_COORD], [-MAX_COORD, MAX_COORD, 0.01, 0.01]
+    ]
+    assert serialize_trackset(ts) == text
 
 
 def test_parse_duplicate_frame_id_pair_rejected():
@@ -136,8 +159,8 @@ def test_serialize_format():
 
 
 # Signed zero, binary values half a unit of the last written place away from
-# two neighbours, and numbers far past the written places.
-WRITER_VALUES = [-0.0, 0.0, 0.125, 2.675, 1.005, 0.005, 1e15, -1e15, 2.0**53 - 1, 123.456]
+# two neighbours, and box values at and just below the bound.
+WRITER_VALUES = [-0.0, 0.0, 0.125, 2.675, 1.005, 0.005, MAX_COORD, -MAX_COORD, BELOW, 123.456]
 
 
 def _writer_edge_trackset() -> TrackSet:
@@ -163,7 +186,8 @@ def test_writer_matches_per_box_format_oracle(monkeypatch, block):
     big = 2**53 - 1
     assert lines[0] == f"1,{big},-0.00,0.00,0.12,1.00,-0.00,-1,-1,-1"
     assert lines[3] == f"4,{big - 3},2.67,-2.67,2.67,1.00,0.01,-1,-1,-1"
-    assert lines[6].startswith(f"7,{big - 6},1000000000000000.00,-1000000000000000.00,")
+    assert lines[6].startswith(f"7,{big - 6},17592186044416.00,-17592186044416.00,")
+    assert lines[8].startswith(f"9,{big - 8},17592186044416.00,-17592186044416.00,")  # carried up
     assert lines[-1] == f"{big},{big},2.67,-0.00,0.12,0.12,0.00,-1,-1,-1"
     rng = random.Random(17)
     for _ in range(10):
@@ -180,9 +204,6 @@ _HALF_CENTS = (np.arange(2 * 10**4) + 0.5) / 100
 HALF_CENT_SWEEP = np.concatenate(
     [_HALF_CENTS, np.nextafter(_HALF_CENTS, np.inf), np.nextafter(_HALF_CENTS, -np.inf)]
 )
-# From this magnitude on a block is written with `%`: its count of
-# hundredths can pass 2**53.
-FALLBACK_BOUND = 2**53 / 100
 
 
 def _one_row_per_value(values) -> TrackSet:
@@ -214,7 +235,7 @@ def test_writer_rounds_half_cent_neighbours_as_percent(monkeypatch, block):
 
 
 @pytest.mark.parametrize("block", [1, 3, trackfuse.io.ROW_BLOCK])
-def test_writer_signs_and_fallback_bound(monkeypatch, block):
+def test_writer_signs_and_range_bound(monkeypatch, block):
     monkeypatch.setattr(trackfuse.io, "ROW_BLOCK", block)
     zeros = _one_row_per_value([-0.0, 0.0, -0.004, 0.004, -0.005, 0.005])
     assert serialize_trackset(zeros).splitlines()[:3] == [
@@ -223,23 +244,11 @@ def test_writer_signs_and_fallback_bound(monkeypatch, block):
         "3,1,-0.00,0.00,0.01,0.01,0.00,-1,-1,-1",
     ]
     _assert_writes_as_percent(zeros)
-    below = np.nextafter(FALLBACK_BOUND, 0)
     ordinary = [12.345, 0.125, 2.675, 199.995, 7.0]
-    for edge in (below, FALLBACK_BOUND, np.nextafter(FALLBACK_BOUND, np.inf), 1e15):
+    for edge in (BELOW, MAX_COORD):
         # alone, then in one block with ordinary rows, first and last
         for values in ([edge], [edge, *ordinary], [*ordinary, edge, 3.5]):
             _assert_writes_as_percent(_one_row_per_value(values))
-
-
-def test_writer_falls_back_to_percent_only_at_the_bound(monkeypatch):
-    calls = mock.Mock(wraps=trackfuse.io._units)
-    monkeypatch.setattr(trackfuse.io, "_units", calls)
-    below = np.nextafter(FALLBACK_BOUND, 0)
-    serialize_trackset(_one_row_per_value([below, -below, 1.005]))
-    assert calls.call_count == 1
-    for edge in (FALLBACK_BOUND, -FALLBACK_BOUND, 1e15):
-        serialize_trackset(_one_row_per_value([edge, 1.005]))
-    assert calls.call_count == 1
 
 
 def _digit_count_trackset() -> TrackSet:
@@ -259,16 +268,17 @@ def test_writer_frames_and_ids_of_every_digit_count(monkeypatch, block):
     assert text.splitlines()[-1].startswith(f"{2**53 - 1},{2**53 - 1},1.00,-2.67,0.12,10.00,0.50,")
 
 
-_finite = st.floats(allow_nan=False, allow_infinity=False)
+_coordinate = st.floats(-MAX_COORD, MAX_COORD)
 _index = st.one_of(st.integers(1, 12), st.integers(1, 2**53 - 1))
 
 
 @st.composite
 def finite_trackset(draw) -> TrackSet:
-    """Boxes at any finite coordinates, sizes of at least 0.005 and any confidence."""
+    """Boxes at any coordinates up to 2**44 in magnitude, sizes in [0.005, 2**44] and any confidence."""
     boxes = draw(st.dictionaries(
         st.tuples(_index, _index),
-        st.tuples(_finite, _finite, st.floats(0.005, 1e300), st.floats(0.005, 1e300), st.floats(0.0, 1.0)),
+        st.tuples(_coordinate, _coordinate, st.floats(0.005, MAX_COORD), st.floats(0.005, MAX_COORD),
+                  st.floats(0.0, 1.0)),
         min_size=1, max_size=30,
     ))
     by_id: dict = {}
@@ -340,6 +350,20 @@ def test_byte_order_mark_is_skipped(tmp_path, is_ground_truth):
     assert not out.read_bytes().startswith(b"\xef\xbb\xbf")  # the writer adds none
 
 
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"])
+@pytest.mark.parametrize(
+    "second,message",
+    [(b"\xff,2", "expected at least 6 columns, got 2"), (b"2,1,10,10,5,5\xff", r"malformed number '5\udcff'")],
+)
+def test_bytes_that_are_not_utf8_fail_as_their_line(tmp_path, mark, second, message):
+    path = tmp_path / "seq.txt"
+    path.write_bytes(mark + b"1,1,10,10,5,5,1\n" + second + b"\n")
+    with pytest.raises(ParseError) as exc_info:
+        load_trackset(path)
+    assert exc_info.value.line_no == 2
+    assert str(exc_info.value) == f"line 2: {message}"
+
+
 # -- the columnar parser against the per-line oracle --------------------------
 
 INDEX = st.integers(1, 6).map(str)
@@ -350,7 +374,8 @@ ODD_INDEX = st.sampled_from(
 COORD = st.floats(-50.0, 900.0).map(lambda v: f"{v:.3f}")
 SIZE = st.floats(0.01, 80.0).map(lambda v: f"{v:.3f}")
 ODD_NUMBER = st.sampled_from(
-    ["nan", "inf", "-inf", "1e400", "-0.0", "0", "1e1", "1_0", "0.01", "0.0099", "0.004"]
+    ["nan", "inf", "-inf", "1e400", "-0.0", "0", "1e1", "1_0", "0.01", "0.0099", "0.004",
+     "17592186044416", "-17592186044416.004"]
 )
 SEVENTH = st.sampled_from(["-1", "0", "0.5", "1", "1.7", "-0.0", "nan", "inf", "-inf"])
 MALFORMED = st.sampled_from(["", "x", "1..2", "0x10", "1 2", "--1", "_1", "1_", "nan1"])
@@ -464,6 +489,35 @@ def test_fused_output_reads_back_within_half_a_unit(texts, mode, thr, max_gap):
         assert np.abs(t.conf - before.conf).max() <= 0.005 + 1e-9
 
 
+# Box values at the bound and their lower neighbours, and the smallest size.
+BOUND_VALUES = st.sampled_from([MAX_COORD, -MAX_COORD, BELOW, -BELOW])
+BOUND_SIZES = st.sampled_from([0.005, MAX_COORD, BELOW])
+
+
+@st.composite
+def bound_trackset(draw) -> TrackSet:
+    """Up to 4 tracks over 8 frames with box values at the bound and sizes down to 0.005."""
+    tracks = []
+    for track_id in range(1, draw(st.integers(1, 4)) + 1):
+        frames = sorted(draw(st.sets(st.integers(1, 8), min_size=1)))
+        xywh = [[draw(BOUND_VALUES), draw(BOUND_VALUES), draw(BOUND_SIZES), draw(BOUND_SIZES)] for _ in frames]
+        tracks.append(Trajectory(track_id, frames, xywh, [draw(st.floats(0, 1)) for _ in frames]))
+    return TrackSet("s", tracks)
+
+
+@settings(max_examples=300)
+@given(st.lists(bound_trackset(), min_size=1, max_size=3), st.sampled_from([None, 1, 5]))
+def test_fused_boxes_at_the_bound_stay_in_range_and_read_back(inputs, max_gap):
+    cfg = EnsembleConfig(thr_s=0.0, thr_t=0.0, thr_nms=1.0, thr_len=0, merge_mode=MergeMode.AVERAGE,
+                         max_gap=max_gap)
+    fused = ensemble_pipeline(inputs, cfg)
+    back = {t.id: t for t in parse_trackset(serialize_trackset(fused)).trajectories}
+    for t in fused.trajectories:
+        assert np.abs(t.xywh).max() <= MAX_COORD
+        # half a unit of the second decimal, plus half a float64 step at the value
+        assert (np.abs(back[t.id].xywh - t.xywh) <= 0.005 + np.spacing(np.abs(t.xywh)) / 2).all()
+
+
 # -- numpy's reader and the per-line path meet at block boundaries --------------
 
 READER_CASES = [
@@ -479,6 +533,10 @@ READER_CASES = [
     "1,1,.5,5.,30,40,+1\n+2,1,-0,.5e1,30,40,-0\n",
     "1,1,1e400,20,30,40,1\n",
     "1,1,-1e400,20,30,40,1\n",
+    "1,1,17592186044416,-17592186044416,30,40,1\n",  # at 2**44: accepted
+    "1,1,10,20,30,17592186044416.004,1\n",
+    "1,1,1e16,inf,30,40,1\n",
+    "1,1,1e16,20,30,40,0\n",  # a flag-0 ground-truth row is not checked
     "1,1,10,20,30,40,nan\n",
     "1,1,nan,20,30,40,1\n",
     "1_0,1,10,20,30,40,1\n",  # float reads 10, numpy's reader refuses it

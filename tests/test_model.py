@@ -18,6 +18,10 @@ from trackfuse import (
 )
 from trackfuse.ensemble import length_nms, merge_group, mix
 from trackfuse.interpolate import linear_interpolate
+from trackfuse.model import MAX_COORD
+
+# the float64 just past the bound on box values
+PAST = float(np.nextafter(MAX_COORD, np.inf))
 
 
 @pytest.mark.parametrize("bad", [(0, 0, 0, 10), (0, 0, 10, 0), (0, 0, -5, 10), (0, 0, 10, -1)])
@@ -149,6 +153,12 @@ def test_trajectory_equality_compares_id_and_columns_exactly():
         ([1, 2**53], [(0, 0, 1, 1)] * 2, [1, 1]),  # frame the parser cannot read back
         ([1], [(0, 0, np.nextafter(0.005, 0), 1)], [1]),  # width written as 0.00
         ([1], [(0, 0, 1, np.nextafter(0.005, 0))], [1]),  # height written as 0.00
+        ([1], [(PAST, 0, 1, 1)], [1]),  # box values past 2**44
+        ([1], [(-PAST, 0, 1, 1)], [1]),
+        ([1], [(0, PAST, 1, 1)], [1]),
+        ([1], [(0, -PAST, 1, 1)], [1]),
+        ([1], [(0, 0, PAST, 1)], [1]),
+        ([1], [(0, 0, 1, PAST)], [1]),
         ([1.5, 2.7], [(0, 0, 1, 1)] * 2, [1, 1]),  # a cast would truncate them to 1, 2
         (np.array([1.0, 2.0]), [(0, 0, 1, 1)] * 2, [1, 1]),  # float frames, even whole ones
         ([1, 2.0], [(0, 0, 1, 1)] * 2, [1, 1]),
@@ -176,6 +186,16 @@ def test_smallest_accepted_trajectory_reads_back():
     (again,) = parse_trackset(serialize_trackset(TrackSet("s", [traj]))).trajectories
     assert again.id == last and again.frame.tolist() == [1, last]
     assert (again.xywh[:, 2:] == 0.01).all()
+
+
+def test_trajectory_accepts_box_values_at_the_bound():
+    xywh = [[MAX_COORD, -MAX_COORD, MAX_COORD, 0.005], [-MAX_COORD, MAX_COORD, 0.005, MAX_COORD]]
+    traj = Trajectory(1, [1, 2], xywh, [1, 1])
+    assert traj.xywh.tolist() == xywh
+    assert serialize_trackset(TrackSet("s", [traj])).splitlines() == [
+        "1,1,17592186044416.00,-17592186044416.00,17592186044416.00,0.01,1.00,-1,-1,-1",
+        "2,1,-17592186044416.00,17592186044416.00,0.01,17592186044416.00,1.00,-1,-1,-1",
+    ]
 
 
 def test_detections_mapping_is_built_from_the_columns(monkeypatch):

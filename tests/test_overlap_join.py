@@ -23,6 +23,7 @@ from trackfuse import ensemble, geometry, metrics
 from trackfuse.ensemble import length_nms, merge_group, merge_groups, mix
 from trackfuse.geometry import box_columns, same_frame_pairs
 from trackfuse.metrics import ClearScores, EvalReport, IdentityScores, clear_mot, evaluate, idf1
+from trackfuse.model import MAX_COORD
 from trackfuse.synth import DEFAULT_DEGRADATION, ScenarioSpec, generate_scenario
 
 from oracles import (
@@ -360,19 +361,22 @@ def test_join_leaves_out_boxes_that_only_touch():
     assert _joined(nested) == [(1, 0, 1, 0.25)]
 
 
-def test_join_leaves_out_boxes_too_thin_to_intersect():
-    # at 1e16 a float64 step is 2, so x + 0.5 rounds back to x (and y + 0.5
-    # to y): those boxes have no area to share, though their intervals
-    # reach over their neighbours' edges
-    thin_x = (1e16, 0.0, 0.5, 10.0)
-    thin_y = (0.0, 1e16, 10.0, 0.5)
-    rows = [(1, 0, *thin_x), (1, 1, 1e16 - 4.0, 0.0, 8.0, 10.0), (2, 0, *thin_y), (2, 1, 0.0, 1e16 - 4.0, 10.0, 8.0)]
-    a = _columns(rows)
-    assert _brute_pairs(a) == _joined(a) == []
-    # box_iou calls a box and its copy equal before it measures their
-    # overlap; the join leaves a thin box out even against its copy
-    assert _cross_joined(a, a) == [(1, 1, 1, 1.0), (2, 1, 1, 1.0)]
-    assert [row for row in _brute_pairs(a, a) if row[1] == 1] == _cross_joined(a, a)
+def test_join_pairs_the_smallest_boxes_at_the_bound():
+    # at 2**44 half a float64 step is below 0.005, so x + 0.005 lies past x
+    # (and y + 0.005 past y): each box below intersects its copy and the
+    # same box one step toward 0
+    below = float(np.nextafter(MAX_COORD, 0))
+    boxes = {
+        1: [(MAX_COORD, 0.0, 0.005, 10.0), (below, 0.0, 0.005, 10.0)],
+        2: [(-MAX_COORD, 0.0, 0.005, 10.0), (-below, 0.0, 0.005, 10.0)],
+        3: [(0.0, MAX_COORD, 10.0, 0.005), (0.0, below, 10.0, 0.005)],
+        4: [(0.0, -MAX_COORD, 10.0, 0.005), (0.0, -below, 10.0, 0.005)],
+    }
+    a = _columns([(f, k, *box) for f, (edge, step) in boxes.items() for k, box in enumerate([edge, edge, step])])
+    joined = _joined(a)
+    assert joined == _brute_pairs(a)
+    assert [row for row in joined if row[1:3] == (0, 1)] == [(f, 0, 1, 1.0) for f in boxes]
+    assert len(joined) == 3 * len(boxes) and all(iou > 0 for *_, iou in joined)
 
 
 def test_join_of_empty_columns():
