@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import box_columns, same_frame_pairs
 from .interpolate import linear_interpolate
-from .model import TrackSet, Trajectory
+from .model import MIN_BOX_SIZE, TrackSet, Trajectory
 
 
 class MergeMode(Enum):
@@ -78,7 +78,8 @@ def merge_group(group: Sequence[Trajectory], mode: MergeMode) -> Trajectory:
     members cover one frame, DROP keeps the box of the longest member
     present (ties resolved by group order) and AVERAGE takes the
     coordinate-wise mean of all boxes present: their sum, started from 0
-    and taken in group order, divided by their number.
+    and taken in group order, divided by their number, with a width or
+    height that rounding took below ``MIN_BOX_SIZE / 2`` raised to it.
     """
     anchor = group[0]
     if len(group) == 1:
@@ -98,6 +99,8 @@ def merge_group(group: Sequence[Trajectory], mode: MergeMode) -> Trajectory:
             present[rows] += 1
         shared = present > 1
         values[shared] = total[shared] / present[shared, None]
+        # the exact mean of sizes of at least MIN_BOX_SIZE / 2 is too; keep its rounding there
+        np.maximum(values[:, 2:4], MIN_BOX_SIZE / 2, out=values[:, 2:4])
     return Trajectory._of(anchor.id, frames, values[:, :4].copy(), values[:, 4].copy())
 
 

@@ -312,7 +312,7 @@ def _block_text(frames: np.ndarray, ids: np.ndarray, values: np.ndarray) -> str:
     _write_digits(index_fields[:, :, :-1], indices, 0)
     _write_digits(value_fields[:, :, 1:-1], units, DECIMALS)
     np.multiply(np.signbit(values), ord("-"), out=value_fields[:, :, 0], casting="unsafe")
-    return lines[lines != 0].tobytes().decode("ascii")
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _serialized(ts: TrackSet) -> Iterator[str]:

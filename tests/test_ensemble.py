@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from trackfuse import EnsembleConfig, MergeMode, TrackSet, ensemble_pipeline, serialize_trackset
+from trackfuse import (
+    EnsembleConfig,
+    MergeMode,
+    TrackSet,
+    Trajectory,
+    ensemble_pipeline,
+    parse_trackset,
+    serialize_trackset,
+)
 from trackfuse.ensemble import length_filter, length_nms, merge_group, merge_groups, mix
 
 from oracles import box_iou, canonical, const_track, make_track, random_trackset, st_iou
@@ -108,6 +116,21 @@ def test_merge_group_average_of_negative_zeros_writes_zero():
         "1,1,0.00,0.00,10.00,10.00,1.00,-1,-1,-1",
         "2,1,-0.00,0.00,10.00,10.00,1.00,-1,-1,-1",
     ]
+
+
+def test_average_of_the_smallest_boxes_reads_back():
+    # ten widths of 0.005 sum to less than 0.05 in float64, so their rounded
+    # mean fell below the smallest size the writer rounds up to 0.01
+    box = (1.0, 1.0, 0.005, 0.005)
+    inputs = [TrackSet("s", [const_track(1, 1, 3, box=box)]) for _ in range(10)]
+    cfg = EnsembleConfig(thr_s=0.0, thr_t=0.0, thr_len=1, merge_mode=MergeMode.AVERAGE)
+    fused = ensemble_pipeline(inputs, cfg)
+    assert len(fused.trajectories) == 1
+    for t in fused.trajectories:
+        Trajectory(t.id, t.frame, t.xywh, t.conf)  # the checked constructor accepts it
+    text = serialize_trackset(fused)
+    assert text.splitlines() == [f"{f},1,1.00,1.00,0.01,0.01,1.00,-1,-1,-1" for f in (1, 2, 3)]
+    assert serialize_trackset(parse_trackset(text)) == text
 
 
 def test_merge_group_drop_keeps_longest_member_box():

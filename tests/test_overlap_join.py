@@ -198,19 +198,35 @@ def _random_columns(rng, frame_sizes, arena=40.0):
 
 
 def _check_blocks(cols, bound):
-    """Pairs per frame, checking that blocks hold whole frames and at most ``bound`` rows.
+    """Pairs per frame, checking the rows of every block the join passes to ``_block_pairs``.
 
-    Every same-frame pair of ``_stacked_columns`` intersects, so the frames
-    of a block are the frames of its pairs. Its rows are their boxes.
+    Blocks hold whole frames, one-box frames included, ascending across
+    blocks, and at most ``bound`` rows unless one frame alone holds more.
+    Every frame of two or more boxes is in a block, and every block holds
+    one.
     """
-    rows = collections.Counter(cols[0].tolist())
+    blocks = []
+    block_pairs = geometry._block_pairs
+
+    def recorded(cols, rows, sizes):
+        blocks.append(cols[0][rows].tolist())
+        return block_pairs(cols, rows, sizes)
+
     pairs_per_frame = {}
-    for frame, _, _, _ in same_frame_pairs(cols):
-        frames = set(frame.tolist())
-        assert not frames & set(pairs_per_frame), "a frame split across blocks"
-        assert sum(rows[f] for f in frames) <= bound or len(frames) == 1
-        for f in frame.tolist():
-            pairs_per_frame[f] = pairs_per_frame.get(f, 0) + 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_block_pairs", recorded)
+        for frame, _, _, _ in same_frame_pairs(cols):
+            for f in frame.tolist():
+                pairs_per_frame[f] = pairs_per_frame.get(f, 0) + 1
+    rows = collections.Counter(cols[0].tolist())
+    blocked = [f for frames in blocks for f in frames]
+    assert blocked == sorted(blocked), "frames out of order"
+    for frames in blocks:
+        held = collections.Counter(frames)
+        assert held == {f: rows[f] for f in held}, "a frame split across blocks"
+        assert len(frames) <= bound or len(held) == 1
+        assert max(held.values()) > 1, "a block that cannot hold a pair"
+    assert {f for f, n in rows.items() if n > 1} <= set(blocked)
     return pairs_per_frame
 
 
@@ -269,6 +285,9 @@ def _layout_cases():
     b = _random_columns(rng, {f: 6 for f in range(1, 15)}, 25.0)
     b = (a[0], a[1], np.where(np.arange(len(a[0]))[:, None] % 3 == 0, a[2], b[2]))
     yield "same owners on both sides", a, b
+    # one-box frames between frames of 5 or more boxes, all in one block
+    sizes = {1: 6, 2: 1, 3: 1, 4: 5, 5: 1, 6: 7, 7: 1, 8: 1, 9: 1, 10: 5, 11: 1}
+    yield "one-box frames between large ones", _random_columns(rng, sizes, 15.0), _random_columns(rng, sizes, 15.0)
 
 
 @pytest.mark.parametrize("bound", [1, 3, None])
