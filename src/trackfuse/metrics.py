@@ -9,9 +9,10 @@ assignment between ground-truth and predicted identities.
 
 from __future__ import annotations
 
+import functools
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -99,58 +100,94 @@ def _by_frame(side: _Side) -> _Side:
     return side[0][order], side[1][order]
 
 
-def _owners_at(by_frame: _Side, frames: np.ndarray) -> Iterator[List[int]]:
-    """For each of ``frames`` in turn, the owners of its boxes in ascending order."""
+def _owners_at(by_frame: _Side, frame: int) -> List[int]:
+    """The owners of the boxes at ``frame``, ascending."""
     at, owners = by_frame
-    lo = np.searchsorted(at, frames, "left").tolist()
-    hi = np.searchsorted(at, frames, "right").tolist()
-    return (owners[a:b].tolist() for a, b in zip(lo, hi))
+    return owners[np.searchsorted(at, frame, "left") : np.searchsorted(at, frame, "right")].tolist()
 
 
-def _frame_matches(
-    gts: List[int], preds: List[int], iou_of: Dict[Tuple[int, int], float], last_match: Dict[int, int]
-) -> Dict[int, int]:
-    """One frame's correspondences, gt owner -> predicted owner.
+# A frame's owners present, ground truth then predicted, each ascending, and
+# the IoU of each of its hits, in (gt owner, predicted owner) order
+_WholeFrame = Callable[[], Tuple[List[int], List[int], Dict[Tuple[int, int], float]]]
 
-    ``gts`` and ``preds`` are the owners present, ascending; ``iou_of``
-    holds the IoU of every pair at or above the matching threshold.
+
+def _carry_over(hits: Iterable[Tuple[int, int]], last_match: Dict[int, int]) -> Dict[int, int]:
+    """The hits that keep their gt owner's last correspondence, gt owner -> predicted owner.
+
+    ``hits`` come in gt owner order, so a predicted owner that several gt
+    owners last matched stays with the lowest of them.
     """
     matches: Dict[int, int] = {}
     used_preds: set[int] = set()
-
-    # 1. carry over still-valid correspondences
-    for gid in gts:
-        pid = last_match.get(gid)
-        if pid is not None and pid not in used_preds and (gid, pid) in iou_of:
+    for gid, pid in hits:
+        if last_match.get(gid) == pid and pid not in used_preds:
             matches[gid] = pid
             used_preds.add(pid)
-
-    # 2. assign the rest, forbidding pairs under the IoU threshold
-    if any(g not in matches and p not in used_preds for g, p in iou_of):
-        rem_gts = [gid for gid in gts if gid not in matches]
-        rem_preds = [pid for pid in preds if pid not in used_preds]
-        row = {gid: r for r, gid in enumerate(rem_gts)}
-        col = {pid: c for c, pid in enumerate(rem_preds)}
-        cost = np.full((len(rem_gts), len(rem_preds)), _FORBIDDEN)
-        for (gid, pid), iou in iou_of.items():
-            if gid in row and pid in col:
-                cost[row[gid], col[pid]] = 1.0 - iou
-        for r, c in zip(*linear_sum_assignment(cost)):
-            if cost[r, c] < _FORBIDDEN:
-                matches[rem_gts[r]] = rem_preds[c]
     return matches
 
 
-def _conflict_frames(frame: np.ndarray, gts: np.ndarray, preds: np.ndarray) -> np.ndarray:
-    """The frames, ascending, where one owner of either side is in two of the pairs.
+def _frame_matches(
+    hits: List[Tuple[int, int]], last_match: Dict[int, int], whole_frame: _WholeFrame
+) -> Dict[int, int]:
+    """One conflict frame's matches among the owners of its shared hits, gt owner -> predicted owner.
 
-    The pairs come in (frame, gt owner, predicted owner) order.
+    ``hits`` are the frame's shared hits in (gt owner, predicted owner)
+    order. After the carry-over, if no open hit shares an owner with
+    another, the open hits are the matches. Otherwise the frame is solved
+    whole: ``whole_frame()`` gives every owner present and every hit, and
+    one assignment runs over every owner the carry-over left free, those
+    of the settled hits and those with no hit included, since the solver's
+    pick among tied hits depends on every row and column.
     """
-    by_pred = np.lexsort((preds, frame))
-    pred_frame, preds = frame[by_pred], preds[by_pred]
-    same_gt = (frame[1:] == frame[:-1]) & (gts[1:] == gts[:-1])
-    same_pred = (pred_frame[1:] == pred_frame[:-1]) & (preds[1:] == preds[:-1])
-    return np.union1d(frame[1:][same_gt], pred_frame[1:][same_pred])
+    # 1. carry over still-valid correspondences
+    matches = _carry_over(hits, last_match)
+    used_preds = set(matches.values())
+    open_hits = [(gid, pid) for gid, pid in hits if gid not in matches and pid not in used_preds]
+    if len({gid for gid, _ in open_hits}) == len({pid for _, pid in open_hits}) == len(open_hits):
+        matches.update(open_hits)
+        return matches
+
+    # 2. assign the rest, forbidding pairs under the IoU threshold
+    gts, preds, iou_of = whole_frame()
+    matches = _carry_over(iou_of, last_match)
+    used_preds = set(matches.values())
+    rem_gts = [gid for gid in gts if gid not in matches]
+    rem_preds = [pid for pid in preds if pid not in used_preds]
+    row = {gid: r for r, gid in enumerate(rem_gts)}
+    col = {pid: c for c, pid in enumerate(rem_preds)}
+    cost = np.full((len(rem_gts), len(rem_preds)), _FORBIDDEN)
+    for (gid, pid), iou in iou_of.items():
+        if gid in row and pid in col:
+            cost[row[gid], col[pid]] = 1.0 - iou
+    for r, c in zip(*linear_sum_assignment(cost)):
+        if cost[r, c] < _FORBIDDEN:
+            matches[rem_gts[r]] = rem_preds[c]
+    # the settled hits' matches are in the bulk already
+    shared = set(hits)
+    return {gid: pid for gid, pid in matches.items() if (gid, pid) in shared}
+
+
+def _repeated(key: np.ndarray) -> np.ndarray:
+    """Which entries of the sorted ``key`` equal a neighbour."""
+    repeated = np.zeros(len(key), bool)
+    same = key[1:] == key[:-1]
+    repeated[1:] |= same
+    repeated[:-1] |= same
+    return repeated
+
+
+def _shared(frame: np.ndarray, gts: np.ndarray, preds: np.ndarray) -> np.ndarray:
+    """Which hits share their gt owner or their predicted owner with another hit of their frame.
+
+    The hits come in (frame, gt owner, predicted owner) order.
+    """
+    # keys ordered as (frame, owner), with the frame's rank in place of its value
+    rank = np.cumsum(np.diff(frame, prepend=frame[:1]) != 0)
+    shared = _repeated(rank * (gts.max(initial=0) + 1) + gts)
+    pred_key = rank * (preds.max(initial=0) + 1) + preds
+    by_pred = np.argsort(pred_key)
+    shared[by_pred] |= _repeated(pred_key[by_pred])
+    return shared
 
 
 def clear_mot(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> ClearScores:
@@ -166,11 +203,14 @@ def clear_mot(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> ClearScor
     absence does not).
 
     The IoUs come from the same-frame overlap join. Only pairs at or above
-    ``iou_match`` (hits) can match. Where no owner is in two hits of a
-    frame, the hits are disjoint, and both the carry-over and the
-    assignment match exactly them, so those frames are settled in bulk.
-    Only the other frames, the conflict frames, run the sequential
-    carry-over and assignment, in frame order.
+    ``iou_match`` (hits) can match. A hit whose two owners are in no other
+    open hit of its frame is a match: its cost, below 1, is alone in its
+    row and column, and an assignment without it would cost about
+    ``_FORBIDDEN`` more. So the settled hits, those whose owners are in no
+    other hit of their frame, are matched in bulk. Only the shared hits,
+    those of the conflict frames, run the carry-over in frame order, and
+    a conflict frame runs the assignment only when an owner is still in
+    two open hits after it.
     """
     return _clear(*_hits(gt, pred, iou_match))
 
@@ -178,25 +218,33 @@ def clear_mot(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> ClearScor
 def _clear(gt: _Side, pred: _Side, hits: _Hits) -> ClearScores:
     """``clear_mot`` of the two sides' boxes and their hits."""
     frame, hit_gt, hit_pred, hit_iou = hits
-    conflict_frames = _conflict_frames(frame, hit_gt, hit_pred)
-    conflict = np.isin(frame, conflict_frames)
-    # the matches of the other frames, in (frame, gt owner) order
-    match_frame, match_gt, match_pred = frame[~conflict], hit_gt[~conflict], hit_pred[~conflict]
+    shared = _shared(frame, hit_gt, hit_pred)
+    # the settled hits are matches, in (frame, gt owner) order
+    match_frame, match_gt, match_pred = frame[~shared], hit_gt[~shared], hit_pred[~shared]
+    # the conflict frames, and where each one's shared hits start
+    shared_frame = frame[shared]
+    first = np.flatnonzero(np.diff(shared_frame, prepend=0))  # frames start at 1
+    conflict_frames = shared_frame[first]
+    bounds = np.append(first, len(shared_frame)).tolist()
     bulk_before = np.searchsorted(match_frame, conflict_frames).tolist()
-    bounds = np.append(np.searchsorted(frame[conflict], conflict_frames), np.count_nonzero(conflict)).tolist()
-    conflict_gt, conflict_pred, conflict_iou = hit_gt[conflict], hit_pred[conflict], hit_iou[conflict]
+    shared_hits = list(zip(hit_gt[shared].tolist(), hit_pred[shared].tolist()))
+    by_frame = functools.cache(lambda: (_by_frame(gt), _by_frame(pred)))
+
+    def whole_frame(f: int) -> Tuple[List[int], List[int], Dict[Tuple[int, int], float]]:
+        """Frame ``f``'s owners present and its hits, for its assignment."""
+        gt_at, pred_at = by_frame()
+        lo, hi = np.searchsorted(frame, [f, f + 1]).tolist()
+        keys = zip(hit_gt[lo:hi].tolist(), hit_pred[lo:hi].tolist())
+        return _owners_at(gt_at, f), _owners_at(pred_at, f), dict(zip(keys, hit_iou[lo:hi].tolist()))
 
     last_match: Dict[int, int] = {}  # gt owner -> last predicted owner it matched
     done = 0  # bulk matches already in last_match
-    # the matches of the conflict frames, kept as machine integers
+    # the matches of the shared hits, kept as machine integers
     extra_frame, extra_gt, extra_pred = array("q"), array("q"), array("q")
-    owners_at = zip(_owners_at(_by_frame(gt), conflict_frames), _owners_at(_by_frame(pred), conflict_frames))
-    for k, (f, (gts, preds)) in enumerate(zip(conflict_frames.tolist(), owners_at)):
+    for k, f in enumerate(conflict_frames.tolist()):
         last_match.update(zip(match_gt[done : bulk_before[k]].tolist(), match_pred[done : bulk_before[k]].tolist()))
         done = bulk_before[k]
-        lo, hi = bounds[k], bounds[k + 1]
-        keys = zip(conflict_gt[lo:hi].tolist(), conflict_pred[lo:hi].tolist())
-        matches = _frame_matches(gts, preds, dict(zip(keys, conflict_iou[lo:hi].tolist())), last_match)
+        matches = _frame_matches(shared_hits[bounds[k] : bounds[k + 1]], last_match, functools.partial(whole_frame, f))
         last_match.update(matches)
         extra_frame.extend([f] * len(matches))
         extra_gt.extend(matches.keys())

@@ -198,6 +198,52 @@ def test_merge_output_bytes_pinned(tmp_path, flags):
     assert hashlib.sha256(library.read_bytes()).hexdigest() == MERGE_SHA256[flags]
 
 
+# Two inputs whose tracks all span 3 frames. Both tracks 1 cover one
+# object at IoU 0.82, so they merge. Both tracks 2 sit on one place but
+# share only frame 3, so they stay apart and NMS keeps one box there.
+TIE_INPUTS = {
+    "a.txt": "".join(f"{f},{i},{x},0,10,10,1\n" for i, x, frames in ((1, 0, (1, 2, 3)), (2, 100, (1, 2, 3)))
+                     for f in frames),
+    "b.txt": "".join(f"{f},{i},{x},0,10,10,0.5\n" for i, x, frames in ((1, 1, (1, 2, 3)), (2, 100, (3, 4, 5)))
+                     for f in frames),
+}
+# Among tracks of equal length the earlier -i input wins: it anchors the
+# merge, so its box is the DROP box and its id comes first, and it ranks
+# first in NMS, so the other input's box goes in frame 3.
+TIE_FUSED = {
+    ("a.txt", "b.txt"): """\
+1,1,0.00,0.00,10.00,10.00,1.00,-1,-1,-1
+1,2,100.00,0.00,10.00,10.00,1.00,-1,-1,-1
+2,1,0.00,0.00,10.00,10.00,1.00,-1,-1,-1
+2,2,100.00,0.00,10.00,10.00,1.00,-1,-1,-1
+3,1,0.00,0.00,10.00,10.00,1.00,-1,-1,-1
+3,2,100.00,0.00,10.00,10.00,1.00,-1,-1,-1
+4,3,100.00,0.00,10.00,10.00,0.50,-1,-1,-1
+5,3,100.00,0.00,10.00,10.00,0.50,-1,-1,-1
+""",
+    ("b.txt", "a.txt"): """\
+1,1,1.00,0.00,10.00,10.00,0.50,-1,-1,-1
+1,3,100.00,0.00,10.00,10.00,1.00,-1,-1,-1
+2,1,1.00,0.00,10.00,10.00,0.50,-1,-1,-1
+2,3,100.00,0.00,10.00,10.00,1.00,-1,-1,-1
+3,1,1.00,0.00,10.00,10.00,0.50,-1,-1,-1
+3,2,100.00,0.00,10.00,10.00,0.50,-1,-1,-1
+4,2,100.00,0.00,10.00,10.00,0.50,-1,-1,-1
+5,2,100.00,0.00,10.00,10.00,0.50,-1,-1,-1
+""",
+}
+
+
+@pytest.mark.parametrize("order", list(TIE_FUSED))
+def test_merge_ties_go_to_the_earlier_input(tmp_path, order):
+    for name, text in TIE_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "fused.txt"
+    assert main(["merge", *(arg for name in order for arg in ("-i", str(tmp_path / name))),
+                 "-o", str(out), "--thr-len", "0"]) == 0
+    assert out.read_text() == TIE_FUSED[order]
+
+
 def test_merge_missing_input_file(tmp_path, capsys):
     code = main(["merge", "-i", str(tmp_path / "missing.txt"), "-o", str(tmp_path / "out.txt")])
     assert code == 2

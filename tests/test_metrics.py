@@ -2,12 +2,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from trackfuse import TrackSet, evaluate
-from trackfuse.metrics import clear_mot, idf1
+from trackfuse import TrackSet, Trajectory, evaluate
+from trackfuse.metrics import EvalReport, clear_mot, idf1
+from trackfuse.model import MAX_COORD, MIN_BOX_SIZE
 
-from oracles import brute_force_min_cost, const_track, idf1_scalar, make_track, random_trackset
+from oracles import brute_force_min_cost, clear_mot_scalar, const_track, idf1_scalar, make_track, random_trackset
 
 
 def solve(cost):
@@ -238,3 +241,64 @@ def test_mota_at_most_one_on_random_pairs():
             assert report.clear.mota <= 1.0
         if report.identity.idf1 is not None:
             assert 0.0 <= report.identity.idf1 <= 1.0
+
+
+# --- drawn scenes: the scalar oracles, and transforms that keep the report ---
+
+MATCH_THRESHOLDS = [1e-9, 0.3, 0.5, 0.7, 1.0]
+# Boxes on a coarse grid, so exact copies, tied IoUs and one box over two
+# are common. Every box lies within 80 grid units of the origin and is at
+# least 10 wide and high.
+GRID_BOXES = [(x, y, w, 10.0) for x in (0.0, 5.0, 10.0, 60.0) for y in (0.0, 5.0) for w in (10.0, 20.0)]
+# Grid units that keep every box within MAX_COORD / 2 and its sizes at
+# least MIN_BOX_SIZE, so scaling by 2 or by 0.5 leaves the range of neither.
+UNITS = [MIN_BOX_SIZE / 8, 0.75, 2.0**36]
+assert 80 * UNITS[-1] <= MAX_COORD / 2 and 10 * UNITS[0] >= MIN_BOX_SIZE
+
+
+@st.composite
+def grid_scenes(draw, units=st.just(1.0)):
+    """Two track sets over up to 5 frames, with ids 1-4 placed on ``GRID_BOXES`` anew in each frame."""
+    unit = draw(units)
+    frames = range(1, draw(st.integers(1, 5)) + 1)
+    sides = []
+    for _ in range(2):
+        tracks = {}  # id -> frame -> box
+        for f in frames:
+            placed = draw(st.dictionaries(st.integers(1, 4), st.sampled_from(GRID_BOXES), max_size=4))
+            for track_id, box in placed.items():
+                tracks.setdefault(track_id, {})[f] = tuple(v * unit for v in box)
+        sides.append(TrackSet("s", [make_track(track_id, boxes) for track_id, boxes in tracks.items()]))
+    return sides
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_scenes())
+def test_clear_mot_and_evaluate_equal_scalar_on_grid_scenes(scene):
+    for a, b in (scene, scene[::-1]):
+        for thr in MATCH_THRESHOLDS:
+            expected = clear_mot_scalar(a, b, thr)
+            assert clear_mot(a, b, thr) == expected
+            assert evaluate(a, b, thr) == EvalReport(expected, idf1_scalar(a, b, thr))
+
+
+def transformed(ts: TrackSet, shift: int = 0, scale: float = 1.0) -> TrackSet:
+    """``ts`` with every frame moved by ``shift`` and every coordinate multiplied by ``scale``."""
+    return TrackSet(ts.sequence, [Trajectory(t.id, t.frame + shift, t.xywh * scale, t.conf) for t in ts.trajectories])
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_scenes(st.sampled_from(UNITS)), st.integers(1, 2**40), st.sampled_from(MATCH_THRESHOLDS))
+def test_evaluate_keeps_its_report_when_every_frame_shifts(scene, shift, iou_match):
+    gt, pred = scene
+    shifted = evaluate(transformed(gt, shift=shift), transformed(pred, shift=shift), iou_match)
+    assert shifted == evaluate(gt, pred, iou_match)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_scenes(st.sampled_from(UNITS)), st.sampled_from([2.0, 0.5]), st.sampled_from(MATCH_THRESHOLDS))
+def test_evaluate_keeps_its_report_when_every_coordinate_scales(scene, scale, iou_match):
+    # scaling by a power of two scales every IoU operand exactly, so every IoU is unchanged
+    gt, pred = scene
+    scaled = evaluate(transformed(gt, scale=scale), transformed(pred, scale=scale), iou_match)
+    assert scaled == evaluate(gt, pred, iou_match)

@@ -594,6 +594,29 @@ def test_clear_mot_solves_conflict_frames_whole():
     assert clear_mot(gt, pred).idsw == clear_mot_scalar(gt, pred).idsw == 0
 
 
+def _tied_copies_beside_a_settled_hit():
+    # frame 1: three exact copies of gt 2 (ids 2-4) and gt 3's only hit
+    # (id 1, IoU 0.6) beside gt 1, which has no hit; frame 2: gt 2 and id 3
+    gt = TrackSet("s", [const_track(1, 1, 1, box=(90.0, 0.0, 10.0, 10.0)), const_track(2, 1, 2),
+                        const_track(3, 1, 1, box=(40.0, 0.0, 10.0, 10.0))])
+    pred = [const_track(1, 1, 1, box=(40.0, 0.0, 10.0, 6.0)), const_track(2, 1, 1), const_track(3, 1, 2),
+            const_track(4, 1, 1)]
+    return gt, TrackSet("s", pred)
+
+
+def test_clear_mot_keeps_settled_hits_in_the_conflict_frame_assignment():
+    # gt 3 and id 1 are in no other hit, so they match whatever the solver
+    # does, yet their row and column must stay in frame 1's cost matrix:
+    # with them the solver gives gt 2 id 2, without them id 3. Frame 2
+    # matches gt 2 to id 3, so the pick decides the switch.
+    gt, pred = _tied_copies_beside_a_settled_hit()
+    # 4 gt boxes, 3 matched; 5 predicted boxes; gt 2 goes from id 2 to id 3
+    assert clear_mot(gt, pred) == clear_mot_scalar(gt, pred) == ClearScores(4, 2, 1, 1, 0.0)
+    for thr in MATCH_THRESHOLDS:
+        assert clear_mot(gt, pred, thr) == clear_mot_scalar(gt, pred, thr)
+        assert clear_mot(pred, gt, thr) == clear_mot_scalar(pred, gt, thr)
+
+
 # --- evaluate: both metrics from one join -----------------------------------
 
 
