@@ -121,30 +121,21 @@ def merge_groups(pool: Sequence[Trajectory], thr_s: float, thr_t: float) -> List
     ordered = sorted(pool, key=lambda t: (-t.length, t.id))
     n = len(ordered)
     keys = [np.empty(0, np.int64)]  # higher rank * n + lower rank, once per matching frame
-    for frames, higher, lower, iou in same_frame_pairs(box_columns(ordered)):
-        hit = iou > thr_s
-        keys.append(higher[hit] * n + lower[hit])
-        del frames, higher, lower, iou, hit  # freed before the join builds its next block
+    for _, higher, lower, _ in same_frame_pairs(box_columns(ordered), thr_s):
+        keys.append(higher * n + lower)
     pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
     first, second = pairs // n, pairs % n
     lengths = np.array([t.length for t in ordered], dtype=np.int64)
     matched = counts / np.minimum(lengths[first], lengths[second]) > thr_t
-    partners: Dict[int, List[int]] = {}  # anchor rank -> later ranks it would absorb
+    # pairs come by anchor rank, then partner rank: whether an anchor is absorbed is settled first
+    anchor = list(range(n))  # the rank whose group each rank joins
     for i, j in zip(first[matched].tolist(), second[matched].tolist()):
-        partners.setdefault(i, []).append(j)
-
-    consumed = [False] * n
-    groups: List[List[Trajectory]] = []
-    for i, anchor in enumerate(ordered):
-        if consumed[i]:
-            continue
-        group = [anchor]
-        for j in partners.get(i, ()):
-            if not consumed[j]:
-                group.append(ordered[j])
-                consumed[j] = True
-        groups.append(group)
-    return groups
+        if anchor[i] == i and anchor[j] == j:
+            anchor[j] = i
+    groups: Dict[int, List[Trajectory]] = {}
+    for rank, head in enumerate(anchor):
+        groups.setdefault(head, []).append(ordered[rank])
+    return list(groups.values())
 
 
 def length_nms(tracks: Sequence[Trajectory], thr_nms: float) -> List[Trajectory]:
@@ -159,14 +150,12 @@ def length_nms(tracks: Sequence[Trajectory], thr_nms: float) -> List[Trajectory]
     """
     ranked = sorted(range(len(tracks)), key=lambda k: (-tracks[k].length, tracks[k].id))
     suppressed: set[tuple[int, int]] = set()  # (rank, frame)
-    for frames, higher, lower, iou in same_frame_pairs(box_columns([tracks[k] for k in ranked])):
-        hit = iou > thr_nms
+    for frames, higher, lower, _ in same_frame_pairs(box_columns([tracks[k] for k in ranked]), thr_nms):
         # pairs come in (frame, higher rank, lower rank) order, so every
         # pair that could suppress a box is visited before the box's own
-        for f, a, b in zip(frames[hit].tolist(), higher[hit].tolist(), lower[hit].tolist()):
+        for f, a, b in zip(frames.tolist(), higher.tolist(), lower.tolist()):
             if (a, f) not in suppressed:
                 suppressed.add((b, f))
-        del frames, higher, lower, iou, hit  # freed before the join builds its next block
 
     dropped: Dict[int, List[int]] = {}  # track index -> suppressed frames
     for rank, f in suppressed:

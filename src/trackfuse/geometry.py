@@ -1,18 +1,18 @@
 """Overlap geometry: the same-frame overlap join over box columns.
 
-``same_frame_pairs`` computes the box IoU of every pair of boxes of
-distinct owners that share a frame and intersect, and feeds merge grouping,
-NMS, CLEAR and IDF1. It is the package's one definition of box overlap. It
-joins one set of box columns with itself; two sets, such as ground truth
-and predictions, are joined as one set with the second set's owners after
-the first's, keeping the pairs of a first owner and a second.
+``same_frame_pairs`` yields every pair of boxes of distinct owners that
+share a frame and whose IoU exceeds its caller's threshold, for merge
+grouping, NMS, CLEAR and IDF1. It is the package's one definition of box
+overlap. It joins one set of box columns with itself; two sets, such as
+ground truth and predictions, are joined as one set with the second set's
+owners after the first's, keeping the pairs of a first owner and a second.
 
 The join never lists candidate pairs. It sorts the rows by (frame, owner)
 once and joins contiguous blocks of whole frames of that order: each row is
 compared with the row ``d`` after it, for every ``d`` below the block's
-largest frame, and only the pairs found get their IoU computed. Every pair
-found intersects, as box values are within ``MAX_COORD``, where no edge
-rounds onto its opposite.
+largest frame; only the pairs found get their IoU, and only those above
+the threshold leave the block. Every pair found intersects, as box values
+are within ``MAX_COORD``, where no edge rounds onto its opposite.
 """
 
 from __future__ import annotations
@@ -44,16 +44,17 @@ def box_columns(tracks: Sequence[Trajectory]) -> BoxColumns:
     return frames, owners, np.concatenate([t.xywh for t in tracks])
 
 
-def same_frame_pairs(cols: BoxColumns) -> Iterator[Pairs]:
-    """Join a set of box columns with itself on frame, yielding the overlapping pairs.
+def same_frame_pairs(cols: BoxColumns, above: float) -> Iterator[Pairs]:
+    """Join a set of box columns with itself on frame, yielding the pairs with IoU above ``above``.
 
     Yields ``(frame, owner_a, owner_b, iou)`` arrays, one entry for every
-    same-frame pair of boxes of distinct owners that intersect, with their
-    IoU and the lower owner first. Pairs that do not intersect have IoU 0
-    and are left out. Pairs come in (frame, owner_a, owner_b) order, one
-    block at a time: a run of whole frames of the (frame, owner) order, of
-    at most ``BLOCK_ROWS`` rows unless one frame alone holds more. Blocks
-    with no frame of two or more boxes are skipped.
+    same-frame pair of boxes of distinct owners whose IoU strictly exceeds
+    ``above``, with the lower owner first. Pairs that do not intersect have
+    IoU 0 and are always left out; at ``above=0`` every intersecting pair
+    comes out. Pairs come in (frame, owner_a, owner_b) order, one block at
+    a time: a run of whole frames of the (frame, owner) order, of at most
+    ``BLOCK_ROWS`` rows unless one frame alone holds more. Blocks with no
+    frame of two or more boxes are skipped.
     """
     order = np.lexsort((cols[1], cols[0]))
     if len(order) < 2**31:  # kept while the join runs, so in 32 bits where they fit
@@ -66,12 +67,12 @@ def same_frame_pairs(cols: BoxColumns) -> Iterator[Pairs]:
     while lo < len(sizes):
         hi = max(int(np.searchsorted(bounds, bounds[lo] + BLOCK_ROWS, side="right")) - 1, lo + 1)
         if sizes[lo:hi].max() > 1:
-            yield _block_pairs(cols, order[bounds[lo] : bounds[hi]], sizes[lo:hi])
+            yield _block_pairs(cols, order[bounds[lo] : bounds[hi]], sizes[lo:hi], above)
         lo = hi
 
 
-def _block_pairs(cols: BoxColumns, rows: np.ndarray, sizes: np.ndarray) -> Pairs:
-    """The intersecting pairs of one block, in (frame, owner_a, owner_b) order.
+def _block_pairs(cols: BoxColumns, rows: np.ndarray, sizes: np.ndarray, above: float) -> Pairs:
+    """The pairs of one block with IoU above ``above``, in (frame, owner_a, owner_b) order.
 
     ``rows`` are the block's rows of ``cols``, a run of whole frames of the
     (frame, owner) order, and ``sizes`` their number in each frame. Every
@@ -124,5 +125,6 @@ def _block_pairs(cols: BoxColumns, rows: np.ndarray, sizes: np.ndarray) -> Pairs
     union -= inter
     iou = np.minimum(inter / union, 1.0)
     iou[(x[p] == x[q]) & (y[p] == y[q]) & (w[p] == w[q]) & (h[p] == h[q])] = 1.0  # equal boxes
-    p, q = rows[p], rows[q]
-    return cols[0][p], cols[1][p], cols[1][q], iou
+    keep = iou > above
+    p, q = rows[p[keep]], rows[q[keep]]
+    return cols[0][p], cols[1][p], cols[1][q], iou[keep]

@@ -73,11 +73,12 @@ def _hits(gt: TrackSet, pred: TrackSet, iou_match: float) -> Tuple[_Side, _Side,
 
     Both sides are joined as one set of boxes: the ground-truth tracks
     by id, owners 0..G-1 and their rows first, then the predicted tracks
-    by id. The join's pairs of a ground-truth owner and a predicted one
-    at or above ``iou_match`` are the hits, with the ground-truth box as
-    the IoU's first operand. CLEAR and IDF1 read only hits, so
-    ``evaluate`` scores both from one call. A bad ``iou_match`` raises
-    before the join runs.
+    by id. The join keeps the pairs above the float just below
+    ``iou_match``, exactly those at or above it; of these, the pairs of a
+    ground-truth owner and a predicted one are the hits, with the
+    ground-truth box as the IoU's first operand. CLEAR and IDF1 read only
+    hits, so ``evaluate`` scores both from one call. A bad ``iou_match``
+    raises before the join runs.
     """
     if not 0.0 < iou_match <= 1.0:
         raise ValueError(f"iou_match must be in (0, 1], got {iou_match}")
@@ -85,10 +86,9 @@ def _hits(gt: TrackSet, pred: TrackSet, iou_match: float) -> Tuple[_Side, _Side,
     by_id = [t for ts in (gt, pred) for t in sorted(ts.trajectories, key=lambda t: t.id)]
     cols = frames, owners, _ = box_columns(by_id)
     hits = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
-    for frame, owner_a, owner_b, iou in same_frame_pairs(cols):
-        hit = (owner_a < num_gt) & (owner_b >= num_gt) & (iou >= iou_match)
-        hits.append((frame[hit], owner_a[hit], owner_b[hit] - num_gt, iou[hit]))
-        del frame, owner_a, owner_b, iou, hit  # freed before the join builds its next block
+    for frame, owner_a, owner_b, iou in same_frame_pairs(cols, np.nextafter(iou_match, 0.0)):
+        cross = (owner_a < num_gt) & (owner_b >= num_gt)
+        hits.append((frame[cross], owner_a[cross], owner_b[cross] - num_gt, iou[cross]))
     split = gt.num_detections
     gt_side, pred_side = (frames[:split], owners[:split]), (frames[split:], owners[split:] - num_gt)
     return gt_side, pred_side, tuple(np.concatenate(column) for column in zip(*hits))

@@ -143,12 +143,13 @@ class Trajectory:
         frame = np.asarray(self.frame).reshape(-1)
         if len(frame) == 0 or frame.dtype.kind not in "iu":  # a cast would truncate float frames
             raise ValueError(f"frames must be a non-empty integer array, got {frame.dtype}[{len(frame)}]")
+        # every frame, before the cast and the differences, which could wrap
+        if frame.min() < 1 or frame.max() >= MAX_INDEX:
+            raise ValueError(f"frames must be in [1, 2**53), got {frame.min()} to {frame.max()}")
         frame = _read_only(frame.astype(np.int64))
         # reshape raises ValueError when the column lengths differ
         xywh = _read_only(np.array(self.xywh, dtype=np.float64).reshape(len(frame), 4))
         conf = _read_only(np.array(self.conf, dtype=np.float64).reshape(len(frame)))
-        if frame[0] < 1 or frame[-1] >= MAX_INDEX:
-            raise ValueError(f"frames must be in [1, 2**53), got {frame[0]} to {frame[-1]}")
         if (np.diff(frame) <= 0).any():
             raise ValueError(f"frames of trajectory {self.id} are not ascending and unique")
         if not np.isfinite(xywh).all():

@@ -186,6 +186,11 @@ def random_trackset(
     return TrackSet(sequence, trajectories)
 
 
+def transformed(ts: TrackSet, shift: int = 0, scale: float = 1.0) -> TrackSet:
+    """``ts`` with every frame moved by ``shift`` and every coordinate multiplied by ``scale``."""
+    return TrackSet(ts.sequence, [Trajectory(t.id, t.frame + shift, t.xywh * scale, t.conf) for t in ts.trajectories])
+
+
 def canonical(ts_or_tracks) -> tuple:
     """Id-free content signature, for equality up to id relabeling."""
     tracks = (

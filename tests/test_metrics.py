@@ -6,11 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from trackfuse import TrackSet, Trajectory, evaluate
+from trackfuse import TrackSet, evaluate
 from trackfuse.metrics import EvalReport, clear_mot, idf1
 from trackfuse.model import MAX_COORD, MIN_BOX_SIZE
 
-from oracles import brute_force_min_cost, clear_mot_scalar, const_track, idf1_scalar, make_track, random_trackset
+from oracles import (
+    brute_force_min_cost,
+    clear_mot_scalar,
+    const_track,
+    idf1_scalar,
+    make_track,
+    random_trackset,
+    transformed,
+)
 
 
 def solve(cost):
@@ -282,11 +290,6 @@ def test_clear_mot_and_evaluate_equal_scalar_on_grid_scenes(scene):
             assert evaluate(a, b, thr) == EvalReport(expected, idf1_scalar(a, b, thr))
 
 
-def transformed(ts: TrackSet, shift: int = 0, scale: float = 1.0) -> TrackSet:
-    """``ts`` with every frame moved by ``shift`` and every coordinate multiplied by ``scale``."""
-    return TrackSet(ts.sequence, [Trajectory(t.id, t.frame + shift, t.xywh * scale, t.conf) for t in ts.trajectories])
-
-
 @settings(max_examples=150, deadline=None)
 @given(grid_scenes(st.sampled_from(UNITS)), st.integers(1, 2**40), st.sampled_from(MATCH_THRESHOLDS))
 def test_evaluate_keeps_its_report_when_every_frame_shifts(scene, shift, iou_match):
@@ -302,3 +305,22 @@ def test_evaluate_keeps_its_report_when_every_coordinate_scales(scene, scale, io
     gt, pred = scene
     scaled = evaluate(transformed(gt, scale=scale), transformed(pred, scale=scale), iou_match)
     assert scaled == evaluate(gt, pred, iou_match)
+
+
+def permuted(ts: TrackSet, ids) -> TrackSet:
+    """``ts`` with id ``k`` renamed ``ids[k - 1]``."""
+    return TrackSet(ts.sequence, [t.with_id(ids[t.id - 1]) for t in ts.trajectories])
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_scenes(), st.permutations(range(1, 5)), st.permutations(range(1, 5)), st.sampled_from(MATCH_THRESHOLDS))
+def test_identity_scores_keep_when_the_ids_are_permuted(scene, gt_ids, pred_ids, iou_match):
+    # A permutation, unlike an offset, changes the id order, and with it the
+    # rows and columns of the assignment; the largest IDTP cannot depend on
+    # them. CLEAR is left out: its carry-over and the solver's pick among
+    # tied hits follow the id order.
+    gt, pred = scene
+    expected = evaluate(gt, pred, iou_match).identity
+    assert evaluate(permuted(gt, gt_ids), pred, iou_match).identity == expected
+    assert evaluate(gt, permuted(pred, pred_ids), iou_match).identity == expected
+    assert evaluate(permuted(gt, gt_ids), permuted(pred, pred_ids), iou_match).identity == expected

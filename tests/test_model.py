@@ -151,6 +151,11 @@ def test_trajectory_equality_compares_id_and_columns_exactly():
         ([1], [(0, 0, 1, 1)], [1.5]),  # confidence above 1
         ([1, 2], [(0, 0, 1, 1)], [1, 1]),  # column lengths differ
         ([1, 2**53], [(0, 0, 1, 1)] * 2, [1, 1]),  # frame the parser cannot read back
+        # frames out of range between the first and the last, or wrapped by the int64 cast;
+        # their int64 differences wrap to positive values
+        (np.array([1, 2**62, -(2**63)]), np.ones((3, 4)), np.ones(3)),
+        (np.array([1, 2**63], dtype=np.uint64), [(0, 0, 1, 1)] * 2, [1, 1]),
+        (np.array([5, 2**63 + 3], dtype=np.uint64), [(0, 0, 1, 1)] * 2, [1, 1]),
         ([1], [(0, 0, np.nextafter(0.005, 0), 1)], [1]),  # width written as 0.00
         ([1], [(0, 0, 1, np.nextafter(0.005, 0))], [1]),  # height written as 0.00
         ([1], [(PAST, 0, 1, 1)], [1]),  # box values past 2**44
@@ -167,6 +172,11 @@ def test_trajectory_equality_compares_id_and_columns_exactly():
 def test_trajectory_rejects_invalid_columns(frame, xywh, conf):
     with pytest.raises(ValueError):
         Trajectory(1, frame, xywh, conf)
+
+
+def test_trajectory_frame_error_shows_the_frames_as_given():
+    with pytest.raises(ValueError, match=r"^frames must be in \[1, 2\*\*53\), got 1 to 9223372036854775808$"):
+        Trajectory(1, np.array([1, 2**63], dtype=np.uint64), [(0, 0, 1, 1)] * 2, [1, 1])
 
 
 def test_trajectory_ids_stay_below_2_to_the_53():

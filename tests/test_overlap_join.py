@@ -11,7 +11,6 @@ import itertools
 import math
 import random
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackfuse import BoundingBox, EnsembleConfig, MergeMode, TrackSet, Trajectory, ensemble_pipeline
-from trackfuse import ensemble, geometry, metrics
+from trackfuse import geometry, metrics
 from trackfuse.ensemble import length_nms, merge_group, merge_groups, mix
 from trackfuse.geometry import box_columns, same_frame_pairs
 from trackfuse.metrics import ClearScores, EvalReport, IdentityScores, clear_mot, evaluate, idf1
@@ -36,6 +35,7 @@ from oracles import (
     make_track,
     merge_groups_scalar,
     random_trackset,
+    transformed,
 )
 
 THRESHOLDS = [0.0, 0.3, 0.5, 0.7, 1.0]
@@ -87,7 +87,7 @@ def join_iou(pairs):
     owners = np.tile(np.arange(2), len(pairs))
     boxes = np.array([(x.x, x.y, x.w, x.h) for pair in pairs for x in pair])
     got = [0.0] * len(pairs)  # pairs the join leaves out do not intersect
-    for frame, _, _, iou in same_frame_pairs((frames, owners, boxes)):
+    for frame, _, _, iou in same_frame_pairs((frames, owners, boxes), 0.0):
         for f, v in zip(frame.tolist(), iou.tolist()):
             got[f - 1] = v
     return got
@@ -137,7 +137,7 @@ def _rows(blocks):
 
 
 def _joined(cols):
-    return _rows(same_frame_pairs(cols))
+    return _rows(same_frame_pairs(cols, 0.0))
 
 
 def _both(a, b):
@@ -149,7 +149,7 @@ def _both(a, b):
 def _cross_blocks(a, b):
     """The blocks of the self-join of ``_both(a, b)``, kept to its a -> b pairs, b's owners shifted back."""
     both, shift = _both(a, b)
-    for frame, owner_a, owner_b, iou in same_frame_pairs(both):
+    for frame, owner_a, owner_b, iou in same_frame_pairs(both, 0.0):
         cross = (owner_a < shift) & (owner_b >= shift)
         yield frame[cross], owner_a[cross], owner_b[cross] - shift, iou[cross]
 
@@ -165,6 +165,38 @@ def test_join_yields_exactly_the_intersecting_pairs(seed):
     b = box_columns(random_trackset(rng, max_tracks=6, max_start=5, max_span=12, arena=40.0).trajectories)
     assert _joined(a) == _brute_pairs(a)
     assert _cross_joined(a, b) == _brute_pairs(a, b)
+
+
+@pytest.mark.parametrize("bound", [3, None])
+@pytest.mark.parametrize("above", THRESHOLDS)
+def test_join_yields_exactly_the_pairs_above_its_threshold(monkeypatch, above, bound):
+    if bound is not None:
+        monkeypatch.setattr(geometry, "BLOCK_ROWS", bound)
+    rng = random.Random(11)
+    for _ in range(3):
+        a = box_columns(random_trackset(rng, max_tracks=6, max_start=5, max_span=12, arena=40.0).trajectories)
+        b = box_columns(random_trackset(rng, max_tracks=6, max_start=5, max_span=12, arena=40.0).trajectories)
+        # b's boxes and exact copies of them as one set: pairs at IoU 1 too
+        for cols in (a, _both(a, b)[0], _both(b, b)[0]):
+            assert _rows(same_frame_pairs(cols, above)) == [row for row in _brute_pairs(cols) if row[3] > above]
+
+
+def test_iou_exactly_at_a_threshold_is_a_hit_but_no_match():
+    # IoU 50 / (100 + 50 - 50) = 0.5 exactly, in each of 10 frames
+    big, half = const_track(1, 1, 10), const_track(2, 1, 10, box=(0.0, 0.0, 10.0, 5.0))
+    cols = box_columns([big, half])
+    assert _rows(same_frame_pairs(cols, 0.0))[0] == (1, 0, 1, 0.5)
+    assert _rows(same_frame_pairs(cols, 0.5)) == []
+    below = float(np.nextafter(0.5, 0.0))
+    assert len(_rows(same_frame_pairs(cols, below))) == 10
+    # a hit at iou_match 0.5: scoring takes IoU >= iou_match
+    report = evaluate(TrackSet("s", [big]), TrackSet("s", [half]), 0.5)
+    assert report == EvalReport(ClearScores(10, 0, 0, 0, 1.0), IdentityScores(10, 0, 0, 1.0))
+    # no merge match or suppression at thr_s or thr_nms 0.5: fusion takes IoU > thr
+    assert _ids(merge_groups([big, half], 0.5, 0.5)) == [[1], [2]]
+    assert _ids(merge_groups([big, half], below, 0.5)) == [[1, 2]]
+    assert length_nms([big, half], 0.5) == [big, half]
+    assert length_nms([big, half], below) == [big]
 
 
 def _columns(rows):
@@ -208,14 +240,14 @@ def _check_blocks(cols, bound):
     blocks = []
     block_pairs = geometry._block_pairs
 
-    def recorded(cols, rows, sizes):
+    def recorded(cols, rows, sizes, above):
         blocks.append(cols[0][rows].tolist())
-        return block_pairs(cols, rows, sizes)
+        return block_pairs(cols, rows, sizes, above)
 
     pairs_per_frame = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "_block_pairs", recorded)
-        for frame, _, _, _ in same_frame_pairs(cols):
+        for frame, _, _, _ in same_frame_pairs(cols, 0.0):
             for f in frame.tolist():
                 pairs_per_frame[f] = pairs_per_frame.get(f, 0) + 1
     rows = collections.Counter(cols[0].tolist())
@@ -335,7 +367,7 @@ def test_join_output_is_pinned_at_benchmark_scale():
     # ground truth and predictions were joined as one set
     gt, trackers = generate_scenario(ScenarioSpec(20, 600, 800, 600, 7, (DEFAULT_DEGRADATION,) * 3))
     pool = box_columns(mix(trackers))
-    assert _digest(same_frame_pairs(pool)) == "bc9a3d739f65d1ed27c8121de434eb5c18890707bb1d3eb9a8cbedb66a08d990"
+    assert _digest(same_frame_pairs(pool, 0.0)) == "bc9a3d739f65d1ed27c8121de434eb5c18890707bb1d3eb9a8cbedb66a08d990"
     cross = _cross_blocks(box_columns(gt.trajectories), box_columns(trackers[0].trajectories))
     assert _digest(cross) == "97f51d09aec8cf4c026ca7cd7dffb3729adb1ab6b9a3d7a56cdc822043c7954b"
 
@@ -353,7 +385,7 @@ def _join_peak(cols):
     gc.collect()
     tracemalloc.start()
     try:
-        collections.deque(same_frame_pairs(cols), maxlen=0)  # keeps no block
+        collections.deque(same_frame_pairs(cols, 0.0), maxlen=0)  # keeps no block
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -684,37 +716,6 @@ def test_stages_do_not_depend_on_the_block_bound(monkeypatch, bound):
     assert ensemble_pipeline(tracksets, cfg) == ensemble_pipeline_scalar(tracksets, cfg)
 
 
-def _watched(join, blocks_per_call):
-    """``join``, asserting before it builds each next block that its caller dropped the last one's arrays."""
-
-    def watched(*columns):
-        blocks = join(*columns)
-        blocks_per_call.append(0)
-        while (block := next(blocks, None)) is not None:
-            blocks_per_call[-1] += 1
-            last = [weakref.ref(column) for column in block]
-            yield block
-            del block
-            assert all(ref() is None for ref in last), "a block is still held while the join builds the next"
-
-    return watched
-
-
-def test_stages_release_each_block_before_the_next(monkeypatch):
-    blocks_per_call = []
-    watched = _watched(geometry.same_frame_pairs, blocks_per_call)
-    monkeypatch.setattr(ensemble, "same_frame_pairs", watched)
-    monkeypatch.setattr(metrics, "same_frame_pairs", watched)
-    monkeypatch.setattr(geometry, "BLOCK_ROWS", 4)
-    tracksets = _scenario(1)
-    cfg = EnsembleConfig(thr_s=0.3, thr_t=0.3, thr_nms=0.5, thr_len=0)
-    assert ensemble_pipeline(tracksets, cfg) == ensemble_pipeline_scalar(tracksets, cfg)
-    gt, pred = tracksets[0], tracksets[-1]
-    assert evaluate(gt, pred) == EvalReport(clear_mot_scalar(gt, pred), idf1_scalar(gt, pred))
-    # merge grouping, NMS and evaluate, each over many blocks
-    assert len(blocks_per_call) == 3 and min(blocks_per_call) > 10
-
-
 def _sides_overlap_only_themselves():
     # ground-truth boxes overlap each other at IoU 0.905 and, in frames 4-8,
     # 1; the predictions do the same 50 px away, where no ground truth is
@@ -735,6 +736,26 @@ def test_scoring_keeps_only_ground_truth_to_prediction_pairs(thr):
         num_a, num_b = a.num_detections, b.num_detections
         assert report.identity == IdentityScores(0, num_b, num_a, 0.0)
         assert report.clear == ClearScores(num_a, num_b, num_a, 0, 1.0 - (num_a + num_b) / num_a)
+
+
+# --- metamorphic relations of the whole pipeline ----------------------------
+
+
+@pytest.mark.parametrize("max_gap", [None, 5])
+@pytest.mark.parametrize("mode", [MergeMode.DROP, MergeMode.AVERAGE])
+@pytest.mark.parametrize("seed", range(12))
+def test_pipeline_output_shifts_and_scales_with_its_input(seed, mode, max_gap):
+    # The scenarios' sizes are at least 8 and their values far within
+    # MAX_COORD / 2, so scaling by 2 or by 0.5 crosses neither MAX_COORD nor
+    # the MIN_BOX_SIZE / 2 clamp. A power of two scales every IoU operand,
+    # mean and interpolated value exactly.
+    tracksets = _scenario(seed)
+    for thr in (0.3, 0.5):
+        cfg = EnsembleConfig(thr_s=thr, thr_t=thr, thr_nms=thr, thr_len=5, merge_mode=mode, max_gap=max_gap)
+        fused = ensemble_pipeline(tracksets, cfg)
+        for shift, scale in ((2**40, 1.0), (0, 2.0), (0, 0.5)):
+            moved = [transformed(ts, shift, scale) for ts in tracksets]
+            assert ensemble_pipeline(moved, cfg) == transformed(fused, shift, scale)
 
 
 # --- edge inputs ------------------------------------------------------------
