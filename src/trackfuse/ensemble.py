@@ -84,7 +84,11 @@ def merge_group(group: Sequence[Trajectory], mode: MergeMode) -> Trajectory:
     anchor = group[0]
     if len(group) == 1:
         return anchor
-    frames = np.unique(np.concatenate([t.frame for t in group]))
+    frames = np.sort(np.concatenate([t.frame for t in group]))
+    first = np.empty(len(frames), bool)  # the first of each run of equal frames
+    first[0] = True
+    np.not_equal(frames[1:], frames[:-1], out=first[1:])
+    frames = frames[first]
     at = [np.searchsorted(frames, t.frame) for t in group]  # each member's rows in the output
     values = np.empty((len(frames), 5))  # x, y, w, h, confidence: the first member present's
     for rows, t in zip(reversed(at), reversed(group)):
@@ -166,7 +170,8 @@ def length_nms(tracks: Sequence[Trajectory], thr_nms: float) -> List[Trajectory]
         if gone is None:
             out.append(t)
             continue
-        keep = ~np.isin(t.frame, gone)
+        keep = np.ones(len(t.frame), bool)
+        keep[np.searchsorted(t.frame, gone)] = False  # frames ascend, and each one gone is one of them
         if keep.any():
             out.append(Trajectory._of(t.id, t.frame[keep], t.xywh[keep], t.conf[keep]))
     return out

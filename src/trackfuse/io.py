@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from io import StringIO
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,8 +29,8 @@ TEXT_BLOCK = 1 << 14
 # Rows the writer formats at once. It bounds the writer's temporary memory
 # and does not change results.
 ROW_BLOCK = 1 << 10
-# Besides ASCII digits, the bytes a block may hold to go to numpy's text reader.
-_PLAIN_NON_DIGITS = b".,-+eE \n"
+# The bytes a block may hold to go to numpy's text reader.
+_PLAIN = b"0123456789.,-+eE \n"
 # What follows the confidence on every line.
 _TAIL = b",-1,-1,-1\n"
 # Dekker's splitter: x * _SPLIT cuts a float64 into two halves of 26 bits.
@@ -45,18 +45,25 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _blocks(text: str) -> Iterator[str]:
-    """``text`` in pieces of about ``TEXT_BLOCK`` characters, each ending at a line break."""
+def _blocks(text: str) -> List[Tuple[int, int, int]]:
+    """Start, end and line count of the pieces of ``text`` that are read at once.
+
+    Each piece holds about ``TEXT_BLOCK`` characters and ends at a line
+    break or at the end of ``text``. Its lines are those that ``"\\n"``
+    ends, and a last line without one.
+    """
+    spans = []
     start = 0
     while start < len(text):
         end = text.find("\n", start + TEXT_BLOCK)
         end = len(text) if end < 0 else end + 1
-        yield text[start:end]
+        spans.append((start, end, text.count("\n", start, end) + (text[end - 1] != "\n")))
         start = end
+    return spans
 
 
-def _plain_table(block: str) -> Optional[np.ndarray]:
-    """The values of ``block`` as a float64[lines, columns] table, or None.
+def _plain_table(block: str, num_lines: int) -> Optional[np.ndarray]:
+    """The values of ``block``, of ``num_lines`` lines, as a float64[lines, columns] table, or None.
 
     Only blocks of plain numbers go to numpy's text reader, and a result is
     kept only with one row per line: a blank line, a ragged block, a
@@ -64,26 +71,25 @@ def _plain_table(block: str) -> Optional[np.ndarray]:
     converts tokens with the routine behind ``float``, so every value it
     returns is bit-identical to ``float``'s.
     """
-    # what is left is all ASCII digits, and at least one, only for a plain
-    # block; numpy warns on a block without data
-    if not (block.isascii() and block.encode("ascii").translate(None, _PLAIN_NON_DIGITS).isdigit()):
+    # ASCII blocks of _PLAIN bytes only, and not of spaces and line breaks
+    # alone: numpy warns on a block without data
+    if not block or block.isspace() or not block.isascii() or block.encode("ascii").translate(None, _PLAIN):
         return None
     try:
         table = np.loadtxt(StringIO(block), delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    num_lines = block.count("\n") + (not block.endswith("\n"))
     return table if len(table) == num_lines else None
 
 
-def _tokenize(lines: List[str], first_line: int) -> Tuple[List[float], List[int], List[int], Optional[ParseError]]:
-    """Line by line: values, column counts and line numbers of the non-blank lines.
+def _tokenize(lines: List[str], first_line: int) -> Tuple[List[List[float]], List[int], Optional[ParseError]]:
+    """Line by line: the first 7 values and the line numbers of the non-blank lines.
 
     Stops at the first line with fewer than 6 columns or a malformed number
-    and returns its error. Empty trailing columns are dropped.
+    and returns its error. Empty trailing columns are dropped, and a line
+    of 6 columns gets 1.0, an unset column 7.
     """
-    values: List[float] = []
-    counts: List[int] = []
+    rows: List[List[float]] = []
     line_nos: List[int] = []
     for line_no, raw in enumerate(lines, start=first_line):
         line = raw.strip()
@@ -93,75 +99,94 @@ def _tokenize(lines: List[str], first_line: int) -> Tuple[List[float], List[int]
         while parts and parts[-1] == "":
             parts.pop()
         if len(parts) < 6:
-            return values, counts, line_nos, ParseError(
-                line_no, f"expected at least 6 columns, got {len(parts)}"
-            )
+            return rows, line_nos, ParseError(line_no, f"expected at least 6 columns, got {len(parts)}")
         row = []
         for part in parts:
             try:
                 row.append(float(part))
             except ValueError:
-                return values, counts, line_nos, ParseError(line_no, f"malformed number {part!r}")
-        values += row
-        counts.append(len(parts))
+                return rows, line_nos, ParseError(line_no, f"malformed number {part!r}")
+        rows.append((row + [1.0])[:7])
         line_nos.append(line_no)
-    return values, counts, line_nos, None
+    return rows, line_nos, None
 
 
-def _rows(text: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[ParseError]]:
-    """The first 7 columns, the column counts and the line numbers of the non-blank lines.
+def _columns(text: str) -> Tuple[np.ndarray, Callable[[int], int], Optional[ParseError]]:
+    """The first 7 columns of the non-blank lines, the line of a row, and the error that stopped reading.
 
-    Reading stops at the first line with too few columns or a malformed
-    number, whose error is returned with the rows before it. Missing
-    columns hold an arbitrary value of the row.
+    The columns are ``float64[7, rows]``, filled one block at a time, so
+    each check runs on whole columns. Reading stops at the first line with
+    too few columns or a malformed number, whose error is returned with the
+    rows before it. A row without column 7 holds 1.0 there, which reads as
+    an unset confidence and an active ground-truth flag.
     """
-    # room for a row per "\n"; splitlines also breaks at "\r" and a few other
-    # characters, and text that uses them grows the arrays
-    size = text.count("\n") + 1
-    rows, counts, line_nos = np.empty((size, 7)), np.empty(size, np.int64), np.empty(size, np.int64)
+    spans = _blocks(text)
+    # a row per line, so that the rows of a text without blank lines fill it
+    # and its columns stay contiguous, which numpy's take needs to copy
+    # nothing but the rows taken; splitlines also breaks at "\r" and a few
+    # other characters, and text that uses them grows the array
+    columns = np.empty((7, sum(num_lines for _, _, num_lines in spans)))
     n = 0
+    # each block's first row and the lines of its rows: a range for a plain block
+    first_rows: List[int] = []
+    lines_of: List[Sequence[int]] = []
     error = None
     next_line = 1
-    for block in _blocks(text):
-        table = _plain_table(block)
+    for start, end, line_count in spans:
+        block = text[start:end]
+        table = _plain_table(block, line_count)
         if table is not None:
-            num_lines = len(table)
-            block_counts = np.full(num_lines, table.shape[1])
-            values = table.ravel()
-            block_lines = np.arange(next_line, next_line + num_lines)
+            num_lines, width = table.shape
+            if width < 6:
+                error = ParseError(next_line, f"expected at least 6 columns, got {width}")
+                break
+            values = table[:, :7]
+            block_lines: Sequence[int] = range(next_line, next_line + num_lines)
         else:
             lines = block.splitlines()
             num_lines = len(lines)
-            flat, count_list, no_list, error = _tokenize(lines, next_line)
-            values = np.array(flat, dtype=np.float64)
-            block_counts = np.array(count_list, dtype=np.int64)
-            block_lines = np.array(no_list, dtype=np.int64)
-        m = len(block_counts)
-        if n + m > size:
-            size = 2 * (n + m)
-            rows, counts, line_nos = (np.resize(a, (size, *a.shape[1:])) for a in (rows, counts, line_nos))
-        firsts = np.cumsum(block_counts) - block_counts
-        rows[n : n + m] = values[firsts[:, None] + np.minimum(np.arange(7), block_counts[:, None] - 1)]
-        counts[n : n + m] = block_counts
-        line_nos[n : n + m] = block_lines
+            listed, block_lines, error = _tokenize(lines, next_line)
+            values = np.array(listed).reshape(-1, 7)
+        m = len(values)
+        if n + m > columns.shape[1]:
+            columns = np.hstack((columns[:, :n], np.empty((7, n + m))))
+        columns[values.shape[1] :, n : n + m] = 1.0  # no column 7: unset
+        columns[: values.shape[1], n : n + m] = values.T
+        first_rows.append(n)
+        lines_of.append(block_lines)
         n += m
         if error is not None:
             break
         next_line += num_lines
-    return rows[:n], counts[:n], line_nos[:n], error
+
+    def line_of(r: int) -> int:
+        b = int(np.searchsorted(first_rows, r, "right")) - 1
+        return lines_of[b][r - first_rows[b]]
+
+    return columns[:, :n], line_of, error
 
 
-def _index_checks(values: np.ndarray, name: str) -> List[Tuple[np.ndarray, Callable[[int], str]]]:
-    """(offending rows, message) checks that ``values`` are whole numbers in [1, 2**53)."""
-
-    def whole_positive(r: int) -> str:
-        return f"{name} must be a positive integer, got {values[r].item()}"
-
-    def too_large(r: int) -> str:
-        return f"{name} must be below 2**53, got {values[r].item()}"
-
-    integral = np.isfinite(values) & (np.floor(values) == values) & (values >= 1)
-    return [(~integral, whole_positive), (values >= MAX_INDEX, too_large)]
+def _offence(row: List[float], duplicate: bool) -> str:
+    """The message of the first check that one offending row fails, in the order a line's checks run."""
+    frame, track_id, x, y, w, h, seventh = row
+    for name, value in (("frame", frame), ("id", track_id)):
+        if not (value.is_integer() and value >= 1):
+            return f"{name} must be a positive integer, got {value}"
+        if value >= MAX_INDEX:
+            return f"{name} must be below 2**53, got {value}"
+    if w < MIN_BOX_SIZE:
+        return f"box width {w} below {MIN_BOX_SIZE}"
+    if h < MIN_BOX_SIZE:
+        return f"box height {h} below {MIN_BOX_SIZE}"
+    if duplicate:
+        return f"duplicate (frame, id) pair ({int(frame)}, {int(track_id)})"
+    for name, value in zip("xywh", (x, y, w, h)):
+        if not np.isfinite(value):
+            return f"non-finite bounding box field {name}={value!r}"
+    for name, value in zip("xywh", (x, y, w, h)):
+        if abs(value) > MAX_COORD:
+            return f"bounding box field {name}={value!r} beyond 2**44 in magnitude"
+    return f"confidence outside [0, 1]: {seventh}"
 
 
 def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "") -> TrackSet:
@@ -184,57 +209,45 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
             ``MAX_COORD`` in magnitude, or a duplicate (frame, id) pair.
             It names the first offending line.
     """
-    rows, counts, line_nos, read_error = _rows(text)
-    frame, track_id, x, y, w, h, seventh = rows.T
-    has_seventh = counts >= 7
-    # each check is (offending rows, message for one of them), in the order
-    # one line's checks run; the first line with any offence fails
-    checks = [
-        (counts < 6, lambda r: f"expected at least 6 columns, got {counts[r]}"),
-        *_index_checks(frame, "frame"),
-        *_index_checks(track_id, "id"),
-        (w < MIN_BOX_SIZE, lambda r: f"box width {w[r].item()} below {MIN_BOX_SIZE}"),
-        (h < MIN_BOX_SIZE, lambda r: f"box height {h[r].item()} below {MIN_BOX_SIZE}"),
-    ]
-    early = np.logical_or.reduce([offending for offending, _ in checks])
+    columns, line_of, read_error = _columns(text)
+    indices, xywh, seventh = columns[:2], columns[2:6], columns[6]
+    # a row that fails a check before the flag is read is neither kept nor a duplicate
+    early = ~((np.floor(indices) == indices) & (indices >= 1) & (indices < MAX_INDEX)).all(axis=0)
+    early |= (xywh[2:] < MIN_BOX_SIZE).any(axis=0)
+    bad = ~((xywh >= -MAX_COORD) & (xywh <= MAX_COORD)).all(axis=0)  # non-finite or beyond the bound
     if is_ground_truth:
-        skipped = has_seventh & (seventh == 0)
-        conf = np.ones(len(rows))
+        skipped = seventh == 0
+        bad &= ~skipped
+        kept = np.flatnonzero(~(early | skipped))
     else:
-        skipped = np.zeros(len(rows), bool)
-        # -1 marks an unset confidence column, and values above 1 are clamped
-        conf = np.where(has_seventh, seventh, 1.0)
-        conf = np.where(conf < 0, 1.0, np.minimum(conf, 1.0))
-
-    kept = np.flatnonzero(~early & ~skipped)
-    frames, ids = frame[kept].astype(np.int64), track_id[kept].astype(np.int64)
-    order = np.lexsort((kept, frames, ids))  # by id, then frame, then line
+        bad |= np.isnan(seventh)
+        kept = np.flatnonzero(~early)
+    bad |= early
+    frames, ids = indices.take(kept, axis=1).astype(np.int64)
+    order = np.lexsort((frames, ids))  # by id, then frame; stable, so then by line
     kept, frames, ids = kept[order], frames[order], ids[order]
-    repeat = (frames[1:] == frames[:-1]) & (ids[1:] == ids[:-1])
-    duplicate = np.zeros(len(rows), bool)
-    duplicate[kept[1:][repeat]] = True
-    checks.append((duplicate, lambda r: f"duplicate (frame, id) pair ({int(frame[r])}, {int(track_id[r])})"))
-    for name, value in zip("xywh", (x, y, w, h)):
-        checks.append((~np.isfinite(value) & ~skipped, lambda r, name=name, value=value:
-                       f"non-finite bounding box field {name}={value[r].item()!r}"))
-    for name, value in zip("xywh", (x, y, w, h)):
-        checks.append(((np.abs(value) > MAX_COORD) & ~skipped, lambda r, name=name, value=value:
-                       f"bounding box field {name}={value[r].item()!r} beyond 2**44 in magnitude"))
-    checks.append((np.isnan(conf) & ~skipped, lambda r: f"confidence outside [0, 1]: {conf[r].item()}"))
-
-    bad = np.logical_or.reduce([offending for offending, _ in checks])
+    duplicates = kept[1:][(frames[1:] == frames[:-1]) & (ids[1:] == ids[:-1])]
+    bad[duplicates] = True
     if bad.any():
         r = int(np.argmax(bad))
-        raise ParseError(int(line_nos[r]), next(message(r) for offending, message in checks if offending[r]))
+        raise ParseError(line_of(r), _offence(columns[:, r].tolist(), bool((duplicates == r).any())))
     if read_error is not None:
         raise read_error
 
-    xywh = rows[kept, 2:6]
-    conf = conf[kept]
-    bounds = np.append(np.flatnonzero(np.diff(ids, prepend=ids[:1] - 1)), len(ids))
+    if is_ground_truth:
+        conf = np.ones(len(kept))
+    else:
+        conf = seventh.take(kept)
+        conf[conf < 0] = 1.0  # -1 marks an unset confidence column
+        np.minimum(conf, 1.0, out=conf)  # and values above 1 are clamped
+    xywh = xywh.T.take(kept, axis=0)
+    first = np.ones(len(ids), bool)  # the first row of each id
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    bounds = [*starts.tolist(), len(ids)]
     trajectories = [
-        Trajectory._of(int(ids[lo]), frames[lo:hi], xywh[lo:hi], conf[lo:hi])
-        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        Trajectory._of(track_id, frames[lo:hi], xywh[lo:hi], conf[lo:hi])
+        for track_id, lo, hi in zip(ids[starts].tolist(), bounds, bounds[1:])
     ]
     return TrackSet(sequence, trajectories)
 

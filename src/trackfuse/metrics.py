@@ -239,24 +239,24 @@ def _clear(gt: _Side, pred: _Side, hits: _Hits) -> ClearScores:
 
     last_match: Dict[int, int] = {}  # gt owner -> last predicted owner it matched
     done = 0  # bulk matches already in last_match
-    # the matches of the shared hits, kept as machine integers
-    extra_frame, extra_gt, extra_pred = array("q"), array("q"), array("q")
+    # the matches of the shared hits, kept as machine integers, and the bulk
+    # match each one goes before, which keeps every match in frame order
+    extra_at, extra_gt, extra_pred = array("q"), array("q"), array("q")
     for k, f in enumerate(conflict_frames.tolist()):
         last_match.update(zip(match_gt[done : bulk_before[k]].tolist(), match_pred[done : bulk_before[k]].tolist()))
         done = bulk_before[k]
         matches = _frame_matches(shared_hits[bounds[k] : bounds[k + 1]], last_match, functools.partial(whole_frame, f))
         last_match.update(matches)
-        extra_frame.extend([f] * len(matches))
+        extra_at.extend([done] * len(matches))
         extra_gt.extend(matches.keys())
         extra_pred.extend(matches.values())
 
-    match_frame, match_gt, match_pred = (
-        np.append(a, np.frombuffer(b, np.int64))
-        for a, b in zip((match_frame, match_gt, match_pred), (extra_frame, extra_gt, extra_pred))
-    )
-    matched = len(match_frame)
+    at = np.frombuffer(extra_at, np.int64)
+    match_gt = np.insert(match_gt, at, np.frombuffer(extra_gt, np.int64))
+    match_pred = np.insert(match_pred, at, np.frombuffer(extra_pred, np.int64))
+    matched = len(match_gt)
     # a switch is a change of predicted owner in one gt owner's matches, in frame order
-    order = np.lexsort((match_frame, match_gt))
+    order = np.argsort(match_gt, kind="stable")
     match_gt, match_pred = match_gt[order], match_pred[order]
     idsw = int(np.count_nonzero((match_gt[1:] == match_gt[:-1]) & (match_pred[1:] != match_pred[:-1])))
 

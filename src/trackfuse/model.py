@@ -79,7 +79,7 @@ def _checked_id(track_id: int) -> int:
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
+    array.setflags(write=False)
     return array
 
 

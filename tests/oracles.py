@@ -8,10 +8,10 @@ The scalar references are the exception. ``box_iou`` and ``st_iou`` are the
 one-pair definitions of box and spatio-temporal IoU; the library's
 same-frame overlap join must give bit-identical IoUs. The scalar pipeline
 stages are the per-pair ``box_iou`` loops that merge grouping, NMS, CLEAR
-and IDF1 ran before the overlap join, the per-line parser that ran before
-the columnar one, the per-box formatter that ran before the block writer,
-and synth's per-frame degradation loop that ran before the block draws,
-kept as differential references.
+and IDF1 ran before the overlap join, a per-frame ``merge_group``, the
+per-line parser that ran before the columnar one, the per-box formatter
+that ran before the block writer, and synth's per-frame degradation loop
+that ran before the block draws, kept as differential references.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from trackfuse import BoundingBox, Detection, ParseError, TrackSet, Trajectory
-from trackfuse.ensemble import EnsembleConfig, length_filter, merge_group, mix
+from trackfuse.ensemble import EnsembleConfig, MergeMode, length_filter, mix
 from trackfuse.interpolate import linear_interpolate
 from trackfuse.io import DECIMALS, MAX_COORD, MAX_INDEX, MIN_BOX_SIZE
 from trackfuse.metrics import ClearScores, IdentityScores
@@ -361,10 +361,38 @@ def clear_mot_scalar(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> Cl
     return ClearScores(num_gt, fp, fn, idsw, mota)
 
 
+def merge_group_scalar(group: Sequence[Trajectory], mode: MergeMode) -> Trajectory:
+    """``merge_group`` one frame at a time, from each frame's boxes in group order.
+
+    DROP keeps the box of the first member present. AVERAGE copies a lone
+    box; otherwise it sums the boxes from 0 in group order, divides by
+    their number and floors width and height at ``MIN_BOX_SIZE / 2``.
+    """
+    present: Dict[int, List[List[float]]] = {}  # frame -> x, y, w, h, confidence of each member present
+    for t in group:
+        for f, box, conf in zip(t.frame.tolist(), t.xywh.tolist(), t.conf.tolist()):
+            present.setdefault(f, []).append(box + [conf])
+    frames = sorted(present)
+    rows = []
+    for f in frames:
+        boxes = present[f]
+        if mode is MergeMode.DROP or len(boxes) == 1:
+            rows.append(boxes[0])
+            continue
+        totals = [0.0] * 5
+        for box in boxes:
+            for k, value in enumerate(box):
+                totals[k] += value
+        mean = [total / len(boxes) for total in totals]
+        mean[2], mean[3] = max(mean[2], MIN_BOX_SIZE / 2), max(mean[3], MIN_BOX_SIZE / 2)
+        rows.append(mean)
+    return Trajectory(group[0].id, frames, [row[:4] for row in rows], [row[4] for row in rows])
+
+
 def ensemble_pipeline_scalar(tracksets: Sequence[TrackSet], cfg: EnsembleConfig) -> TrackSet:
-    """``ensemble_pipeline`` with the scalar grouping and NMS; gaps are filled before the relabel."""
+    """``ensemble_pipeline`` with the scalar grouping, merging and NMS; gaps are filled before the relabel."""
     pool = mix(tracksets)
-    merged = [merge_group(g, cfg.merge_mode) for g in merge_groups_scalar(pool, cfg.thr_s, cfg.thr_t)]
+    merged = [merge_group_scalar(g, cfg.merge_mode) for g in merge_groups_scalar(pool, cfg.thr_s, cfg.thr_t)]
     kept = length_filter(length_nms_scalar(merged, cfg.thr_nms), cfg.thr_len)
     if cfg.max_gap is not None:
         kept = [linear_interpolate(t, cfg.max_gap) for t in kept]

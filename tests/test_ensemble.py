@@ -12,8 +12,9 @@ from trackfuse import (
     serialize_trackset,
 )
 from trackfuse.ensemble import length_filter, length_nms, merge_group, merge_groups, mix
+from trackfuse.model import MIN_BOX_SIZE
 
-from oracles import box_iou, canonical, const_track, make_track, random_trackset, st_iou
+from oracles import box_iou, canonical, const_track, make_track, merge_group_scalar, random_trackset, st_iou
 
 
 def algorithm_fixture():
@@ -140,6 +141,41 @@ def test_merge_group_drop_keeps_longest_member_box():
     assert merged.frame.tolist() == list(range(1, 14))
     assert merged.detections[9].box.x == 0.0  # both present: long wins
     assert merged.detections[12].box.x == 2.0  # only short present
+
+
+def _member(rng: random.Random, track_id: int, frames, smallest: bool) -> Trajectory:
+    """A track over ``frames`` with -0.0 among its values, and only the smallest sizes if ``smallest``."""
+    def coord():
+        return rng.choice([-0.0, rng.uniform(-50.0, 50.0)])
+
+    def size():
+        return MIN_BOX_SIZE / 2 if smallest else rng.choice([MIN_BOX_SIZE / 2, rng.uniform(MIN_BOX_SIZE / 2, 40.0)])
+
+    frames = sorted(frames)
+    return Trajectory(track_id, frames, [(coord(), coord(), size(), size()) for _ in frames],
+                      [rng.choice([0.0, 1.0, rng.random()]) for _ in frames])
+
+
+@pytest.mark.parametrize("mode", list(MergeMode))
+@pytest.mark.parametrize("seed", range(30))
+def test_merge_group_matches_per_frame_oracle(seed, mode):
+    rng = random.Random(seed)
+    # every third seed: ten or more members of the smallest boxes on nearly
+    # every frame, whose rounded mean size falls below MIN_BOX_SIZE / 2
+    smallest = seed % 3 == 0
+    size = rng.randint(10, 12) if smallest else rng.randint(2, 6)
+    # members drawn from one short span share most frames; members in
+    # spans of their own share none
+    overlapping = [_member(rng, k, rng.sample(range(1, 25), rng.randint(20 if smallest else 1, 20)), smallest)
+                   for k in range(1, size + 1)]
+    disjoint = [_member(rng, size + k, rng.sample(range(100 * k, 100 * k + 30), rng.randint(1, 20)), smallest)
+                for k in range(1, size + 1)]
+    for members in (overlapping, disjoint, overlapping + disjoint):
+        group = sorted(members, key=lambda t: (-t.length, t.id))
+        got, want = merge_group(group, mode), merge_group_scalar(group, mode)
+        assert got.id == want.id
+        for column in ("frame", "xywh", "conf"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
 
 
 def test_merge_groups_algorithm_fixture():

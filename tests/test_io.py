@@ -1,3 +1,4 @@
+import itertools
 import random
 from unittest import mock
 
@@ -520,6 +521,32 @@ def test_fused_boxes_at_the_bound_stay_in_range_and_read_back(inputs, max_gap):
 
 # -- numpy's reader and the per-line path meet at block boundaries --------------
 
+
+def _lines(frames, columns: int = 10) -> list:
+    """Valid lines of id 1 at ``frames``, of 6 or 10 columns."""
+    return [",".join([str(f), "1", "10", "20", "30", "40", "0.5", "-1", "-1", "-1"][:columns]) for f in frames]
+
+
+def _in_block(lines: list, k: int) -> int:
+    """The index of a line in the middle of block ``k`` (from 1) of the joined ``lines``, at the real block size."""
+    middle = (k - 0.5) * trackfuse.io.TEXT_BLOCK
+    return next(i for i, end in enumerate(itertools.accumulate(len(line) + 1 for line in lines)) if end > middle)
+
+
+def _past_the_first_block() -> list:
+    """Texts of several full-size plain blocks, each with its first offence in a later block."""
+    lines = _lines(range(1, 2501))
+    duplicate, thin, flag_zero = lines.copy(), lines.copy(), lines.copy()
+    duplicate[_in_block(lines, 4)] = lines[2]  # the first copy is line 3
+    thin[_in_block(lines, 3)] = thin[_in_block(lines, 3)].replace(",30,40,", ",0.001,40,")
+    flag_zero[_in_block(lines, 2)] = f"{_in_block(lines, 2) + 1},1,inf,20,30,40,0,-1,-1,-1"
+    six_between_ten = _lines(range(1, 801)) + _lines(range(801, 3001), 6) + _lines(range(3001, 3801))
+    texts = [duplicate, thin, flag_zero, six_between_ten]
+    names = ["duplicate-of-block-1-in-block-4", "width-below-minimum-in-block-3", "flag-0-row-with-inf-x-in-block-2",
+             "6-column-blocks-between-10-column-blocks"]
+    return [pytest.param("\n".join(text) + "\n", id=name) for text, name in zip(texts, names)]
+
+
 READER_CASES = [
     "",
     "   ",
@@ -550,6 +577,7 @@ READER_CASES = [
     "1,1,10,20,30,40,0.5\n1,1,11,20,30,40,0.5\n",
     "1,1,10,20,30,40,0.5\n2,1,10,20,30,40,0.5",  # no final line break
     "1,1,10,20,30,40,0.5\n2,1,10,20,30,40,0.5\n3,1,10,20,30,40,0.5\n" * 40 + "1e,1,10,20,30,40\n",
+    *_past_the_first_block(),
 ]
 
 
@@ -581,5 +609,6 @@ def test_parser_matches_oracle_at_reader_boundaries(monkeypatch, text, block, is
     ],
 )
 def test_only_plain_blocks_go_to_numpys_reader(block, shape):
-    table = trackfuse.io._plain_table(block)
+    line_count = sum(count for _, _, count in trackfuse.io._blocks(block))
+    table = trackfuse.io._plain_table(block, line_count)
     assert (None if table is None else table.shape) == shape
