@@ -31,7 +31,7 @@ Pairs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 # The most box rows a block holds, one-box frames included, unless one frame
 # alone holds more. It bounds the join's memory and does not change results.
-BLOCK_ROWS = 1 << 12
+BLOCK_ROWS = 1 << 13
 
 
 def box_columns(tracks: Sequence[Trajectory]) -> BoxColumns:

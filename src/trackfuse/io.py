@@ -13,6 +13,10 @@ visibility; class and visibility are ignored here (single-class data).
 
 from __future__ import annotations
 
+import re
+import warnings
+from contextlib import contextmanager
+from functools import lru_cache
 from io import StringIO
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -29,8 +33,15 @@ TEXT_BLOCK = 1 << 14
 # Rows the writer formats at once. It bounds the writer's temporary memory
 # and does not change results.
 ROW_BLOCK = 1 << 10
-# The bytes a block may hold to go to numpy's text reader.
-_PLAIN = b"0123456789.,-+eE \n"
+# The bytes a block may hold to go to numpy's text reader. It reads "\r\n"
+# as a line end and refuses a lone "\r", which splitlines also breaks at.
+_PLAIN = b"0123456789.,-+eE \r\n"
+# A first-line token that makes its column int64, if it is a frame, an id
+# or a column past the seventh: an integer literal.
+_INTEGER = re.compile(r"-?[0-9]+")
+# numpy 1.x reads a float token in an int64 field as its truncation, with a
+# DeprecationWarning; numpy 2 refuses it.
+_TRUNCATES = np.lib.NumpyVersion(np.__version__) < "2.0.0"
 # What follows the confidence on every line.
 _TAIL = b",-1,-1,-1\n"
 # Dekker's splitter: x * _SPLIT cuts a float64 into two halves of 26 bits.
@@ -62,24 +73,72 @@ def _blocks(text: str) -> List[Tuple[int, int, int]]:
     return spans
 
 
-def _plain_table(block: str, num_lines: int) -> Optional[np.ndarray]:
-    """The values of ``block``, of ``num_lines`` lines, as a float64[lines, columns] table, or None.
+def _integer_columns(text: str) -> Tuple[int, ...]:
+    """The frame, id and past-the-seventh columns of ``text``'s first line that hold integer literals.
 
-    Only blocks of plain numbers go to numpy's text reader, and a result is
-    kept only with one row per line: a blank line, a ragged block, a
-    malformed number or any other character returns None. The reader
-    converts tokens with the routine behind ``float``, so every value it
-    returns is bit-identical to ``float``'s.
+    Only those columns are read as int64: a frame or id of 0, which may be
+    written ``-0``, is refused and its message made from its line's text,
+    and the columns past the seventh are thrown away, so no value read
+    differs from ``float``'s. The first line is looked for in the first
+    ``TEXT_BLOCK`` characters only.
     """
-    # ASCII blocks of _PLAIN bytes only, and not of spaces and line breaks
-    # alone: numpy warns on a block without data
-    if not block or block.isspace() or not block.isascii() or block.encode("ascii").translate(None, _PLAIN):
-        return None
+    first = text[:TEXT_BLOCK].partition("\n")[0]
+    tokens = first.split(",")
+    return tuple(j for j, token in enumerate(tokens) if (j < 2 or j >= 7) and _INTEGER.fullmatch(token.strip()))
+
+
+@lru_cache(maxsize=64)
+def _record(width: int, integer: Tuple[int, ...]) -> np.dtype:
+    """One line of ``width`` columns: int64 in the ``integer`` columns, float64 in the rest."""
+    return np.dtype([(f"f{j}", np.int64 if j in integer else np.float64) for j in range(width)])
+
+
+@contextmanager
+def _strict_integers() -> Iterator[None]:
+    """A context in which numpy's reader refuses a float token in an int64 field.
+
+    numpy 2 refuses it anyway. On numpy 1.x the truncating read is made an
+    error for the duration, by a warnings filter, which is process-wide.
+    """
+    if not _TRUNCATES:
+        yield
+        return
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        yield
+
+
+def _is_plain(block: str) -> bool:
+    """Whether ``block`` holds only ``_PLAIN`` bytes, and not spaces and line breaks alone."""
+    # numpy warns on a block without data
+    return bool(block) and not block.isspace() and block.isascii() and not block.encode("ascii").translate(None, _PLAIN)
+
+
+def _plain_table(block: str, num_lines: int, integer: Tuple[int, ...] = ()) -> Optional[np.ndarray]:
+    """The values of the plain ``block``, of ``num_lines`` lines, one record per line, or None.
+
+    The record has as many fields as the first line has columns, int64 in
+    the ``integer`` columns and float64 in the rest. A result is kept only
+    with one record per line: a blank line, a ragged block, a malformed
+    number or a token that its int64 field refuses returns None; on numpy
+    1.x that needs ``_strict_integers``. The reader converts float tokens
+    with the routine behind ``float``, so every value it returns is
+    bit-identical to ``float``'s, and an accepted integer token converts to
+    that value too, unless it is written ``-0``.
+    """
+    end = block.find("\n")
+    width = block.count(",", 0, end if end >= 0 else len(block)) + 1
     try:
-        table = np.loadtxt(StringIO(block), delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(StringIO(block), delimiter=",", comments=None, dtype=_record(width, integer), ndmin=1)
     except ValueError:
         return None
     return table if len(table) == num_lines else None
+
+
+def _whole(values: np.ndarray) -> np.ndarray:
+    """Frames or ids read as floats, as int64; 0, which no check passes, where one is not whole and in [1, 2**53)."""
+    whole = (np.floor(values) == values) & (values >= 1) & (values < MAX_INDEX)
+    return np.where(whole, values, 0).astype(np.int64)
 
 
 def _tokenize(lines: List[str], first_line: int) -> Tuple[List[List[float]], List[int], Optional[ParseError]]:
@@ -111,59 +170,83 @@ def _tokenize(lines: List[str], first_line: int) -> Tuple[List[List[float]], Lis
     return rows, line_nos, None
 
 
-def _columns(text: str) -> Tuple[np.ndarray, Callable[[int], int], Optional[ParseError]]:
-    """The first 7 columns of the non-blank lines, the line of a row, and the error that stopped reading.
+def _columns(
+    text: str,
+) -> Tuple[np.ndarray, np.ndarray, Callable[[int], Tuple[int, List[float]]], Optional[ParseError]]:
+    """The first 7 columns of the non-blank lines, a row's line and values, and the error that stopped reading.
 
-    The columns are ``float64[7, rows]``, filled one block at a time, so
-    each check runs on whole columns. Reading stops at the first line with
-    too few columns or a malformed number, whose error is returned with the
-    rows before it. A row without column 7 holds 1.0 there, which reads as
-    an unset confidence and an active ground-truth flag.
+    The columns are frames and ids as ``int64[2, rows]`` and x, y, w, h and
+    column 7 as ``float64[5, rows]``, filled one block at a time, so each
+    check runs on whole columns. A frame or id that is not a whole number
+    in [1, 2**53) holds 0. A row without column 7 holds 1.0 there, which
+    reads as an unset confidence and an active ground-truth flag. Reading
+    stops at the first line with too few columns or a malformed number,
+    whose error is returned with the rows before it.
+
+    Plain blocks are read with int64 in the ``_integer_columns``. A block
+    that this fails is read again with float64 in them, as is the rest of
+    the text.
     """
     spans = _blocks(text)
-    # a row per line, so that the rows of a text without blank lines fill it
-    # and its columns stay contiguous, which numpy's take needs to copy
-    # nothing but the rows taken; splitlines also breaks at "\r" and a few
-    # other characters, and text that uses them grows the array
-    columns = np.empty((7, sum(num_lines for _, _, num_lines in spans)))
+    integer = _integer_columns(text)
+    # a row per line, so that the rows of a text without blank lines fill
+    # them and they stay contiguous, which numpy's take needs to copy
+    # nothing but the rows taken; splitlines also breaks at a lone "\r" and
+    # a few other characters, and text that uses them grows the arrays
+    rows = sum(num_lines for _, _, num_lines in spans)
+    indices, values = np.empty((2, rows), np.int64), np.empty((5, rows))
     n = 0
-    # each block's first row and the lines of its rows: a range for a plain block
+    # each block's first row, the lines of its rows (a range for a plain
+    # block), and its span and first line, to read one row again
     first_rows: List[int] = []
-    lines_of: List[Sequence[int]] = []
+    blocks: List[Tuple[Sequence[int], int, int, int]] = []
     error = None
     next_line = 1
     for start, end, line_count in spans:
         block = text[start:end]
-        table = _plain_table(block, line_count)
+        table = None
+        if _is_plain(block):
+            table = _plain_table(block, line_count, integer)
+            if table is None and integer:
+                integer = ()
+                table = _plain_table(block, line_count)
         if table is not None:
-            num_lines, width = table.shape
-            if width < 6:
-                error = ParseError(next_line, f"expected at least 6 columns, got {width}")
+            names = table.dtype.names
+            num_lines = len(table)
+            if len(names) < 6:
+                error = ParseError(next_line, f"expected at least 6 columns, got {len(names)}")
                 break
-            values = table[:, :7]
+            fields = [table[name] for name in names[:7]]
             block_lines: Sequence[int] = range(next_line, next_line + num_lines)
         else:
             lines = block.splitlines()
             num_lines = len(lines)
             listed, block_lines, error = _tokenize(lines, next_line)
-            values = np.array(listed).reshape(-1, 7)
-        m = len(values)
-        if n + m > columns.shape[1]:
-            columns = np.hstack((columns[:, :n], np.empty((7, n + m))))
-        columns[values.shape[1] :, n : n + m] = 1.0  # no column 7: unset
-        columns[: values.shape[1], n : n + m] = values.T
+            fields = list(np.array(listed).reshape(-1, 7).T)
+        m = len(block_lines)
+        if n + m > indices.shape[1]:
+            indices = np.hstack((indices[:, :n], np.empty((2, n + m), np.int64)))
+            values = np.hstack((values[:, :n], np.empty((5, n + m))))
+        for j, field in enumerate(fields[:2]):
+            indices[j, n : n + m] = field if field.dtype == np.int64 else _whole(field)
+        for j, field in enumerate(fields[2:]):
+            values[j, n : n + m] = field
+        values[len(fields) - 2 :, n : n + m] = 1.0  # no column 7: unset
         first_rows.append(n)
-        lines_of.append(block_lines)
+        blocks.append((block_lines, start, end, next_line))
         n += m
         if error is not None:
             break
         next_line += num_lines
 
-    def line_of(r: int) -> int:
+    def row_of(r: int) -> Tuple[int, List[float]]:
         b = int(np.searchsorted(first_rows, r, "right")) - 1
-        return lines_of[b][r - first_rows[b]]
+        block_lines, start, end, first_line = blocks[b]
+        line_no = block_lines[r - first_rows[b]]
+        line = text[start:end].splitlines()[line_no - first_line]
+        return line_no, _tokenize([line], line_no)[0][0]
 
-    return columns[:, :n], line_of, error
+    return indices[:, :n], values[:, :n], row_of, error
 
 
 def _offence(row: List[float], duplicate: bool) -> str:
@@ -209,10 +292,11 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
             ``MAX_COORD`` in magnitude, or a duplicate (frame, id) pair.
             It names the first offending line.
     """
-    columns, line_of, read_error = _columns(text)
-    indices, xywh, seventh = columns[:2], columns[2:6], columns[6]
+    with _strict_integers():
+        indices, values, row_of, read_error = _columns(text)
+    xywh, seventh = values[:4], values[4]
     # a row that fails a check before the flag is read is neither kept nor a duplicate
-    early = ~((np.floor(indices) == indices) & (indices >= 1) & (indices < MAX_INDEX)).all(axis=0)
+    early = ~((indices >= 1) & (indices < MAX_INDEX)).all(axis=0)
     early |= (xywh[2:] < MIN_BOX_SIZE).any(axis=0)
     bad = ~((xywh >= -MAX_COORD) & (xywh <= MAX_COORD)).all(axis=0)  # non-finite or beyond the bound
     if is_ground_truth:
@@ -223,14 +307,15 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
         bad |= np.isnan(seventh)
         kept = np.flatnonzero(~early)
     bad |= early
-    frames, ids = indices.take(kept, axis=1).astype(np.int64)
+    frames, ids = indices.take(kept, axis=1)
     order = np.lexsort((frames, ids))  # by id, then frame; stable, so then by line
     kept, frames, ids = kept[order], frames[order], ids[order]
     duplicates = kept[1:][(frames[1:] == frames[:-1]) & (ids[1:] == ids[:-1])]
     bad[duplicates] = True
     if bad.any():
         r = int(np.argmax(bad))
-        raise ParseError(line_of(r), _offence(columns[:, r].tolist(), bool((duplicates == r).any())))
+        line_no, row = row_of(r)
+        raise ParseError(line_no, _offence(row, bool((duplicates == r).any())))
     if read_error is not None:
         raise read_error
 

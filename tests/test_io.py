@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,8 @@ from trackfuse import (
     save_trackset,
     serialize_trackset,
 )
+
+from trackfuse.synth import DEFAULT_DEGRADATION, ScenarioSpec, generate_scenario
 
 from oracles import parse_trackset_scalar, random_trackset, serialize_trackset_scalar
 
@@ -380,14 +383,31 @@ ODD_NUMBER = st.sampled_from(
 )
 SEVENTH = st.sampled_from(["-1", "0", "0.5", "1", "1.7", "-0.0", "nan", "inf", "-inf"])
 MALFORMED = st.sampled_from(["", "x", "1..2", "0x10", "1 2", "--1", "_1", "1_", "nan1"])
+# Integer literals, which numpy's reader reads into an int64 frame, id or
+# past-the-seventh column when the first line holds one there, and into a
+# float64 column elsewhere: a zero of either sign, a leading zero, a float
+# that rounds the integer, and one past int64. Per column, those a valid
+# line may hold: frames, ids and sizes are positive, box values within 2**44.
+INTEGER = ["0", "-0", "007", "12", "-12", "9007199254740993", "9223372036854775808"]
+VALID_INTEGER = [["007", "12"]] * 2 + [INTEGER[:5]] * 2 + [["007", "12"]] * 2 + [INTEGER] * 4
+
+
+INT_COORD = st.one_of(st.integers(-50, 900).map(str), st.sampled_from(["0", "-0"]))
+INT_SIZE = st.integers(1, 80).map(str)
 
 
 @st.composite
-def mot_line(draw, odd: bool) -> str:
-    """One result or ground-truth line of 6 to 10 columns."""
-    tokens = [draw(INDEX), draw(INDEX), draw(COORD), draw(COORD), draw(SIZE), draw(SIZE)]
-    tokens += [draw(SEVENTH)] + ["-1"] * 3
-    tokens = tokens[: draw(st.integers(6, 10))]
+def mot_line(draw, odd: bool, integral: bool = False) -> str:
+    """One result or ground-truth line of 6 to 10 columns; an ``integral`` one of integer literals."""
+    if integral:
+        tokens = [draw(INDEX), draw(INDEX), draw(INT_COORD), draw(INT_COORD), draw(INT_SIZE), draw(INT_SIZE),
+                  draw(st.sampled_from(["-1", "0", "-0", "1"]))]
+    else:
+        tokens = [draw(INDEX), draw(INDEX), draw(COORD), draw(COORD), draw(SIZE), draw(SIZE), draw(SEVENTH)]
+    tokens = (tokens + ["-1"] * 3)[: draw(st.integers(6, 10))]
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(tokens) - 1))
+        tokens[at] = draw(st.sampled_from(INTEGER if odd else VALID_INTEGER[at]))
     if odd and draw(st.booleans()):
         at = draw(st.sampled_from([0, 1, *range(len(tokens))]))
         tokens[at] = draw(st.one_of(ODD_INDEX if at < 2 else ODD_NUMBER, MALFORMED))
@@ -400,9 +420,16 @@ def mot_line(draw, odd: bool) -> str:
 
 @st.composite
 def mot_text(draw) -> str:
-    """Lines with blank ones between them; ``odd`` texts also hold bad tokens."""
-    odd = draw(st.booleans())
-    lines = draw(st.lists(st.one_of(mot_line(odd), st.sampled_from(["", "  "])), max_size=40))
+    """Lines with blank ones between them; ``odd`` texts also hold bad tokens.
+
+    An ``integral`` text opens with a line of integer literals and holds
+    more of them, with lines of floats in the same columns among them.
+    """
+    odd, integral = draw(st.booleans()), draw(st.booleans())
+    line = st.one_of(mot_line(odd, True), mot_line(odd, True), mot_line(odd)) if integral else mot_line(odd)
+    lines = draw(st.lists(st.one_of(line, st.sampled_from(["", "  "])), max_size=40))
+    if integral:
+        lines = [draw(mot_line(False, True)), *lines]
     return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
 
 
@@ -434,6 +461,27 @@ def test_parser_matches_per_line_oracle(text, is_ground_truth, block):
         _assert_parses_like_oracle(text, is_ground_truth)
 
 
+@st.composite
+def integer_text(draw) -> str:
+    """Valid lines of integer literals, one a frame, zeros of either sign among them, and now and then a float."""
+    lines = []
+    for frame in range(1, draw(st.integers(1, 30)) + 1):
+        tokens = [str(frame), "1", draw(INT_COORD), draw(INT_COORD), draw(INT_SIZE), draw(INT_SIZE),
+                  draw(st.sampled_from(["-1", "0", "-0", "1"])), "-1", "-1", "-1"]
+        if draw(st.integers(0, 7)) == 0:
+            at = draw(st.integers(2, 9))
+            tokens[at] = draw(SIZE if 4 <= at < 6 else COORD)
+        lines.append(",".join(tokens))
+    return "\n".join(lines)
+
+
+@settings(max_examples=200)
+@given(integer_text(), st.booleans(), st.sampled_from([1, 7, 64, trackfuse.io.TEXT_BLOCK]))
+def test_integer_columns_match_per_line_oracle(text, is_ground_truth, block):
+    with mock.patch.object(trackfuse.io, "TEXT_BLOCK", block):
+        _assert_parses_like_oracle(text, is_ground_truth)
+
+
 def test_parser_oracle_sees_flag_zero_duplicates_and_errors():
     """Fixed cases the generator may not draw: a flag-0 row never counts as a duplicate."""
     gt = "1,1,0,0,10,10,0\n1,1,0,0,10,10,1\n1,1,5,5,10,10,0\n"
@@ -448,6 +496,57 @@ def test_parser_oracle_sees_flag_zero_duplicates_and_errors():
         expected = _outcome(parse_trackset_scalar, text, is_gt)
         assert isinstance(expected, tuple)
         assert _outcome(parse_trackset, text, is_gt) == expected
+
+
+def _mot17_ground_truth() -> str:
+    """MOT17-style ground truth by id, then frame: integer boxes, flags 0 and 1, class ids, a float visibility.
+
+    The first line's visibility is a float, and later ones are written ``1``
+    when the box is fully visible. About 70 KiB, so several plain blocks.
+    """
+    rng = random.Random(17)
+    lines = []
+    for track_id in range(1, 9):
+        flag, cls = (1, 1) if track_id % 4 else (0, rng.choice([2, 7, 8, 12]))
+        for frame in range(1, 301):
+            x, y, w, h = rng.randint(-30, 1900), rng.randint(-30, 1050), rng.randint(1, 200), rng.randint(1, 400)
+            visibility = "1" if lines and rng.random() < 0.3 else f"{rng.random():.5f}"
+            lines.append(f"{frame},{track_id},{x},{y},{w},{h},{flag},{cls},{visibility}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("is_ground_truth", [False, True])
+def test_mot17_ground_truth_reads_integer_columns_once_per_block(is_ground_truth):
+    text = _mot17_ground_truth()
+    blocks = trackfuse.io._blocks(text)
+    assert len(blocks) > 3
+    assert trackfuse.io._integer_columns(text) == (0, 1, 7)
+    with mock.patch.object(trackfuse.io.np, "loadtxt", wraps=np.loadtxt) as reader:
+        parse_trackset(text, is_ground_truth)
+    # integer boxes and flags go to float64 columns: no block is read again
+    assert reader.call_count == len(blocks)
+    _assert_parses_like_oracle(text, is_ground_truth)
+
+
+def _seed_tracker_text() -> str:
+    """The benchmark's bands tracker 1 at seed 7: about 520 KiB of result lines."""
+    _, trackers = generate_scenario(ScenarioSpec(20, 600, 800, 600, 7, (DEFAULT_DEGRADATION,) * 3))
+    return serialize_trackset(trackers[0])
+
+
+def test_windows_line_ends_read_as_plain_blocks():
+    text = _seed_tracker_text()
+    crlf = text.replace("\n", "\r\n")
+    with mock.patch.object(trackfuse.io, "_tokenize", wraps=trackfuse.io._tokenize) as tokenize:
+        parsed = parse_trackset(crlf)
+    assert tokenize.call_count == 0  # every block went to numpy's reader
+    assert _columns(parsed) == _columns(parse_trackset(text))
+    lines = text.splitlines(keepends=True)
+    for at, bad in [(1, "2,1,10,20,0.001,40,1"), (len(lines) // 2, "7,1,10,20,30,40,x"), (len(lines) - 1, "1.5,1,10,20,30,40")]:
+        broken = "".join([*lines[:at], bad + "\n", *lines[at + 1 :]])
+        expected = _outcome(parse_trackset, broken, False)
+        assert expected[0] == at + 1
+        assert _outcome(parse_trackset, broken.replace("\n", "\r\n"), False) == expected
 
 
 # -- whatever the pipeline writes reads back -----------------------------------
@@ -576,6 +675,14 @@ READER_CASES = [
     "1,1,10,20,30\n2,1,10,20,30,40\n",
     "1,1,10,20,30,40,0.5\n1,1,11,20,30,40,0.5\n",
     "1,1,10,20,30,40,0.5\n2,1,10,20,30,40,0.5",  # no final line break
+    # int64 columns from the first line, a zero of either sign, and what makes a block read them again as floats
+    "1,1,10,20,30,40,1\n2,1,-0,20,30,40,-0\n",
+    "1,1,10,20,30,40,0\n2,1,0,20,30,40,0\n3,1,-00,20,30,40,-5\n",
+    "1,1,10,20,30,40\n2,1,10.5,20,30,40\n",
+    "1,1,10,20,30,40,1,-1,-1,-1\n2,1,10,20,30,40,1,-1,-1,9223372036854775808\n",
+    "1,1,10,20,30,40\n9007199254740993,1,10,20,30,40\n",  # the float of the int64 is 2**53
+    "1,1,10,20,30,40\n2,-0,10,20,30,40\n",
+    "1,1,10,20,30,40\n2,1,10,20,-0,40\n",
     "1,1,10,20,30,40,0.5\n2,1,10,20,30,40,0.5\n3,1,10,20,30,40,0.5\n" * 40 + "1e,1,10,20,30,40\n",
     *_past_the_first_block(),
 ]
@@ -599,7 +706,8 @@ def test_parser_matches_oracle_at_reader_boundaries(monkeypatch, text, block, is
         (" \n \n", None),
         ("1,1,10,20,30,40\n\n", None),
         ("1,1,10,20,30,40\n2,1,10,20,30\n", None),
-        ("1,1,10,20,30,40\r\n", None),
+        ("1,1,10,20,30,40\r\n", (1, 6)),
+        ("1,1,10,20,30,40\r2,1,10,20,30,40\r\n", None),
         ("1_0,1,10,20,30,40\n", None),
         ("١,1,10,20,30,40\n", None),
         ("\ud800,1,10,20,30,40\n", None),
@@ -610,5 +718,43 @@ def test_parser_matches_oracle_at_reader_boundaries(monkeypatch, text, block, is
 )
 def test_only_plain_blocks_go_to_numpys_reader(block, shape):
     line_count = sum(count for _, _, count in trackfuse.io._blocks(block))
-    table = trackfuse.io._plain_table(block, line_count)
-    assert (None if table is None else table.shape) == shape
+    table = trackfuse.io._plain_table(block, line_count) if trackfuse.io._is_plain(block) else None
+    assert (None if table is None else (len(table), len(table.dtype))) == shape
+
+
+def test_integer_columns_come_from_the_first_line():
+    text = " 1 ,2,10.5,-3,007,-0,+1,12,-0,1e3\r\n2.5,x\n"
+    assert trackfuse.io._integer_columns(text) == (0, 1, 7, 8)
+    assert trackfuse.io._integer_columns("") == ()
+    # the first line is looked for in the first block only
+    with mock.patch.object(trackfuse.io, "TEXT_BLOCK", 5):
+        assert trackfuse.io._integer_columns("1,2,3,4,5,6,7,8,9\n") == (0, 1)
+
+
+@pytest.mark.parametrize("is_ground_truth", [False, True])
+@pytest.mark.parametrize("later", ["10.5,1,10,20,30,40", "2,10.5,10,20,30,40", "2,1,10,20,30,40,1,10.5"])
+def test_float_in_an_integer_column_is_not_truncated(later, is_ground_truth):
+    # numpy 1.x reads a float token in an int64 field as its truncation,
+    # with a DeprecationWarning, whatever filter the caller has set
+    text = "1,1,10,20,30,40,1,-1,-1,-1\n" + later + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        _assert_parses_like_oracle(text, is_ground_truth)
+
+
+@pytest.mark.parametrize(
+    "block,values",
+    [
+        ("1,1,10,20,30,40\n", [(1, 1, 10.0, 20.0, 30, 40.0)]),
+        ("+1, 007 ,10,20,30,40\r\n", [(1, 7, 10.0, 20.0, 30, 40.0)]),
+        ("-0,1,10,20,30,40\n", [(0, 1, 10.0, 20.0, 30, 40.0)]),  # read as 0, which no frame check passes
+        ("9223372036854775807,1,10,20,30,40\n", [(2**63 - 1, 1, 10.0, 20.0, 30, 40.0)]),
+        ("9223372036854775808,1,10,20,30,40\n", None),  # past int64
+        ("1.0,1,10,20,30,40\n", None),
+        ("1,1,10,20,1e1,40\n", None),
+    ],
+)
+def test_int64_fields_refuse_what_they_cannot_hold(block, values):
+    # int64 in columns 1, 2 and 5, float64 in the rest
+    table = trackfuse.io._plain_table(block, 1, (0, 1, 4))
+    assert (None if table is None else table.tolist()) == values

@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trackfuse import BoundingBox, EnsembleConfig, MergeMode, TrackSet, Trajectory, ensemble_pipeline
@@ -23,7 +23,7 @@ from trackfuse.ensemble import length_nms, merge_group, merge_groups, mix
 from trackfuse.geometry import box_columns, same_frame_pairs
 from trackfuse.metrics import ClearScores, EvalReport, IdentityScores, clear_mot, evaluate, idf1
 from trackfuse.model import MAX_COORD
-from trackfuse.synth import DEFAULT_DEGRADATION, ScenarioSpec, generate_scenario
+from trackfuse.synth import DEFAULT_DEGRADATION, ScenarioSpec, TrackerDegradation, generate_scenario
 
 from oracles import (
     box_iou,
@@ -394,13 +394,15 @@ def _join_peak(cols):
 def test_join_memory_is_bounded_by_the_block():
     # Ten times the frames must not cost ten times the memory: what grows
     # with the input is the row order (4 bytes a row) and a few numbers a
-    # frame; the rest is one block's layout and pairs.
-    few = _join_peak(_crowded_columns(60, 1))
-    many = _join_peak(_crowded_columns(600, 1))
+    # frame; the rest is one block's layout and pairs. The smaller input
+    # fills one block on each side.
+    frames = math.ceil(geometry.BLOCK_ROWS / 60)
+    few = _join_peak(_crowded_columns(frames, 1))
+    many = _join_peak(_crowded_columns(10 * frames, 1))
     assert many <= 1.5 * few
     # two sides joined as one set, built before the memory is traced
-    few = _join_peak(_both(_crowded_columns(60, 1), _crowded_columns(60, 2))[0])
-    many = _join_peak(_both(_crowded_columns(600, 1), _crowded_columns(600, 2))[0])
+    few = _join_peak(_both(_crowded_columns(frames, 1), _crowded_columns(frames, 2))[0])
+    many = _join_peak(_both(_crowded_columns(10 * frames, 1), _crowded_columns(10 * frames, 2))[0])
     assert many <= 1.5 * few
 
 
@@ -756,6 +758,76 @@ def test_pipeline_output_shifts_and_scales_with_its_input(seed, mode, max_gap):
         for shift, scale in ((2**40, 1.0), (0, 2.0), (0, 0.5)):
             moved = [transformed(ts, shift, scale) for ts in tracksets]
             assert ensemble_pipeline(moved, cfg) == transformed(fused, shift, scale)
+
+
+@st.composite
+def distinct_length_inputs(draw) -> list:
+    """2 or 3 inputs of up to 3 drifting tracks each in a 40-pixel arena; no two tracks share a length."""
+    counts = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    lengths = iter(draw(st.lists(st.integers(1, 30), min_size=sum(counts), max_size=sum(counts), unique=True)))
+    tracksets = []
+    for count in counts:
+        tracks = []
+        for track_id in range(1, count + 1):
+            length, start = next(lengths), draw(st.integers(1, 10))
+            inner = draw(st.sets(st.integers(start, start + length - 1), max_size=length))
+            frames = np.array(sorted(inner | {start, start + length - 1}))
+            base = [draw(st.floats(0, 30)), draw(st.floats(0, 30)), draw(st.floats(5, 20)), draw(st.floats(5, 20))]
+            drift = [draw(st.floats(-1, 1)), draw(st.floats(-1, 1)), 0.0, 0.0]
+            xywh = np.array(base) + np.outer(frames - start, drift)
+            tracks.append(Trajectory(track_id, frames, xywh, np.full(len(frames), draw(st.floats(0, 1)))))
+        tracksets.append(TrackSet("s", tracks))
+    return tracksets
+
+
+def _boxes(ts: TrackSet) -> list:
+    """The exact frames, boxes and confidences of every track, ids aside."""
+    return sorted((t.frame.tobytes(), t.xywh.tobytes(), t.conf.tobytes()) for t in ts.trajectories)
+
+
+@settings(max_examples=150)
+@given(
+    distinct_length_inputs(),
+    st.sampled_from(list(MergeMode)),
+    st.sampled_from([0.3, 0.5]),
+    st.sampled_from([0, 5]),
+    st.sampled_from([None, 3]),
+)
+def test_pipeline_output_does_not_depend_on_input_order(tracksets, mode, thr, thr_len, max_gap):
+    # Length ranks the pooled tracks for grouping and the merged ones for
+    # NMS. When no two of either share a length, the input order, which
+    # breaks ties of length, changes nothing.
+    merged = [merge_group(group, mode) for group in merge_groups(mix(tracksets), thr, thr)]
+    assume(len({t.length for t in merged}) == len(merged))
+    cfg = EnsembleConfig(thr_s=thr, thr_t=thr, thr_nms=thr, thr_len=thr_len, merge_mode=mode, max_gap=max_gap)
+    fused = _boxes(ensemble_pipeline(tracksets, cfg))
+    for order in itertools.permutations(tracksets):
+        assert _boxes(ensemble_pipeline(order, cfg)) == fused
+
+
+def test_input_order_breaks_a_tie_of_merged_lengths():
+    # Pooled lengths 10, 9 and 14 differ, but a's group spans 1-14, as long
+    # as b, which crosses it in frame 14 only: NMS keeps the box of the
+    # earlier input's track there.
+    a = const_track(1, 5, 14)
+    m = const_track(1, 1, 9)
+    b = Trajectory(2, np.arange(14, 28), [(0.0, 0.0, 10.0, 10.0)] + [(100.0, 0.0, 10.0, 10.0)] * 13, np.ones(14))
+    first, second = TrackSet("s", [a]), TrackSet("s", [m, b])
+    cfg = EnsembleConfig(thr_len=0)
+    spans = [[(t.start, t.stop) for t in ensemble_pipeline(inputs, cfg).trajectories]
+             for inputs in ([first, second], [second, first])]
+    assert spans == [[(15, 27), (1, 14)], [(14, 27), (1, 13)]]
+
+
+@pytest.mark.parametrize("mode", [MergeMode.DROP, MergeMode.AVERAGE])
+def test_input_order_is_pinned_at_benchmark_scale(mode):
+    # the benchmark's gappy inputs at seed 7, merged with its flags in
+    # AVERAGE mode; two of their 20 tracks share a length, and both orders
+    # still give the same boxes
+    gappy = TrackerDegradation(idswitch_rate=0.0005, drop_rate=0.1, jitter=1.0, segment_drop=15)
+    _, trackers = generate_scenario(ScenarioSpec(4, 6000, 800, 600, 7, (gappy,) * 2))
+    cfg = EnsembleConfig(merge_mode=mode, max_gap=20)
+    assert _boxes(ensemble_pipeline(trackers, cfg)) == _boxes(ensemble_pipeline(trackers[::-1], cfg))
 
 
 # --- edge inputs ------------------------------------------------------------
