@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 from typing import Iterator, List, Optional
 
@@ -163,7 +164,9 @@ def cmd_synth(args: argparse.Namespace) -> None:
             print(f"wrote {outdir / name}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call; every later call returns the same one."""
     parser = _Parser(
         prog="trackfuse",
         description="Fuse multi-object tracking result files, score them against "

@@ -14,12 +14,10 @@ visibility; class and visibility are ignored here (single-class data).
 from __future__ import annotations
 
 import re
-import warnings
-from contextlib import contextmanager
 from functools import lru_cache
 from io import StringIO
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,14 +31,15 @@ TEXT_BLOCK = 1 << 14
 # Rows the writer formats at once. It bounds the writer's temporary memory
 # and does not change results.
 ROW_BLOCK = 1 << 10
-# The bytes a block may hold to go to numpy's text reader. It reads "\r\n"
-# as a line end and refuses a lone "\r", which splitlines also breaks at.
-_PLAIN = b"0123456789.,-+eE \r\n"
+# The bytes besides "\n" that a block may hold to go to numpy's text
+# reader. It reads "\r\n" as a line end and refuses a lone "\r", which
+# splitlines also breaks at.
+_PLAIN = b"0123456789.,-+eE \r"
 # A first-line token that makes its column int64, if it is a frame, an id
 # or a column past the seventh: an integer literal.
 _INTEGER = re.compile(r"-?[0-9]+")
 # numpy 1.x reads a float token in an int64 field as its truncation, with a
-# DeprecationWarning; numpy 2 refuses it.
+# DeprecationWarning; numpy 2 refuses it, so only numpy 2 reads int64 fields.
 _TRUNCATES = np.lib.NumpyVersion(np.__version__) < "2.0.0"
 # What follows the confidence on every line.
 _TAIL = b",-1,-1,-1\n"
@@ -56,21 +55,18 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _blocks(text: str) -> List[Tuple[int, int, int]]:
-    """Start, end and line count of the pieces of ``text`` that are read at once.
+def _blocks(text: str) -> Iterator[str]:
+    """The pieces of ``text`` that are read at once.
 
     Each piece holds about ``TEXT_BLOCK`` characters and ends at a line
-    break or at the end of ``text``. Its lines are those that ``"\\n"``
-    ends, and a last line without one.
+    break or at the end of ``text``.
     """
-    spans = []
     start = 0
     while start < len(text):
         end = text.find("\n", start + TEXT_BLOCK)
         end = len(text) if end < 0 else end + 1
-        spans.append((start, end, text.count("\n", start, end) + (text[end - 1] != "\n")))
+        yield text[start:end]
         start = end
-    return spans
 
 
 def _integer_columns(text: str) -> Tuple[int, ...]:
@@ -80,8 +76,11 @@ def _integer_columns(text: str) -> Tuple[int, ...]:
     written ``-0``, is refused and its message made from its line's text,
     and the columns past the seventh are thrown away, so no value read
     differs from ``float``'s. The first line is looked for in the first
-    ``TEXT_BLOCK`` characters only.
+    ``TEXT_BLOCK`` characters only. On numpy 1.x, which would truncate a
+    float token there, there are none: every column is read as float64.
     """
+    if _TRUNCATES:
+        return ()
     first = text[:TEXT_BLOCK].partition("\n")[0]
     tokens = first.split(",")
     return tuple(j for j, token in enumerate(tokens) if (j < 2 or j >= 7) and _INTEGER.fullmatch(token.strip()))
@@ -93,25 +92,18 @@ def _record(width: int, integer: Tuple[int, ...]) -> np.dtype:
     return np.dtype([(f"f{j}", np.int64 if j in integer else np.float64) for j in range(width)])
 
 
-@contextmanager
-def _strict_integers() -> Iterator[None]:
-    """A context in which numpy's reader refuses a float token in an int64 field.
+def _plain_lines(block: str) -> Optional[int]:
+    """The number of lines of ``block`` if it may go to numpy's text reader, else None.
 
-    numpy 2 refuses it anyway. On numpy 1.x the truncating read is made an
-    error for the duration, by a warnings filter, which is process-wide.
+    It may if it holds only ``_PLAIN`` bytes and ``"\\n"``, and not spaces
+    and line breaks alone. Its lines are those that ``"\\n"`` ends, and a
+    last line without one.
     """
-    if not _TRUNCATES:
-        yield
-        return
-    with warnings.catch_warnings():
-        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-        yield
-
-
-def _is_plain(block: str) -> bool:
-    """Whether ``block`` holds only ``_PLAIN`` bytes, and not spaces and line breaks alone."""
     # numpy warns on a block without data
-    return bool(block) and not block.isspace() and block.isascii() and not block.encode("ascii").translate(None, _PLAIN)
+    if not block or block.isspace() or not block.isascii():
+        return None
+    breaks = block.encode("ascii").translate(None, _PLAIN)
+    return None if breaks.strip(b"\n") else len(breaks) + (not block.endswith("\n"))
 
 
 def _plain_table(block: str, num_lines: int, integer: Tuple[int, ...] = ()) -> Optional[np.ndarray]:
@@ -120,8 +112,9 @@ def _plain_table(block: str, num_lines: int, integer: Tuple[int, ...] = ()) -> O
     The record has as many fields as the first line has columns, int64 in
     the ``integer`` columns and float64 in the rest. A result is kept only
     with one record per line: a blank line, a ragged block, a malformed
-    number or a token that its int64 field refuses returns None; on numpy
-    1.x that needs ``_strict_integers``. The reader converts float tokens
+    number or a token that its int64 field refuses returns None. numpy 1.x
+    refuses no float token there, and gets no ``integer`` columns (see
+    ``_integer_columns``). The reader converts float tokens
     with the routine behind ``float``, so every value it returns is
     bit-identical to ``float``'s, and an accepted integer token converts to
     that value too, unless it is written ``-0``.
@@ -141,15 +134,14 @@ def _whole(values: np.ndarray) -> np.ndarray:
     return np.where(whole, values, 0).astype(np.int64)
 
 
-def _tokenize(lines: List[str], first_line: int) -> Tuple[List[List[float]], List[int], Optional[ParseError]]:
-    """Line by line: the first 7 values and the line numbers of the non-blank lines.
+def _tokenize(lines: List[str], first_line: int) -> Tuple[List[List[float]], Optional[ParseError]]:
+    """Line by line: the first 7 values of the non-blank lines.
 
     Stops at the first line with fewer than 6 columns or a malformed number
     and returns its error. Empty trailing columns are dropped, and a line
     of 6 columns gets 1.0, an unset column 7.
     """
     rows: List[List[float]] = []
-    line_nos: List[int] = []
     for line_no, raw in enumerate(lines, start=first_line):
         line = raw.strip()
         if not line:
@@ -158,72 +150,65 @@ def _tokenize(lines: List[str], first_line: int) -> Tuple[List[List[float]], Lis
         while parts and parts[-1] == "":
             parts.pop()
         if len(parts) < 6:
-            return rows, line_nos, ParseError(line_no, f"expected at least 6 columns, got {len(parts)}")
+            return rows, ParseError(line_no, f"expected at least 6 columns, got {len(parts)}")
         row = []
         for part in parts:
             try:
                 row.append(float(part))
             except ValueError:
-                return rows, line_nos, ParseError(line_no, f"malformed number {part!r}")
+                return rows, ParseError(line_no, f"malformed number {part!r}")
         rows.append((row + [1.0])[:7])
-        line_nos.append(line_no)
-    return rows, line_nos, None
+    return rows, None
 
 
-def _columns(
-    text: str,
-) -> Tuple[np.ndarray, np.ndarray, Callable[[int], Tuple[int, List[float]]], Optional[ParseError]]:
-    """The first 7 columns of the non-blank lines, a row's line and values, and the error that stopped reading.
+def _columns(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[ParseError]]:
+    """The first 7 columns of the non-blank lines, and the error that stopped reading.
 
     The columns are frames and ids as ``int64[2, rows]`` and x, y, w, h and
     column 7 as ``float64[5, rows]``, filled one block at a time, so each
-    check runs on whole columns. A frame or id that is not a whole number
-    in [1, 2**53) holds 0. A row without column 7 holds 1.0 there, which
-    reads as an unset confidence and an active ground-truth flag. Reading
-    stops at the first line with too few columns or a malformed number,
-    whose error is returned with the rows before it.
+    check runs on whole columns. Row ``r`` holds the ``r``-th non-blank
+    line of ``text``: a plain block has no blank line, and as blocks end
+    after a ``"\\n"``, a block's lines are lines of ``text``. A frame or id
+    that is not a whole number in [1, 2**53) holds 0. A row without column
+    7 holds 1.0 there, which reads as an unset confidence and an active
+    ground-truth flag. Reading stops at the first line with too few
+    columns or a malformed number, whose error is returned with the rows
+    before it.
 
     Plain blocks are read with int64 in the ``_integer_columns``. A block
     that this fails is read again with float64 in them, as is the rest of
     the text.
     """
-    spans = _blocks(text)
     integer = _integer_columns(text)
     # a row per line, so that the rows of a text without blank lines fill
     # them and they stay contiguous, which numpy's take needs to copy
     # nothing but the rows taken; splitlines also breaks at a lone "\r" and
     # a few other characters, and text that uses them grows the arrays
-    rows = sum(num_lines for _, _, num_lines in spans)
+    rows = text.count("\n") + (not text.endswith("\n"))
     indices, values = np.empty((2, rows), np.int64), np.empty((5, rows))
     n = 0
-    # each block's first row, the lines of its rows (a range for a plain
-    # block), and its span and first line, to read one row again
-    first_rows: List[int] = []
-    blocks: List[Tuple[Sequence[int], int, int, int]] = []
     error = None
     next_line = 1
-    for start, end, line_count in spans:
-        block = text[start:end]
+    for block in _blocks(text):
+        num_lines = _plain_lines(block)
         table = None
-        if _is_plain(block):
-            table = _plain_table(block, line_count, integer)
+        if num_lines is not None:
+            table = _plain_table(block, num_lines, integer)
             if table is None and integer:
                 integer = ()
-                table = _plain_table(block, line_count)
+                table = _plain_table(block, num_lines)
         if table is not None:
             names = table.dtype.names
-            num_lines = len(table)
             if len(names) < 6:
                 error = ParseError(next_line, f"expected at least 6 columns, got {len(names)}")
                 break
             fields = [table[name] for name in names[:7]]
-            block_lines: Sequence[int] = range(next_line, next_line + num_lines)
         else:
             lines = block.splitlines()
             num_lines = len(lines)
-            listed, block_lines, error = _tokenize(lines, next_line)
+            listed, error = _tokenize(lines, next_line)
             fields = list(np.array(listed).reshape(-1, 7).T)
-        m = len(block_lines)
+        m = len(fields[0])
         if n + m > indices.shape[1]:
             indices = np.hstack((indices[:, :n], np.empty((2, n + m), np.int64)))
             values = np.hstack((values[:, :n], np.empty((5, n + m))))
@@ -232,21 +217,17 @@ def _columns(
         for j, field in enumerate(fields[2:]):
             values[j, n : n + m] = field
         values[len(fields) - 2 :, n : n + m] = 1.0  # no column 7: unset
-        first_rows.append(n)
-        blocks.append((block_lines, start, end, next_line))
         n += m
         if error is not None:
             break
         next_line += num_lines
+    return indices[:, :n], values[:, :n], error
 
-    def row_of(r: int) -> Tuple[int, List[float]]:
-        b = int(np.searchsorted(first_rows, r, "right")) - 1
-        block_lines, start, end, first_line = blocks[b]
-        line_no = block_lines[r - first_rows[b]]
-        line = text[start:end].splitlines()[line_no - first_line]
-        return line_no, _tokenize([line], line_no)[0][0]
 
-    return indices[:, :n], values[:, :n], row_of, error
+def _row(text: str, r: int) -> Tuple[int, List[float]]:
+    """The line number and first 7 values of the ``r``-th non-blank line of ``text``, counted from 0."""
+    line_no, line = [(k, line) for k, line in enumerate(text.splitlines(), start=1) if line.strip()][r]
+    return line_no, _tokenize([line], line_no)[0][0]
 
 
 def _offence(row: List[float], duplicate: bool) -> str:
@@ -292,8 +273,7 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
             ``MAX_COORD`` in magnitude, or a duplicate (frame, id) pair.
             It names the first offending line.
     """
-    with _strict_integers():
-        indices, values, row_of, read_error = _columns(text)
+    indices, values, read_error = _columns(text)
     xywh, seventh = values[:4], values[4]
     # a row that fails a check before the flag is read is neither kept nor a duplicate
     early = ~((indices >= 1) & (indices < MAX_INDEX)).all(axis=0)
@@ -314,7 +294,7 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
     bad[duplicates] = True
     if bad.any():
         r = int(np.argmax(bad))
-        line_no, row = row_of(r)
+        line_no, row = _row(text, r)
         raise ParseError(line_no, _offence(row, bool((duplicates == r).any())))
     if read_error is not None:
         raise read_error

@@ -27,6 +27,28 @@ GT_TEXT = "".join(f"{f},1,0.00,0.00,10.00,10.00,1.00,-1,-1,-1\n" for f in range(
 SPLIT_PRED_TEXT = "".join(
     f"{f},{1 if f <= 5 else 2},0.00,0.00,10.00,10.00,1.00,-1,-1,-1\n" for f in range(1, 11)
 )
+# eval's stdout for SPLIT_PRED_TEXT against GT_TEXT: one identity switch at frame 6
+SWITCH_REPORT = (
+    "num_gt  10\n"
+    "FP      0\n"
+    "FN      0\n"
+    "IDSW    1\n"
+    "MOTA    0.9000\n"
+    "IDTP    5\n"
+    "IDFP    5\n"
+    "IDFN    5\n"
+    "IDF1    0.5000\n"
+    "\n"
+    "#metric num_gt=10\n"
+    "#metric fp=0\n"
+    "#metric fn=0\n"
+    "#metric idsw=1\n"
+    "#metric mota=0.9000\n"
+    "#metric idtp=5\n"
+    "#metric idfp=5\n"
+    "#metric idfn=5\n"
+    "#metric idf1=0.5000\n"
+)
 
 
 @pytest.fixture
@@ -321,27 +343,7 @@ def test_eval_switch_fixture(tmp_path, capsys):
     pred = tmp_path / "pred.txt"
     pred.write_text(SPLIT_PRED_TEXT)
     assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 0
-    assert capsys.readouterr().out == (
-        "num_gt  10\n"
-        "FP      0\n"
-        "FN      0\n"
-        "IDSW    1\n"
-        "MOTA    0.9000\n"
-        "IDTP    5\n"
-        "IDFP    5\n"
-        "IDFN    5\n"
-        "IDF1    0.5000\n"
-        "\n"
-        "#metric num_gt=10\n"
-        "#metric fp=0\n"
-        "#metric fn=0\n"
-        "#metric idsw=1\n"
-        "#metric mota=0.9000\n"
-        "#metric idtp=5\n"
-        "#metric idfp=5\n"
-        "#metric idfn=5\n"
-        "#metric idf1=0.5000\n"
-    )
+    assert capsys.readouterr().out == SWITCH_REPORT
 
 
 def write_crowd_scene(out):
@@ -495,6 +497,21 @@ def test_usage_errors_exit_one(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["merge"]) == 1  # missing required flags
     capsys.readouterr()
+
+
+def test_main_runs_a_command_after_a_usage_error(tmp_path, capsys):
+    # every call of main parses with the one parser build_parser made
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["merge", "-i", "a.txt"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: trackfuse merge ")
+    assert err.endswith("\ntrackfuse merge: error: the following arguments are required: -o/--output\n")
+    gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
+    gt.write_text(GT_TEXT)
+    pred.write_text(SPLIT_PRED_TEXT)
+    assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 0
+    assert capsys.readouterr() == (SWITCH_REPORT, "")
 
 
 # Scenario config files the failure matrix below reads, by name.

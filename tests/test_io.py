@@ -424,13 +424,16 @@ def mot_text(draw) -> str:
 
     An ``integral`` text opens with a line of integer literals and holds
     more of them, with lines of floats in the same columns among them.
+    Each line but the last ends in a break of its own, drawn from those
+    numpy's reader takes and others that splitlines breaks at.
     """
     odd, integral = draw(st.booleans()), draw(st.booleans())
     line = st.one_of(mot_line(odd, True), mot_line(odd, True), mot_line(odd)) if integral else mot_line(odd)
     lines = draw(st.lists(st.one_of(line, st.sampled_from(["", "  "])), max_size=40))
     if integral:
         lines = [draw(mot_line(False, True)), *lines]
-    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85"])
+    return "".join(line + draw(breaks) for line in lines[:-1]) + "".join(lines[-1:])
 
 
 def _outcome(parse, text, is_ground_truth):
@@ -518,7 +521,7 @@ def _mot17_ground_truth() -> str:
 @pytest.mark.parametrize("is_ground_truth", [False, True])
 def test_mot17_ground_truth_reads_integer_columns_once_per_block(is_ground_truth):
     text = _mot17_ground_truth()
-    blocks = trackfuse.io._blocks(text)
+    blocks = list(trackfuse.io._blocks(text))
     assert len(blocks) > 3
     assert trackfuse.io._integer_columns(text) == (0, 1, 7)
     with mock.patch.object(trackfuse.io.np, "loadtxt", wraps=np.loadtxt) as reader:
@@ -717,8 +720,8 @@ def test_parser_matches_oracle_at_reader_boundaries(monkeypatch, text, block, is
     ],
 )
 def test_only_plain_blocks_go_to_numpys_reader(block, shape):
-    line_count = sum(count for _, _, count in trackfuse.io._blocks(block))
-    table = trackfuse.io._plain_table(block, line_count) if trackfuse.io._is_plain(block) else None
+    line_count = trackfuse.io._plain_lines(block)
+    table = None if line_count is None else trackfuse.io._plain_table(block, line_count)
     assert (None if table is None else (len(table), len(table.dtype))) == shape
 
 
@@ -740,6 +743,30 @@ def test_float_in_an_integer_column_is_not_truncated(later, is_ground_truth):
     with warnings.catch_warnings():
         warnings.simplefilter("default")
         _assert_parses_like_oracle(text, is_ground_truth)
+
+
+def _assert_float64_reads_like_oracle(monkeypatch, text, block, is_ground_truth):
+    """With numpy 1.x's every-column-float64 read, ``text`` parses like the per-line parser."""
+    monkeypatch.setattr(trackfuse.io, "_TRUNCATES", True)
+    monkeypatch.setattr(trackfuse.io, "TEXT_BLOCK", block)
+    with mock.patch.object(trackfuse.io.np, "loadtxt", wraps=np.loadtxt) as reader:
+        _assert_parses_like_oracle(text, is_ground_truth)
+    for call in reader.call_args_list:
+        assert {dtype for dtype, _ in call.kwargs["dtype"].fields.values()} == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("is_ground_truth", [False, True])
+@pytest.mark.parametrize("block", [1, trackfuse.io.TEXT_BLOCK])
+@pytest.mark.parametrize("text", READER_CASES)
+def test_numpy_1_reads_reader_cases_as_float64(monkeypatch, text, block, is_ground_truth):
+    _assert_float64_reads_like_oracle(monkeypatch, text, block, is_ground_truth)
+
+
+@pytest.mark.parametrize("is_ground_truth", [False, True])
+@pytest.mark.parametrize("block", [1, trackfuse.io.TEXT_BLOCK])
+@pytest.mark.parametrize("make_text", [_mot17_ground_truth, _seed_tracker_text])
+def test_numpy_1_reads_integer_and_benchmark_files_as_float64(monkeypatch, make_text, block, is_ground_truth):
+    _assert_float64_reads_like_oracle(monkeypatch, make_text(), block, is_ground_truth)
 
 
 @pytest.mark.parametrize(
