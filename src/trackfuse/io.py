@@ -109,10 +109,11 @@ def _plain_lines(block: str) -> Optional[int]:
 def _plain_table(block: str, num_lines: int, integer: Tuple[int, ...] = ()) -> Optional[np.ndarray]:
     """The values of the plain ``block``, of ``num_lines`` lines, one record per line, or None.
 
-    The record has as many fields as the first line has columns, int64 in
-    the ``integer`` columns and float64 in the rest. A result is kept only
-    with one record per line: a blank line, a ragged block, a malformed
-    number or a token that its int64 field refuses returns None. numpy 1.x
+    The record has as many fields as the first line has columns, and at
+    least 6, int64 in the ``integer`` columns and float64 in the rest. A
+    result is kept only with one record per line: a blank line, a ragged
+    block, a line of fewer than 6 columns, a malformed number or a token
+    that its int64 field refuses returns None. numpy 1.x
     refuses no float token there, and gets no ``integer`` columns (see
     ``_integer_columns``). The reader converts float tokens
     with the routine behind ``float``, so every value it returns is
@@ -122,7 +123,7 @@ def _plain_table(block: str, num_lines: int, integer: Tuple[int, ...] = ()) -> O
     end = block.find("\n")
     width = block.count(",", 0, end if end >= 0 else len(block)) + 1
     try:
-        table = np.loadtxt(StringIO(block), delimiter=",", comments=None, dtype=_record(width, integer), ndmin=1)
+        table = np.loadtxt(StringIO(block), delimiter=",", comments=None, dtype=_record(max(width, 6), integer), ndmin=1)
     except ValueError:
         return None
     return table if len(table) == num_lines else None
@@ -134,15 +135,15 @@ def _whole(values: np.ndarray) -> np.ndarray:
     return np.where(whole, values, 0).astype(np.int64)
 
 
-def _tokenize(lines: List[str], first_line: int) -> Tuple[List[List[float]], Optional[ParseError]]:
+def _tokenize(lines: List[str]) -> Tuple[List[List[float]], Optional[str]]:
     """Line by line: the first 7 values of the non-blank lines.
 
     Stops at the first line with fewer than 6 columns or a malformed number
-    and returns its error. Empty trailing columns are dropped, and a line
+    and returns its message. Empty trailing columns are dropped, and a line
     of 6 columns gets 1.0, an unset column 7.
     """
     rows: List[List[float]] = []
-    for line_no, raw in enumerate(lines, start=first_line):
+    for raw in lines:
         line = raw.strip()
         if not line:
             continue
@@ -150,19 +151,19 @@ def _tokenize(lines: List[str], first_line: int) -> Tuple[List[List[float]], Opt
         while parts and parts[-1] == "":
             parts.pop()
         if len(parts) < 6:
-            return rows, ParseError(line_no, f"expected at least 6 columns, got {len(parts)}")
+            return rows, f"expected at least 6 columns, got {len(parts)}"
         row = []
         for part in parts:
             try:
                 row.append(float(part))
             except ValueError:
-                return rows, ParseError(line_no, f"malformed number {part!r}")
+                return rows, f"malformed number {part!r}"
         rows.append((row + [1.0])[:7])
     return rows, None
 
 
-def _columns(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[ParseError]]:
-    """The first 7 columns of the non-blank lines, and the error that stopped reading.
+def _columns(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
+    """The first 7 columns of the non-blank lines, and the message of the line that stopped reading.
 
     The columns are frames and ids as ``int64[2, rows]`` and x, y, w, h and
     column 7 as ``float64[5, rows]``, filled one block at a time, so each
@@ -172,8 +173,8 @@ def _columns(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[ParseError]]:
     that is not a whole number in [1, 2**53) holds 0. A row without column
     7 holds 1.0 there, which reads as an unset confidence and an active
     ground-truth flag. Reading stops at the first line with too few
-    columns or a malformed number, whose error is returned with the rows
-    before it.
+    columns or a malformed number, whose message is returned with the rows
+    before it: that line is the non-blank line after them.
 
     Plain blocks are read with int64 in the ``_integer_columns``. A block
     that this fails is read again with float64 in them, as is the rest of
@@ -188,7 +189,6 @@ def _columns(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[ParseError]]:
     indices, values = np.empty((2, rows), np.int64), np.empty((5, rows))
     n = 0
     error = None
-    next_line = 1
     for block in _blocks(text):
         num_lines = _plain_lines(block)
         table = None
@@ -198,15 +198,9 @@ def _columns(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[ParseError]]:
                 integer = ()
                 table = _plain_table(block, num_lines)
         if table is not None:
-            names = table.dtype.names
-            if len(names) < 6:
-                error = ParseError(next_line, f"expected at least 6 columns, got {len(names)}")
-                break
-            fields = [table[name] for name in names[:7]]
+            fields = [table[name] for name in table.dtype.names[:7]]
         else:
-            lines = block.splitlines()
-            num_lines = len(lines)
-            listed, error = _tokenize(lines, next_line)
+            listed, error = _tokenize(block.splitlines())
             fields = list(np.array(listed).reshape(-1, 7).T)
         m = len(fields[0])
         if n + m > indices.shape[1]:
@@ -220,14 +214,12 @@ def _columns(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[ParseError]]:
         n += m
         if error is not None:
             break
-        next_line += num_lines
     return indices[:, :n], values[:, :n], error
 
 
-def _row(text: str, r: int) -> Tuple[int, List[float]]:
-    """The line number and first 7 values of the ``r``-th non-blank line of ``text``, counted from 0."""
-    line_no, line = [(k, line) for k, line in enumerate(text.splitlines(), start=1) if line.strip()][r]
-    return line_no, _tokenize([line], line_no)[0][0]
+def _line(text: str, r: int) -> Tuple[int, str]:
+    """The line number and text of the ``r``-th non-blank line of ``text``, counted from 0."""
+    return [(k, line) for k, line in enumerate(text.splitlines(), start=1) if line.strip()][r]
 
 
 def _offence(row: List[float], duplicate: bool) -> str:
@@ -271,7 +263,8 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
             [1, 2**53), box width or height below ``MIN_BOX_SIZE``,
             non-finite coordinate or confidence, box value beyond
             ``MAX_COORD`` in magnitude, or a duplicate (frame, id) pair.
-            It names the first offending line.
+            It names the first offending line, found by splitting the
+            text into lines again.
     """
     indices, values, read_error = _columns(text)
     xywh, seventh = values[:4], values[4]
@@ -294,10 +287,10 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
     bad[duplicates] = True
     if bad.any():
         r = int(np.argmax(bad))
-        line_no, row = _row(text, r)
-        raise ParseError(line_no, _offence(row, bool((duplicates == r).any())))
+        line_no, line = _line(text, r)
+        raise ParseError(line_no, _offence(_tokenize([line])[0][0], bool((duplicates == r).any())))
     if read_error is not None:
-        raise read_error
+        raise ParseError(_line(text, indices.shape[1])[0], read_error)
 
     if is_ground_truth:
         conf = np.ones(len(kept))

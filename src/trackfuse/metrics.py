@@ -61,7 +61,8 @@ _FORBIDDEN = 1e9
 
 
 # Frames and owners of one side's boxes. An owner indexes the side's tracks
-# in id order, so owner order is id order.
+# in id order, so owner order is id order. The boxes come by owner, one a
+# frame, so the owners at one frame ascend.
 _Side = Tuple[np.ndarray, np.ndarray]
 # Hits: (frame, gt owner, predicted owner, IoU) of every same-frame pair with
 # IoU >= iou_match, in (frame, gt owner, predicted owner) order.
@@ -92,18 +93,6 @@ def _hits(gt: TrackSet, pred: TrackSet, iou_match: float) -> Tuple[_Side, _Side,
     split = gt.num_detections
     gt_side, pred_side = (frames[:split], owners[:split]), (frames[split:], owners[split:] - num_gt)
     return gt_side, pred_side, tuple(np.concatenate(column) for column in zip(*hits))
-
-
-def _by_frame(side: _Side) -> _Side:
-    """Frames and owners of the boxes, sorted by (frame, owner)."""
-    order = np.lexsort((side[1], side[0]))
-    return side[0][order], side[1][order]
-
-
-def _owners_at(by_frame: _Side, frame: int) -> List[int]:
-    """The owners of the boxes at ``frame``, ascending."""
-    at, owners = by_frame
-    return owners[np.searchsorted(at, frame, "left") : np.searchsorted(at, frame, "right")].tolist()
 
 
 # A frame's owners present, ground truth then predicted, each ascending, and
@@ -210,7 +199,8 @@ def clear_mot(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> ClearScor
     other hit of their frame, are matched in bulk. Only the shared hits,
     those of the conflict frames, run the carry-over in frame order, and
     a conflict frame runs the assignment only when an owner is still in
-    two open hits after it.
+    two open hits after it. Only then are the owners present looked up,
+    by scanning each side's boxes for that frame.
     """
     return _clear(*_hits(gt, pred, iou_match))
 
@@ -228,14 +218,13 @@ def _clear(gt: _Side, pred: _Side, hits: _Hits) -> ClearScores:
     bounds = np.append(first, len(shared_frame)).tolist()
     bulk_before = np.searchsorted(match_frame, conflict_frames).tolist()
     shared_hits = list(zip(hit_gt[shared].tolist(), hit_pred[shared].tolist()))
-    by_frame = functools.cache(lambda: (_by_frame(gt), _by_frame(pred)))
 
     def whole_frame(f: int) -> Tuple[List[int], List[int], Dict[Tuple[int, int], float]]:
-        """Frame ``f``'s owners present and its hits, for its assignment."""
-        gt_at, pred_at = by_frame()
+        """Frame ``f``'s owners present, found by scanning each side's boxes, and its hits."""
         lo, hi = np.searchsorted(frame, [f, f + 1]).tolist()
         keys = zip(hit_gt[lo:hi].tolist(), hit_pred[lo:hi].tolist())
-        return _owners_at(gt_at, f), _owners_at(pred_at, f), dict(zip(keys, hit_iou[lo:hi].tolist()))
+        gt_owners, pred_owners = (owners[frames == f].tolist() for frames, owners in (gt, pred))
+        return gt_owners, pred_owners, dict(zip(keys, hit_iou[lo:hi].tolist()))
 
     last_match: Dict[int, int] = {}  # gt owner -> last predicted owner it matched
     done = 0  # bulk matches already in last_match

@@ -220,6 +220,8 @@ class TrackSet:
     trajectories: List[Trajectory] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        # a list of its own: the caller's list may change, and an iterator is read once
+        object.__setattr__(self, "trajectories", list(self.trajectories))
         ids = [t.id for t in self.trajectories]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate trajectory ids within a track set")

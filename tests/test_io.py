@@ -699,6 +699,23 @@ def test_parser_matches_oracle_at_reader_boundaries(monkeypatch, text, block, is
     _assert_parses_like_oracle(text, is_ground_truth)
 
 
+@pytest.mark.parametrize("is_ground_truth", [False, True])
+@pytest.mark.parametrize("block", [64, trackfuse.io.TEXT_BLOCK])
+def test_short_line_opening_a_later_plain_block_is_named(monkeypatch, block, is_ground_truth):
+    monkeypatch.setattr(trackfuse.io, "TEXT_BLOCK", block)
+    # the valid lines up to the first block end past line 400, then a line of 5 columns
+    lines = _lines(range(1, 2001))
+    ends = itertools.accumulate(piece.count("\n") for piece in trackfuse.io._blocks("\n".join(lines) + "\n"))
+    kept = next(end for end in ends if end >= 400)
+    short = f"{kept + 1},1,10,20,30\n"
+    text = "\n".join(lines[:kept]) + "\n" + short
+    *_, last = trackfuse.io._blocks(text)
+    assert last == short and trackfuse.io._plain_lines(last) == 1
+    expected = (kept + 1, f"line {kept + 1}: expected at least 6 columns, got 5")
+    assert _outcome(parse_trackset, text, is_ground_truth) == expected
+    assert _outcome(parse_trackset_scalar, text, is_ground_truth) == expected
+
+
 @pytest.mark.parametrize(
     "block,shape",
     [

@@ -651,6 +651,32 @@ def test_clear_mot_keeps_settled_hits_in_the_conflict_frame_assignment():
         assert clear_mot(pred, gt, thr) == clear_mot_scalar(pred, gt, thr)
 
 
+def test_clear_mot_whole_frame_solve_lists_every_owner_present(monkeypatch):
+    # frame 1 of the fixture above, with id 9 present in it but in no hit,
+    # and both sets listing their tracks out of id order
+    gt, pred = _tied_copies_beside_a_settled_hit()
+    silent = const_track(9, 1, 2, box=(200.0, 0.0, 10.0, 10.0))
+    gt = TrackSet("s", list(reversed(gt.trajectories)))
+    pred = TrackSet("s", [pred.trajectories[2], silent, *pred.trajectories[:2], pred.trajectories[3]])
+    solved = []
+    frame_matches = metrics._frame_matches
+
+    def listed(hits, last_match, whole_frame):
+        def recorded():
+            solved.append(whole_frame())
+            return solved[-1]
+
+        return frame_matches(hits, last_match, recorded)
+
+    monkeypatch.setattr(metrics, "_frame_matches", listed)
+    assert clear_mot(gt, pred) == clear_mot_scalar(gt, pred)
+    # owners in id order: gt 1-3 are 0-2, ids 1-4 and 9 are 0-4
+    assert [owners for *owners, _ in solved] == [[[0, 1, 2], [0, 1, 2, 3, 4]]]
+    for thr in MATCH_THRESHOLDS:
+        assert clear_mot(gt, pred, thr) == clear_mot_scalar(gt, pred, thr)
+        assert clear_mot(pred, gt, thr) == clear_mot_scalar(pred, gt, thr)
+
+
 # --- evaluate: both metrics from one join -----------------------------------
 
 
