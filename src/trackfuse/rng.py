@@ -12,8 +12,8 @@ bit from one platform to another.
 The generator is counter-based: the k-th output after state ``s`` is the
 finalizer applied to ``s + k * 0x9E3779B97F4A7C15 (mod 2**64)``. So
 ``block(n)``, the next ``n`` outputs of ``next_u64`` as one ``uint64[n]``
-array, is a few wrapping numpy array operations over ``k = 1..n``, and it
-moves the state on by ``n`` steps exactly as ``n`` calls would.
+array, is the same finalizer on the array of those states, which numpy
+wraps mod 2**64; it moves the state on by ``n`` steps as ``n`` calls would.
 
 Derived values are defined on top of the raw 64-bit stream as follows:
 
@@ -35,26 +35,18 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
+_TO_UNIT = 2.0**-53  # scales the top 53 bits of a draw to [0, 1)
 
 
-def _mix(z: int) -> int:
+def _mix(z: int | np.ndarray) -> int | np.ndarray:
+    """The finalizer of a Python int, or of each element of a ``uint64`` array.
+
+    On an array the int operands take its ``uint64`` type and the arithmetic
+    wraps mod 2**64, so the masks change nothing.
+    """
     z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
     z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
     return z ^ (z >> 31)
-
-
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    """``_mix`` of every element of a ``uint64`` array, in place.
-
-    Every operand is an explicit ``np.uint64`` and every operation is on an
-    array, where integer overflow wraps silently on every numpy version.
-    """
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MUL1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MUL2)
-    z ^= z >> np.uint64(31)
-    return z
 
 
 class SplitMix64:
@@ -73,10 +65,10 @@ class SplitMix64:
         z *= np.uint64(_GOLDEN)
         z += np.uint64(self._state)
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        return _mix_array(z)
+        return _mix(z)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0**-53)
+        return lo + (hi - lo) * ((self.next_u64() >> 11) * _TO_UNIT)
 
     def randint(self, lo: int, hi: int) -> int:
         if hi < lo:
@@ -87,8 +79,8 @@ class SplitMix64:
         return self.uniform() < p
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
-        u2 = (self.next_u64() >> 11) * 2.0**-53
+        u1 = ((self.next_u64() >> 11) + 1) * _TO_UNIT
+        u2 = (self.next_u64() >> 11) * _TO_UNIT
         return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 

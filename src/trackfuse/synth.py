@@ -1,7 +1,8 @@
 """Synthetic tracking scenarios: ground truth plus degraded tracker outputs.
 
-Ground-truth objects move on piecewise-linear, bounded-velocity paths, one
-object per horizontal band of the arena (bands keep distinct objects from
+Ground-truth objects move on bounded-velocity paths, random waypoints that
+``linear_interpolate`` (as in ``merge --interpolate``) fills in, one object
+per horizontal band of the arena (bands keep distinct objects from
 colliding, which keeps fused results easy to reason about). Tracker outputs
 are the ground truth pushed through a per-tracker degradation: Gaussian
 position jitter, independent per-frame drops, one contiguous dropped
@@ -20,8 +21,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .interpolate import linear_interpolate
 from .model import TrackSet, Trajectory
-from .rng import SplitMix64, stream
+from .rng import _TO_UNIT, SplitMix64, stream
 
 WAYPOINT_SPACING = 50  # frames between direction changes
 MAX_SPEED = 2.5  # pixels per frame, per axis
@@ -30,7 +32,6 @@ BOX_MAX = 48.0
 # Frames whose random numbers _degrade draws at once. It bounds _degrade's
 # temporary memory and does not change results.
 FRAME_BLOCK = 1 << 10
-_TO_UNIT = 2.0**-53  # scales the top 53 bits of a draw to [0, 1)
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,8 @@ def _clamp(v: float, lo: float, hi: float) -> float:
 def _generate_gt(spec: ScenarioSpec) -> TrackSet:
     """Ground truth: one trajectory per object, ids 1..num_objects.
 
-    Draw order per object: box width, box height, start x, start y, then
-    per waypoint an x step and a y step.
+    Draw order per object: box width, box height, start x, start y, then an
+    x and a y step per waypoint, at most ``WAYPOINT_SPACING`` frames apart.
     """
     rng = stream(spec.seed, 0)
     band_h = spec.arena_h / spec.num_objects
@@ -107,25 +108,15 @@ def _generate_gt(spec: ScenarioSpec) -> TrackSet:
             waypoint_frames.append(spec.num_frames)
         x = rng.uniform(0.0, x_hi)
         y = rng.uniform(y_lo, y_hi)
-        points = [(x, y)]
+        points = [(x, y, w, h)]
         for prev_f, next_f in zip(waypoint_frames, waypoint_frames[1:]):
             step = MAX_SPEED * (next_f - prev_f)
             x = _clamp(x + rng.uniform(-step, step), 0.0, x_hi)
             y = _clamp(y + rng.uniform(-step, step), y_lo, y_hi)
-            points.append((x, y))
+            points.append((x, y, w, h))
 
-        xs, ys = [], []
-        for (f0, (x0, y0)), (f1, (x1, y1)) in zip(
-            zip(waypoint_frames, points), zip(waypoint_frames[1:], points[1:])
-        ):
-            a = (np.arange(f0, f1) - f0) / (f1 - f0)
-            xs.append(x0 + a * (x1 - x0))
-            ys.append(y0 + a * (y1 - y0))
-        xs.append([points[-1][0]])
-        ys.append([points[-1][1]])
-        n = spec.num_frames
-        xywh = np.column_stack([np.concatenate(xs), np.concatenate(ys), np.full(n, w), np.full(n, h)])
-        trajectories.append(Trajectory._of(i + 1, np.arange(1, n + 1), xywh, np.ones(n)))
+        waypoints = Trajectory._of(i + 1, np.array(waypoint_frames), np.array(points), np.ones(len(points)))
+        trajectories.append(linear_interpolate(waypoints, WAYPOINT_SPACING))
     return TrackSet("synthetic", trajectories)
 
 

@@ -8,10 +8,11 @@ The scalar references are the exception. ``box_iou`` and ``st_iou`` are the
 one-pair definitions of box and spatio-temporal IoU; the library's
 same-frame overlap join must give bit-identical IoUs. The scalar pipeline
 stages are the per-pair ``box_iou`` loops that merge grouping, NMS, CLEAR
-and IDF1 ran before the overlap join, a per-frame ``merge_group``, the
-per-line parser that ran before the columnar one, the per-box formatter
-that ran before the block writer, and synth's per-frame degradation loop
-that ran before the block draws, kept as differential references.
+and IDF1 ran before the overlap join, a per-frame ``merge_group``, a
+per-frame, per-value ``linear_interpolate``, the per-line parser that ran
+before the columnar one, the per-box formatter that ran before the block
+writer, and synth's per-frame degradation loop that ran before the block
+draws, kept as differential references.
 """
 
 from __future__ import annotations
@@ -397,6 +398,27 @@ def ensemble_pipeline_scalar(tracksets: Sequence[TrackSet], cfg: EnsembleConfig)
     if cfg.max_gap is not None:
         kept = [linear_interpolate(t, cfg.max_gap) for t in kept]
     return TrackSet(tracksets[0].sequence, [t.with_id(i) for i, t in enumerate(kept, start=1)])
+
+
+def linear_interpolate_scalar(track: Trajectory, max_gap: int) -> Trajectory:
+    """``linear_interpolate`` one missing frame and one value at a time, in Python floats.
+
+    Each frame f of a gap of at most ``max_gap`` frames between f0 and f1
+    gets ``v0 + a * (v1 - v0)`` with ``a = (f - f0) / (f1 - f0)`` for x, y,
+    w, h and confidence alike.
+    """
+    frames = track.frame.tolist()
+    rows = [box + [conf] for box, conf in zip(track.xywh.tolist(), track.conf.tolist())]
+    out_frames, out_rows = frames[:1], rows[:1]
+    for f0, f1, r0, r1 in zip(frames, frames[1:], rows, rows[1:]):
+        if f1 - f0 - 1 <= max_gap:
+            for f in range(f0 + 1, f1):
+                a = (f - f0) / (f1 - f0)
+                out_frames.append(f)
+                out_rows.append([v0 + a * (v1 - v0) for v0, v1 in zip(r0, r1)])
+        out_frames.append(f1)
+        out_rows.append(r1)
+    return Trajectory(track.id, out_frames, [r[:4] for r in out_rows], [r[4] for r in out_rows])
 
 
 def _positive_index(value: float, name: str, line_no: int) -> int:

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from trackfuse import Trajectory
 from trackfuse.interpolate import linear_interpolate
 
-from oracles import canonical, const_track, make_track, random_trajectory
+from oracles import canonical, const_track, linear_interpolate_scalar, make_track, random_trajectory
 
 
 def test_no_gaps_unchanged():
@@ -81,3 +82,19 @@ def test_rejects_non_positive_max_gap():
     t = const_track(1, 1, 5)
     with pytest.raises(ValueError):
         linear_interpolate(t, 0)
+
+
+@pytest.mark.parametrize("max_gap", [1, 3, 10, 50])
+def test_matches_scalar_formula_bit_for_bit(max_gap):
+    rng = random.Random(max_gap)
+    for track_id in range(1, 301):
+        t = random_trajectory(rng, track_id, max_span=150)
+        # thin the track to open long gaps, and give it varied confidences
+        keep = rng.choice([1.0, 0.5, 0.1])
+        last = len(t.frame) - 1
+        rows = [r for r in range(last + 1) if r in (0, last) or rng.random() < keep]
+        t = Trajectory(track_id, t.frame[rows], t.xywh[rows], [rng.uniform(0.05, 1.0) for _ in rows])
+        got, want = linear_interpolate(t, max_gap), linear_interpolate_scalar(t, max_gap)
+        assert got.frame.tolist() == want.frame.tolist()
+        assert got.xywh.tobytes() == want.xywh.tobytes()
+        assert got.conf.tobytes() == want.conf.tobytes()

@@ -21,6 +21,7 @@ from trackfuse.rng import SplitMix64, stream
 from trackfuse.synth import (
     DEFAULT_DEGRADATION,
     FRAME_BLOCK,
+    MAX_SPEED,
     _degrade,
     _generate_gt,
     parse_scenario_config,
@@ -228,6 +229,104 @@ def test_benchmark_scale_fused_files_are_pinned(tmp_path, spec, flags, digest):
     out = tmp_path / "fused.txt"
     assert main(["merge", *inputs, "-o", str(out), *flags]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+
+# SHA-256 of serialize_trackset for the gt and tracker of generate_scenario,
+# then the gt and both trackers of complementary_pair, at N frames. N = 1
+# is a single waypoint, 51 and 101 end on a waypoint, the others append one.
+PINNED_SHORT_SCENARIOS = {
+    1: (
+        "765cde2665e75b58f46a71526ed3a81dd3c8384f1fb785d918f84bdbad42dc4d",
+        "0e8ebab51e22f667eb22f470f391d3ad4041f62f0a470e132c84f04900811436",
+        "63f94e7bfc6f79ad71473d761fe31f278c1aa090105b2d7d741a293cd09811f5",
+        "63f94e7bfc6f79ad71473d761fe31f278c1aa090105b2d7d741a293cd09811f5",
+        "63f94e7bfc6f79ad71473d761fe31f278c1aa090105b2d7d741a293cd09811f5",
+    ),
+    2: (
+        "cd3324331238c53ee0e8158d7b681dd46cf6bcf4ca730db0fdd21496a34c179f",
+        "0eb977d9a152de41bf01412a557d682a87a7b41b45d7a8170aec9943fd7b5f2a",
+        "aeb7753b0bfc15b1d0ee151ebfcc3111cf6ca1c4895ffbed42a23ef88e507c8d",
+        "6481b7eb87d1c7cde849124174fc01059ec0f4508532d5b01d285ae81180ad07",
+        "3e8543df66676c85f2b34c5cd61bfe81000cf55b0b8cc1330caee895913188eb",
+    ),
+    49: (
+        "b9a7f5dbe39ebefc45f77f708eaf27e5b197b76d3073d54c075802ed506a4b4c",
+        "b7878bb457a86f746c920ddf16135310400e8f2aa2b3f3c4d9dcaaa382303c27",
+        "c9b5b6d476de8acbbea97f90155e0f35b76b080494539d3c1774c3f3d643c184",
+        "b43a48ac5335c3d54721dea4a98b1fb7a6e32f6b79b9aca2717b1feb5e2a4e64",
+        "0e6fd57b466d3cde2d8e64044184f19fe35db62f95aeb2609cdfce1777fd75e3",
+    ),
+    50: (
+        "859127862083d4d1284b525b6d62c05fa58d505c099e90a4a300661e09b47e85",
+        "b916cc7b047284d441d012c556438a07cd1e3529e223c3a918f6bfbfa657cf41",
+        "74fb66c8a43d4da32e785acfe8987a6d16087cea0dd0ef44c5dfe6c0946ed511",
+        "261096aa9afce0a61ffffa13ecac770f4e76ba5a9adf6a930815cb0919bf07ee",
+        "694de0db96d5d2d9c140f6a542e1429dbc5ed0ae5ea17127ce19ba218ea474fa",
+    ),
+    51: (
+        "0e8c564b91747a05321104f87109983a8494fdd21dd67fafb9ad98ead3f61170",
+        "6eda331173c8e6e313cd223f81f3df89cd2cd4c2daa41d56d4251110214ead3f",
+        "d441c24e44aa6f4f96b514511e6499903cbcf0679e927bbe1b6ce2a419af5130",
+        "b96aa1ba8b139e1e8a60b0d98efa7409fd95fad7c4205f9d74bedbe60d345aee",
+        "3969f43233e97335735140ac605b1aad221eec1f9126f3aa730d069b7c44f1e2",
+    ),
+    52: (
+        "db985f37f3cd4af9f3836bf8b938053965bc2ef039627812d4e035a8ef5ff6e9",
+        "11119c8809f1cc0e2a59ade0260e7130167d1ce758ec3a8c25b4f9b4ce37ed8e",
+        "96ac6c4ec398972e0263d1098f017f8cbcda4eb1addbd7e3f4459f0c7f7c9a1c",
+        "82075824cbc7ef42ceb29f5eb105883ae7aee009f413e3f2a8cad38972c0f521",
+        "cb25e2089af060b5ed798f7e28964ad0dfbde0391c3d3aa81c3639eb9b16ae8c",
+    ),
+    100: (
+        "08bd173303bea37bd803d952337ec9a466e4a93fad50ad6027aaf92f90d946df",
+        "5c47d9015aa4df442a7da471d5c5897c6112d8a5a4bc578b1b1eb7d50059ed79",
+        "f95074060f7eea012b8a462884d1f7194e58e908286e3f803ec50332786aee36",
+        "bd0eb6ac1951b8ca47f46a746cd3d3c17f95ad24bbd8ab1f8cd5d0a17d64aae9",
+        "b679fdac3c9fa4473313328e318f5e112dc7ad74a1380e45c17dece56d8b9b6d",
+    ),
+    101: (
+        "d34f52dbb34fec741decbed3b9deae181059eb60b73da7320985859bf3c48df7",
+        "252c62567d0044caeeb3a5a15c7b9cc3386bee73f5f9fbcac57259e3d4cc3ddf",
+        "d3d4423952448cce079a2b4e2c583843a1513ffdf0c671c99ef6f1b1d9ffbf8e",
+        "28729a4f59f4ce6a06bf36cf9340a8897a90adf9f031711ad0cfa950e8405216",
+        "967551a8b96b793d02f8183d5c37d64c16cef33cac99a55467a2e07fd4fee66b",
+    ),
+    102: (
+        "ae1ecf04a08bf87875f0a75e18f1bdcdb8958807370bbecad51c54e173386081",
+        "d415976df7d0642a328a508330c990a7c39d0cf97e319e6f5ddc4f84d1ac3b32",
+        "aca74bc93c33f5d96937de6103cf3b41fb1580f3d3149b99a2b54aafa3c604c0",
+        "08c315d11bf2f76bb3a5d0569883cb8b8354f6ecaa1f1e8272140cb2c27724af",
+        "cd821975f9984b170bfce8f6007dac983fd5669c42317799bbf2165db8735bb2",
+    ),
+}
+
+
+def _short_scenarios(n):
+    gt, trackers = generate_scenario(ScenarioSpec(3, n, seed=n, trackers=(DEFAULT_DEGRADATION,)))
+    return (gt, *trackers), complementary_pair(ScenarioSpec(2, n, seed=n))
+
+
+@pytest.mark.parametrize("n, digests", PINNED_SHORT_SCENARIOS.items())
+def test_short_scenarios_are_pinned(n, digests):
+    scenario, pair = _short_scenarios(n)
+    assert tuple(
+        hashlib.sha256(serialize_trackset(ts).encode()).hexdigest() for ts in (*scenario, *pair)
+    ) == digests
+
+
+@pytest.mark.parametrize("n", PINNED_SHORT_SCENARIOS)
+def test_gt_paths_are_whole_in_arena_and_bounded_velocity(n):
+    scenario, pair = _short_scenarios(n)
+    spec = ScenarioSpec()  # the arena both calls use
+    for gt in (scenario[0], pair[0]):
+        for traj in gt.trajectories:
+            assert traj.frame.tolist() == list(range(1, n + 1))
+            x, y, w, h = traj.xywh.T
+            assert (w == w[0]).all() and (h == h[0]).all()
+            assert (x >= 0).all() and (x + w <= spec.arena_w).all()
+            assert (y >= 0).all() and (y + h <= spec.arena_h).all()
+            assert (np.abs(np.diff(traj.xywh[:, :2], axis=0)) <= MAX_SPEED).all()
 
 
 SWEEP_DEGRADATIONS = [
