@@ -92,41 +92,38 @@ def _record(width: int, integer: Tuple[int, ...]) -> np.dtype:
     return np.dtype([(f"f{j}", np.int64 if j in integer else np.float64) for j in range(width)])
 
 
-def _plain_lines(block: str) -> Optional[int]:
-    """The number of lines of ``block`` if it may go to numpy's text reader, else None.
+def _is_plain(block: str) -> bool:
+    """Whether ``block`` may go to numpy's text reader.
 
     It may if it holds only ``_PLAIN`` bytes and ``"\\n"``, and not spaces
-    and line breaks alone. Its lines are those that ``"\\n"`` ends, and a
-    last line without one.
+    and line breaks alone.
     """
     # numpy warns on a block without data
     if not block or block.isspace() or not block.isascii():
-        return None
-    breaks = block.encode("ascii").translate(None, _PLAIN)
-    return None if breaks.strip(b"\n") else len(breaks) + (not block.endswith("\n"))
+        return False
+    return not block.encode("ascii").translate(None, _PLAIN).strip(b"\n")
 
 
-def _plain_table(block: str, num_lines: int, integer: Tuple[int, ...] = ()) -> Optional[np.ndarray]:
-    """The values of the plain ``block``, of ``num_lines`` lines, one record per line, or None.
+def _plain_table(block: str, integer: Tuple[int, ...] = ()) -> Optional[np.ndarray]:
+    """The values of the plain ``block``, one record per non-blank line, or None.
 
-    The record has as many fields as the first line has columns, and at
-    least 6, int64 in the ``integer`` columns and float64 in the rest. A
-    result is kept only with one record per line: a blank line, a ragged
-    block, a line of fewer than 6 columns, a malformed number or a token
-    that its int64 field refuses returns None. numpy 1.x
+    The record has as many fields as the first non-empty line has columns,
+    and at least 6, int64 in the ``integer`` columns and float64 in the
+    rest. numpy's reader skips empty lines; a line of spaces, a lone
+    ``"\\r"``, a ragged block, a line of fewer than 6 columns, a malformed
+    number or a token that its int64 field refuses returns None. numpy 1.x
     refuses no float token there, and gets no ``integer`` columns (see
     ``_integer_columns``). The reader converts float tokens
     with the routine behind ``float``, so every value it returns is
     bit-identical to ``float``'s, and an accepted integer token converts to
     that value too, unless it is written ``-0``.
     """
-    end = block.find("\n")
-    width = block.count(",", 0, end if end >= 0 else len(block)) + 1
+    first = block.lstrip("\r\n").partition("\n")[0]
+    width = first.count(",") + 1
     try:
-        table = np.loadtxt(StringIO(block), delimiter=",", comments=None, dtype=_record(max(width, 6), integer), ndmin=1)
+        return np.loadtxt(StringIO(block), delimiter=",", comments=None, dtype=_record(max(width, 6), integer), ndmin=1)
     except ValueError:
         return None
-    return table if len(table) == num_lines else None
 
 
 def _whole(values: np.ndarray) -> np.ndarray:
@@ -168,13 +165,14 @@ def _columns(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
     The columns are frames and ids as ``int64[2, rows]`` and x, y, w, h and
     column 7 as ``float64[5, rows]``, filled one block at a time, so each
     check runs on whole columns. Row ``r`` holds the ``r``-th non-blank
-    line of ``text``: a plain block has no blank line, and as blocks end
-    after a ``"\\n"``, a block's lines are lines of ``text``. A frame or id
-    that is not a whole number in [1, 2**53) holds 0. A row without column
-    7 holds 1.0 there, which reads as an unset confidence and an active
-    ground-truth flag. Reading stops at the first line with too few
-    columns or a malformed number, whose message is returned with the rows
-    before it: that line is the non-blank line after them.
+    line of ``text``: numpy's reader skips empty lines as ``_tokenize``
+    skips blank ones, and as blocks end after a ``"\\n"``, a block's lines
+    are lines of ``text``. A frame or id that is not a whole number in
+    [1, 2**53) holds 0. A row without column 7 holds 1.0 there, which
+    reads as an unset confidence and an active ground-truth flag. Reading
+    stops at the first line with too few columns or a malformed number,
+    whose message is returned with the rows before it: that line is the
+    non-blank line after them.
 
     Plain blocks are read with int64 in the ``_integer_columns``. A block
     that this fails is read again with float64 in them, as is the rest of
@@ -190,13 +188,12 @@ def _columns(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
     n = 0
     error = None
     for block in _blocks(text):
-        num_lines = _plain_lines(block)
         table = None
-        if num_lines is not None:
-            table = _plain_table(block, num_lines, integer)
+        if _is_plain(block):
+            table = _plain_table(block, integer)
             if table is None and integer:
                 integer = ()
-                table = _plain_table(block, num_lines)
+                table = _plain_table(block)
         if table is not None:
             fields = [table[name] for name in table.dtype.names[:7]]
         else:

@@ -10,7 +10,6 @@ assignment between ground-truth and predicted identities.
 from __future__ import annotations
 
 import functools
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -228,25 +227,19 @@ def _clear(gt: _Side, pred: _Side, hits: _Hits) -> ClearScores:
 
     last_match: Dict[int, int] = {}  # gt owner -> last predicted owner it matched
     done = 0  # bulk matches already in last_match
-    # the matches of the shared hits, kept as machine integers, and the bulk
-    # match each one goes before, which keeps every match in frame order
-    extra_at, extra_gt, extra_pred = array("q"), array("q"), array("q")
+    conflict_matches: List[Tuple[int, int, int]] = []  # the shared hits' matches: (frame, gt owner, predicted owner)
     for k, f in enumerate(conflict_frames.tolist()):
         last_match.update(zip(match_gt[done : bulk_before[k]].tolist(), match_pred[done : bulk_before[k]].tolist()))
         done = bulk_before[k]
         matches = _frame_matches(shared_hits[bounds[k] : bounds[k + 1]], last_match, functools.partial(whole_frame, f))
         last_match.update(matches)
-        extra_at.extend([done] * len(matches))
-        extra_gt.extend(matches.keys())
-        extra_pred.extend(matches.values())
+        conflict_matches.extend((f, gid, pid) for gid, pid in matches.items())
 
-    at = np.frombuffer(extra_at, np.int64)
-    match_gt = np.insert(match_gt, at, np.frombuffer(extra_gt, np.int64))
-    match_pred = np.insert(match_pred, at, np.frombuffer(extra_pred, np.int64))
+    # every match as (frame, gt owner, predicted owner), the bulk ones first
+    every = np.hstack(((match_frame, match_gt, match_pred), np.array(conflict_matches, np.int64).reshape(-1, 3).T))
+    # a switch is a change of predicted owner in one gt owner's matches, in frame order: by gt owner, then frame
+    _, match_gt, match_pred = every[:, np.lexsort(every[:2])]
     matched = len(match_gt)
-    # a switch is a change of predicted owner in one gt owner's matches, in frame order
-    order = np.argsort(match_gt, kind="stable")
-    match_gt, match_pred = match_gt[order], match_pred[order]
     idsw = int(np.count_nonzero((match_gt[1:] == match_gt[:-1]) & (match_pred[1:] != match_pred[:-1])))
 
     num_gt = len(gt[0])

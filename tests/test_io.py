@@ -552,6 +552,33 @@ def test_windows_line_ends_read_as_plain_blocks():
         assert _outcome(parse_trackset, broken.replace("\n", "\r\n"), False) == expected
 
 
+@pytest.mark.parametrize("is_ground_truth", [False, True])
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_empty_lines_in_a_plain_block_are_read_once(end, is_ground_truth):
+    text = (end * 2).join(_lines(range(1, 4))) + end
+    with mock.patch.object(trackfuse.io, "_tokenize", wraps=trackfuse.io._tokenize) as tokenize:
+        parsed = parse_trackset(text, is_ground_truth)
+    assert tokenize.call_count == 0  # numpy's reader skipped the empty lines
+    assert _columns(parsed) == _columns(parse_trackset_scalar(text, is_ground_truth))
+    broken = text + end + "4,1,10,20,0.001,40,0.5,-1,-1,-1" + end
+    expected = (7, "line 7: box width 0.001 below 0.01")
+    assert _outcome(parse_trackset, broken, is_ground_truth) == expected
+    assert _outcome(parse_trackset_scalar, broken, is_ground_truth) == expected
+
+
+@pytest.mark.parametrize("is_ground_truth", [False, True])
+def test_a_block_opening_with_an_empty_line_is_read_once(monkeypatch, is_ground_truth):
+    monkeypatch.setattr(trackfuse.io, "TEXT_BLOCK", 64)
+    text = "\n\n".join(_lines(range(1, 41))) + "\n"
+    blocks = list(trackfuse.io._blocks(text))
+    assert sum(block.startswith("\n") for block in blocks) > len(blocks) // 2
+    with mock.patch.object(trackfuse.io.np, "loadtxt", wraps=np.loadtxt) as reader:
+        parsed = parse_trackset(text, is_ground_truth)
+    # the record's width comes from the first line with data: no block is read again
+    assert reader.call_count == len(blocks)
+    assert _columns(parsed) == _columns(parse_trackset_scalar(text, is_ground_truth))
+
+
 # -- whatever the pipeline writes reads back -----------------------------------
 
 
@@ -710,7 +737,7 @@ def test_short_line_opening_a_later_plain_block_is_named(monkeypatch, block, is_
     short = f"{kept + 1},1,10,20,30\n"
     text = "\n".join(lines[:kept]) + "\n" + short
     *_, last = trackfuse.io._blocks(text)
-    assert last == short and trackfuse.io._plain_lines(last) == 1
+    assert last == short and trackfuse.io._is_plain(last)
     expected = (kept + 1, f"line {kept + 1}: expected at least 6 columns, got 5")
     assert _outcome(parse_trackset, text, is_ground_truth) == expected
     assert _outcome(parse_trackset_scalar, text, is_ground_truth) == expected
@@ -724,7 +751,7 @@ def test_short_line_opening_a_later_plain_block_is_named(monkeypatch, block, is_
         ("1,1,10,20,30,40", (1, 6)),
         ("", None),
         (" \n \n", None),
-        ("1,1,10,20,30,40\n\n", None),
+        ("1,1,10,20,30,40\n\n", (1, 6)),
         ("1,1,10,20,30,40\n2,1,10,20,30\n", None),
         ("1,1,10,20,30,40\r\n", (1, 6)),
         ("1,1,10,20,30,40\r2,1,10,20,30,40\r\n", None),
@@ -737,8 +764,7 @@ def test_short_line_opening_a_later_plain_block_is_named(monkeypatch, block, is_
     ],
 )
 def test_only_plain_blocks_go_to_numpys_reader(block, shape):
-    line_count = trackfuse.io._plain_lines(block)
-    table = None if line_count is None else trackfuse.io._plain_table(block, line_count)
+    table = trackfuse.io._plain_table(block) if trackfuse.io._is_plain(block) else None
     assert (None if table is None else (len(table), len(table.dtype))) == shape
 
 
@@ -800,5 +826,5 @@ def test_numpy_1_reads_integer_and_benchmark_files_as_float64(monkeypatch, make_
 )
 def test_int64_fields_refuse_what_they_cannot_hold(block, values):
     # int64 in columns 1, 2 and 5, float64 in the rest
-    table = trackfuse.io._plain_table(block, 1, (0, 1, 4))
+    table = trackfuse.io._plain_table(block, (0, 1, 4))
     assert (None if table is None else table.tolist()) == values
