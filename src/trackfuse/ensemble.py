@@ -59,13 +59,13 @@ class EnsembleConfig:
 def mix(tracksets: Sequence[TrackSet]) -> List[Trajectory]:
     """Pool trajectories from all trackers into one list.
 
-    Ids are reassigned 1..N in (tracker index, original id) order, so the
-    pooled id tells which tracker a trajectory came from. The boxes are
-    shared, not copied.
+    Ids are reassigned 1..N in (tracker index, original id) order, the
+    order of each track set's trajectories, so the pooled id tells which
+    tracker a trajectory came from. The boxes are shared, not copied.
     """
     pooled: List[Trajectory] = []
     for ts in tracksets:
-        for traj in sorted(ts.trajectories, key=lambda t: t.id):
+        for traj in ts.trajectories:
             pooled.append(traj.with_id(len(pooled) + 1))
     return pooled
 

@@ -35,12 +35,9 @@ ROW_BLOCK = 1 << 10
 # reader. It reads "\r\n" as a line end and refuses a lone "\r", which
 # splitlines also breaks at.
 _PLAIN = b"0123456789.,-+eE \r"
-# A first-line token that makes its column int64, if it is a frame, an id
-# or a column past the seventh: an integer literal.
+# A token of the first non-empty line that makes its column int64, if it
+# is a frame, an id or a column past the seventh: an integer literal.
 _INTEGER = re.compile(r"-?[0-9]+")
-# numpy 1.x reads a float token in an int64 field as its truncation, with a
-# DeprecationWarning; numpy 2 refuses it, so only numpy 2 reads int64 fields.
-_TRUNCATES = np.lib.NumpyVersion(np.__version__) < "2.0.0"
 # What follows the confidence on every line.
 _TAIL = b",-1,-1,-1\n"
 # Dekker's splitter: x * _SPLIT cuts a float64 into two halves of 26 bits.
@@ -69,20 +66,21 @@ def _blocks(text: str) -> Iterator[str]:
         start = end
 
 
+def _first_line(text: str) -> str:
+    """The first non-empty line of ``text``, without its ``"\\n"``."""
+    return text.lstrip("\r\n").partition("\n")[0]
+
+
 def _integer_columns(text: str) -> Tuple[int, ...]:
-    """The frame, id and past-the-seventh columns of ``text``'s first line that hold integer literals.
+    """The frame, id and past-the-seventh columns of ``text``'s first non-empty line that hold integer literals.
 
     Only those columns are read as int64: a frame or id of 0, which may be
     written ``-0``, is refused and its message made from its line's text,
     and the columns past the seventh are thrown away, so no value read
-    differs from ``float``'s. The first line is looked for in the first
-    ``TEXT_BLOCK`` characters only. On numpy 1.x, which would truncate a
-    float token there, there are none: every column is read as float64.
+    differs from ``float``'s. The line is looked for in the first
+    ``TEXT_BLOCK`` characters only.
     """
-    if _TRUNCATES:
-        return ()
-    first = text[:TEXT_BLOCK].partition("\n")[0]
-    tokens = first.split(",")
+    tokens = _first_line(text[:TEXT_BLOCK]).split(",")
     return tuple(j for j, token in enumerate(tokens) if (j < 2 or j >= 7) and _INTEGER.fullmatch(token.strip()))
 
 
@@ -111,15 +109,13 @@ def _plain_table(block: str, integer: Tuple[int, ...] = ()) -> Optional[np.ndarr
     and at least 6, int64 in the ``integer`` columns and float64 in the
     rest. numpy's reader skips empty lines; a line of spaces, a lone
     ``"\\r"``, a ragged block, a line of fewer than 6 columns, a malformed
-    number or a token that its int64 field refuses returns None. numpy 1.x
-    refuses no float token there, and gets no ``integer`` columns (see
-    ``_integer_columns``). The reader converts float tokens
-    with the routine behind ``float``, so every value it returns is
-    bit-identical to ``float``'s, and an accepted integer token converts to
-    that value too, unless it is written ``-0``.
+    number or a token that its int64 field refuses, a float token among
+    them, returns None. The reader converts float tokens with the routine
+    behind ``float``, so every value it returns is bit-identical to
+    ``float``'s, and an accepted integer token converts to that value too,
+    unless it is written ``-0``.
     """
-    first = block.lstrip("\r\n").partition("\n")[0]
-    width = first.count(",") + 1
+    width = _first_line(block).count(",") + 1
     try:
         return np.loadtxt(StringIO(block), delimiter=",", comments=None, dtype=_record(max(width, 6), integer), ndmin=1)
     except ValueError:

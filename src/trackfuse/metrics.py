@@ -71,20 +71,19 @@ _Hits = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 def _hits(gt: TrackSet, pred: TrackSet, iou_match: float) -> Tuple[_Side, _Side, _Hits]:
     """The frames and owners of both sides' boxes, and their hits, from one same-frame join.
 
-    Both sides are joined as one set of boxes: the ground-truth tracks
-    by id, owners 0..G-1 and their rows first, then the predicted tracks
-    by id. The join keeps the pairs above the float just below
-    ``iou_match``, exactly those at or above it; of these, the pairs of a
-    ground-truth owner and a predicted one are the hits, with the
-    ground-truth box as the IoU's first operand. CLEAR and IDF1 read only
-    hits, so ``evaluate`` scores both from one call. A bad ``iou_match``
-    raises before the join runs.
+    Both sides are joined as one set of boxes: the ground-truth tracks,
+    owners 0..G-1 and their rows first, then the predicted tracks, each
+    side in its track set's order, by id. The join keeps the pairs above
+    the float just below ``iou_match``, exactly those at or above it; of
+    these, the pairs of a ground-truth owner and a predicted one are the
+    hits, with the ground-truth box as the IoU's first operand. CLEAR and
+    IDF1 read only hits, so ``evaluate`` scores both from one call. A bad
+    ``iou_match`` raises before the join runs.
     """
     if not 0.0 < iou_match <= 1.0:
         raise ValueError(f"iou_match must be in (0, 1], got {iou_match}")
     num_gt = len(gt.trajectories)
-    by_id = [t for ts in (gt, pred) for t in sorted(ts.trajectories, key=lambda t: t.id)]
-    cols = frames, owners, _ = box_columns(by_id)
+    cols = frames, owners, _ = box_columns(gt.trajectories + pred.trajectories)
     hits = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
     for frame, owner_a, owner_b, iou in same_frame_pairs(cols, np.nextafter(iou_match, 0.0)):
         cross = (owner_a < num_gt) & (owner_b >= num_gt)
@@ -226,14 +225,14 @@ def _clear(gt: _Side, pred: _Side, hits: _Hits) -> ClearScores:
         return gt_owners, pred_owners, dict(zip(keys, hit_iou[lo:hi].tolist()))
 
     last_match: Dict[int, int] = {}  # gt owner -> last predicted owner it matched
-    done = 0  # bulk matches already in last_match
-    conflict_matches: List[Tuple[int, int, int]] = []  # the shared hits' matches: (frame, gt owner, predicted owner)
-    for k, f in enumerate(conflict_frames.tolist()):
-        last_match.update(zip(match_gt[done : bulk_before[k]].tolist(), match_pred[done : bulk_before[k]].tolist()))
-        done = bulk_before[k]
+    conflict_matches: List[int] = []  # the shared hits' matches, flat: frame, gt owner, predicted owner
+    # the bulk matches between the last conflict frame and this one are [lo, hi)
+    for k, (f, lo, hi) in enumerate(zip(conflict_frames.tolist(), [0, *bulk_before], bulk_before)):
+        last_match.update(zip(match_gt[lo:hi].tolist(), match_pred[lo:hi].tolist()))
         matches = _frame_matches(shared_hits[bounds[k] : bounds[k + 1]], last_match, functools.partial(whole_frame, f))
         last_match.update(matches)
-        conflict_matches.extend((f, gid, pid) for gid, pid in matches.items())
+        for gid, pid in matches.items():
+            conflict_matches += (f, gid, pid)
 
     # every match as (frame, gt owner, predicted owner), the bulk ones first
     every = np.hstack(((match_frame, match_gt, match_pred), np.array(conflict_matches, np.int64).reshape(-1, 3).T))

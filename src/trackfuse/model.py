@@ -214,16 +214,20 @@ class Trajectory:
 
 @dataclass(frozen=True, slots=True)
 class TrackSet:
-    """Every trajectory one tracker (or the fused result) produced for one sequence."""
+    """Every trajectory one tracker (or the fused result) produced for one sequence.
+
+    ``trajectories`` is a list of its own, ascending by id whatever the
+    order given, so two track sets of the same tracks are equal.
+    """
 
     sequence: str = ""
     trajectories: List[Trajectory] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         # a list of its own: the caller's list may change, and an iterator is read once
-        object.__setattr__(self, "trajectories", list(self.trajectories))
-        ids = [t.id for t in self.trajectories]
-        if len(set(ids)) != len(ids):
+        tracks = sorted(self.trajectories, key=lambda t: t.id)
+        object.__setattr__(self, "trajectories", tracks)
+        if any(a.id == b.id for a, b in zip(tracks, tracks[1:])):
             raise ValueError("duplicate trajectory ids within a track set")
 
     def __len__(self) -> int:

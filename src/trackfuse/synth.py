@@ -154,7 +154,7 @@ def _degrade(gt: TrackSet, deg: TrackerDegradation, rng: SplitMix64, sequence: s
     """
     trajectories: List[Trajectory] = []
     next_id = 1
-    for traj in sorted(gt.trajectories, key=lambda t: t.id):
+    for traj in gt.trajectories:
         rows = np.arange(len(traj.frame))
         if deg.segment_drop > 0:
             length = rng.randint(1, max(1, 2 * deg.segment_drop - 1))
@@ -212,7 +212,7 @@ def _half_degraded(
     """
     trajectories: List[Trajectory] = []
     next_id = 1
-    for idx, traj in enumerate(sorted(gt.trajectories, key=lambda t: t.id)):
+    for idx, traj in enumerate(gt.trajectories):
         if idx % 2 != degrade_parity:
             trajectories.append(traj.with_id(next_id))
             next_id += 1

@@ -8,11 +8,13 @@ from trackfuse import (
     TrackSet,
     Trajectory,
     ensemble_pipeline,
+    evaluate,
     parse_trackset,
     serialize_trackset,
 )
 from trackfuse.ensemble import length_filter, length_nms, merge_group, merge_groups, mix
 from trackfuse.model import MIN_BOX_SIZE
+from trackfuse.synth import DEFAULT_DEGRADATION, ScenarioSpec, generate_scenario
 
 from oracles import box_iou, canonical, const_track, make_track, merge_group_scalar, random_trackset, st_iou
 
@@ -328,6 +330,25 @@ def test_pipeline_deterministic_serialization():
     first = serialize_trackset(ensemble_pipeline([ts_a, ts_b], cfg))
     second = serialize_trackset(ensemble_pipeline([ts_a, ts_b], cfg))
     assert first == second
+
+
+@pytest.mark.parametrize("cfg", [EnsembleConfig(), EnsembleConfig(merge_mode=MergeMode.AVERAGE, max_gap=10)])
+@pytest.mark.parametrize("seed", range(3))
+def test_outputs_do_not_depend_on_the_order_tracks_are_given(seed, cfg):
+    gt, trackers = generate_scenario(ScenarioSpec(6, 150, seed=seed, trackers=(DEFAULT_DEGRADATION,) * 3))
+    rng = random.Random(seed)
+
+    def shuffled(ts: TrackSet) -> TrackSet:
+        tracks = ts.trajectories.copy()
+        rng.shuffle(tracks)
+        return TrackSet(ts.sequence, tracks)
+
+    fused = ensemble_pipeline(trackers, cfg)
+    fused_again = ensemble_pipeline([shuffled(ts) for ts in trackers], cfg)
+    assert serialize_trackset(fused_again) == serialize_trackset(fused)
+    assert evaluate(shuffled(gt), shuffled(fused)) == evaluate(gt, fused)
+    for ts in (gt, *trackers):
+        assert serialize_trackset(shuffled(ts)) == serialize_trackset(ts)
 
 
 def test_pipeline_drop_conservation():

@@ -520,15 +520,19 @@ def _mot17_ground_truth() -> str:
 
 @pytest.mark.parametrize("is_ground_truth", [False, True])
 def test_mot17_ground_truth_reads_integer_columns_once_per_block(is_ground_truth):
-    text = _mot17_ground_truth()
-    blocks = list(trackfuse.io._blocks(text))
-    assert len(blocks) > 3
-    assert trackfuse.io._integer_columns(text) == (0, 1, 7)
-    with mock.patch.object(trackfuse.io.np, "loadtxt", wraps=np.loadtxt) as reader:
-        parse_trackset(text, is_ground_truth)
-    # integer boxes and flags go to float64 columns: no block is read again
-    assert reader.call_count == len(blocks)
-    _assert_parses_like_oracle(text, is_ground_truth)
+    for lead in ["", "\n", "\r\n"]:  # the integer columns come from the first line with data
+        text = lead + _mot17_ground_truth()
+        blocks = list(trackfuse.io._blocks(text))
+        assert len(blocks) > 3
+        assert trackfuse.io._integer_columns(text) == (0, 1, 7)
+        with mock.patch.object(trackfuse.io.np, "loadtxt", wraps=np.loadtxt) as reader:
+            parse_trackset(text, is_ground_truth)
+        # integer boxes and flags go to float64 columns: no block is read again
+        assert reader.call_count == len(blocks)
+        for call in reader.call_args_list:
+            fields = call.kwargs["dtype"].fields
+            assert fields["f0"][0] == fields["f1"][0] == np.int64  # frame and id
+        _assert_parses_like_oracle(text, is_ground_truth)
 
 
 def _seed_tracker_text() -> str:
@@ -772,6 +776,7 @@ def test_integer_columns_come_from_the_first_line():
     text = " 1 ,2,10.5,-3,007,-0,+1,12,-0,1e3\r\n2.5,x\n"
     assert trackfuse.io._integer_columns(text) == (0, 1, 7, 8)
     assert trackfuse.io._integer_columns("") == ()
+    assert trackfuse.io._integer_columns("\r\n\n1,2.5\n") == (0,)  # the first non-empty line
     # the first line is looked for in the first block only
     with mock.patch.object(trackfuse.io, "TEXT_BLOCK", 5):
         assert trackfuse.io._integer_columns("1,2,3,4,5,6,7,8,9\n") == (0, 1)
@@ -780,8 +785,8 @@ def test_integer_columns_come_from_the_first_line():
 @pytest.mark.parametrize("is_ground_truth", [False, True])
 @pytest.mark.parametrize("later", ["10.5,1,10,20,30,40", "2,10.5,10,20,30,40", "2,1,10,20,30,40,1,10.5"])
 def test_float_in_an_integer_column_is_not_truncated(later, is_ground_truth):
-    # numpy 1.x reads a float token in an int64 field as its truncation,
-    # with a DeprecationWarning, whatever filter the caller has set
+    # an int64 field refuses a float token, whatever warnings filter the
+    # caller has set: it is neither truncated nor read with a warning
     text = "1,1,10,20,30,40,1,-1,-1,-1\n" + later + "\n"
     with warnings.catch_warnings():
         warnings.simplefilter("default")
@@ -789,8 +794,12 @@ def test_float_in_an_integer_column_is_not_truncated(later, is_ground_truth):
 
 
 def _assert_float64_reads_like_oracle(monkeypatch, text, block, is_ground_truth):
-    """With numpy 1.x's every-column-float64 read, ``text`` parses like the per-line parser."""
-    monkeypatch.setattr(trackfuse.io, "_TRUNCATES", True)
+    """Read with every column float64, ``text`` parses like the per-line parser.
+
+    That read serves any text whose first non-empty line holds no integer
+    literal, and every block after one that an int64 column refuses.
+    """
+    monkeypatch.setattr(trackfuse.io, "_integer_columns", lambda text: ())
     monkeypatch.setattr(trackfuse.io, "TEXT_BLOCK", block)
     with mock.patch.object(trackfuse.io.np, "loadtxt", wraps=np.loadtxt) as reader:
         _assert_parses_like_oracle(text, is_ground_truth)
@@ -801,14 +810,14 @@ def _assert_float64_reads_like_oracle(monkeypatch, text, block, is_ground_truth)
 @pytest.mark.parametrize("is_ground_truth", [False, True])
 @pytest.mark.parametrize("block", [1, trackfuse.io.TEXT_BLOCK])
 @pytest.mark.parametrize("text", READER_CASES)
-def test_numpy_1_reads_reader_cases_as_float64(monkeypatch, text, block, is_ground_truth):
+def test_float64_read_of_reader_cases_matches_oracle(monkeypatch, text, block, is_ground_truth):
     _assert_float64_reads_like_oracle(monkeypatch, text, block, is_ground_truth)
 
 
 @pytest.mark.parametrize("is_ground_truth", [False, True])
 @pytest.mark.parametrize("block", [1, trackfuse.io.TEXT_BLOCK])
 @pytest.mark.parametrize("make_text", [_mot17_ground_truth, _seed_tracker_text])
-def test_numpy_1_reads_integer_and_benchmark_files_as_float64(monkeypatch, make_text, block, is_ground_truth):
+def test_float64_read_of_integer_and_benchmark_files_matches_oracle(monkeypatch, make_text, block, is_ground_truth):
     _assert_float64_reads_like_oracle(monkeypatch, make_text(), block, is_ground_truth)
 
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ def test_trackset_reads_an_iterator_once():
     assert len(ts) == 2 and ts.num_detections == 2
     with pytest.raises(ValueError):
         TrackSet("s", (t for t in [t1, t1]))
+
+
+def test_trackset_holds_its_tracks_by_id():
+    tracks = [Trajectory(k, [k], [BOX], [1.0]) for k in (1, 2, 5, 9, 30, 31)]
+    ordered = TrackSet("s", tracks)
+    for seed in range(5):
+        shuffled = tracks.copy()
+        random.Random(seed).shuffle(shuffled)
+        ts = TrackSet("s", shuffled)
+        assert [t.id for t in ts.trajectories] == [1, 2, 5, 9, 30, 31]
+        assert ts == ordered
+    with pytest.raises(ValueError):
+        TrackSet("s", [tracks[1], tracks[0], tracks[1]])  # repeats that the order does not make neighbours
 
 
 def test_trackset_counts():
