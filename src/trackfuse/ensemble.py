@@ -84,28 +84,29 @@ def merge_group(group: Sequence[Trajectory], mode: MergeMode) -> Trajectory:
     anchor = group[0]
     if len(group) == 1:
         return anchor
-    frames = np.sort(np.concatenate([t.frame for t in group]))
+    frames, _, xywh = box_columns(group)
+    rows = np.column_stack([xywh, np.concatenate([t.conf for t in group])])  # x, y, w, h, confidence
+    order = np.argsort(frames, kind="stable")  # by frame, then group order
+    frames = frames[order]
     first = np.empty(len(frames), bool)  # the first of each run of equal frames
     first[0] = True
     np.not_equal(frames[1:], frames[:-1], out=first[1:])
-    frames = frames[first]
-    at = [np.searchsorted(frames, t.frame) for t in group]  # each member's rows in the output
-    values = np.empty((len(frames), 5))  # x, y, w, h, confidence: the first member present's
-    for rows, t in zip(reversed(at), reversed(group)):
-        values[rows, :4] = t.xywh
-        values[rows, 4] = t.conf
+    values = rows[order[first]]  # the first member present's
     if mode is MergeMode.AVERAGE:
+        at = np.empty(len(order), np.int64)  # each row's output row, through the sort's inverse
+        at[order] = np.cumsum(first) - 1
         total = np.zeros_like(values)
-        present = np.zeros(len(frames), np.int64)
-        for rows, t in zip(at, group):
-            total[rows, :4] += t.xywh
-            total[rows, 4] += t.conf
-            present[rows] += 1
+        lo = 0
+        for t in group:  # a member covers each of its frames once
+            hi = lo + len(t.frame)
+            total[at[lo:hi]] += rows[lo:hi]
+            lo = hi
+        present = np.bincount(at)
         shared = present > 1
         values[shared] = total[shared] / present[shared, None]
         # the exact mean of sizes of at least MIN_BOX_SIZE / 2 is too; keep its rounding there
         np.maximum(values[:, 2:4], MIN_BOX_SIZE / 2, out=values[:, 2:4])
-    return Trajectory._of(anchor.id, frames, values[:, :4].copy(), values[:, 4].copy())
+    return Trajectory._of(anchor.id, frames[first], values[:, :4].copy(), values[:, 4].copy())
 
 
 def merge_groups(pool: Sequence[Trajectory], thr_s: float, thr_t: float) -> List[List[Trajectory]]:
@@ -124,9 +125,10 @@ def merge_groups(pool: Sequence[Trajectory], thr_s: float, thr_t: float) -> List
     """
     ordered = sorted(pool, key=lambda t: (-t.length, t.id))
     n = len(ordered)
+    frames, ranks, boxes = box_columns(ordered)
     keys = [np.empty(0, np.int64)]  # higher rank * n + lower rank, once per matching frame
-    for _, higher, lower, _ in same_frame_pairs(box_columns(ordered), thr_s):
-        keys.append(higher * n + lower)
+    for a, b, _ in same_frame_pairs(frames, boxes, thr_s):
+        keys.append(ranks[a] * n + ranks[b])  # rows come by rank
     pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
     first, second = pairs // n, pairs % n
     lengths = np.array([t.length for t in ordered], dtype=np.int64)
@@ -153,27 +155,23 @@ def length_nms(tracks: Sequence[Trajectory], thr_nms: float) -> List[Trajectory]
     Trajectories left without any boxes are dropped.
     """
     ranked = sorted(range(len(tracks)), key=lambda k: (-tracks[k].length, tracks[k].id))
-    suppressed: set[tuple[int, int]] = set()  # (rank, frame)
-    for frames, higher, lower, _ in same_frame_pairs(box_columns([tracks[k] for k in ranked]), thr_nms):
-        # pairs come in (frame, higher rank, lower rank) order, so every
+    frames, _, boxes = box_columns([tracks[k] for k in ranked])
+    gone = bytearray(len(frames))  # suppressed rows
+    for a, b, _ in same_frame_pairs(frames, boxes, thr_nms):
+        # pairs come in (frame, row_a, row_b) order and rows by rank, so every
         # pair that could suppress a box is visited before the box's own
-        for f, a, b in zip(frames.tolist(), higher.tolist(), lower.tolist()):
-            if (a, f) not in suppressed:
-                suppressed.add((b, f))
-
-    dropped: Dict[int, List[int]] = {}  # track index -> suppressed frames
-    for rank, f in suppressed:
-        dropped.setdefault(ranked[rank], []).append(f)
+        for p, q in zip(a.tolist(), b.tolist()):
+            if not gone[p]:
+                gone[q] = 1
+    keep = ~np.frombuffer(gone, bool)
+    stop = dict(zip(ranked, np.cumsum([len(tracks[k].frame) for k in ranked]).tolist()))  # past each track's rows
     out: List[Trajectory] = []
     for k, t in enumerate(tracks):
-        gone = dropped.get(k)
-        if gone is None:
+        mask = keep[stop[k] - len(t.frame) : stop[k]]
+        if mask.all():
             out.append(t)
-            continue
-        keep = np.ones(len(t.frame), bool)
-        keep[np.searchsorted(t.frame, gone)] = False  # frames ascend, and each one gone is one of them
-        if keep.any():
-            out.append(Trajectory._of(t.id, t.frame[keep], t.xywh[keep], t.conf[keep]))
+        elif mask.any():
+            out.append(Trajectory._of(t.id, t.frame[mask], t.xywh[mask], t.conf[mask]))
     return out
 
 

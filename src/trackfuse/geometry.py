@@ -1,19 +1,18 @@
-"""Overlap geometry: the same-frame overlap join over box columns.
+"""Overlap geometry: the same-frame overlap join over box rows.
 
-``same_frame_pairs`` yields every pair of boxes of distinct owners that
-share a frame and whose IoU exceeds its caller's threshold, for merge
-grouping, NMS, CLEAR and IDF1. It is the package's one definition of box
-overlap. It joins one set of box columns with itself; two sets, such as
-ground truth and predictions, are joined as one set with the second set's
-owners after the first's, keeping the pairs of a first owner and a second.
+``same_frame_pairs`` yields every pair of box rows that share a frame and
+whose IoU exceeds its caller's threshold, for merge grouping, NMS, CLEAR
+and IDF1. It is the package's one definition of box overlap. It names the
+pairs by row, and each caller reads what it needs from its own columns.
+Two sets, such as ground truth and predictions, are joined as one set, the
+second set's rows after the first's, keeping the pairs of a first and a second.
 
-The join never lists candidate pairs. It sorts the rows by (frame, owner)
-once and joins contiguous blocks of whole frames of that order: each row is
-compared with the row ``d`` after it, for every ``d`` below the block's
-largest frame; only the pairs found get their IoU, and only those above
-the threshold leave the block. Every pair found intersects, as box values
-are within ``MAX_COORD``, where no edge rounds onto its opposite.
-"""
+The join never lists candidate pairs. It sorts the rows by frame once,
+stably, and joins contiguous blocks of whole frames of that order: each
+row is compared with the row ``d`` after it, for every ``d`` below the
+block's largest frame; only the pairs found get their IoU, and only those
+above the threshold leave the block. Every pair found intersects, as box
+values are within ``MAX_COORD``, where no edge rounds onto its opposite."""
 
 from __future__ import annotations
 
@@ -26,8 +25,8 @@ from .model import Trajectory
 # Box columns: frames int64[n], owner index int64[n], boxes float64[n, 4]
 # as (x, y, w, h). An owner is the index of the box's trajectory in a list.
 BoxColumns = Tuple[np.ndarray, np.ndarray, np.ndarray]
-# The join's output: (frame, owner_a, owner_b, iou) arrays.
-Pairs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# The join's output: (row_a, row_b, iou) arrays, rows of the caller's columns.
+Pairs = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # The most box rows a block holds, one-box frames included, unless one frame
 # alone holds more. It bounds the join's memory and does not change results.
@@ -44,22 +43,22 @@ def box_columns(tracks: Sequence[Trajectory]) -> BoxColumns:
     return frames, owners, np.concatenate([t.xywh for t in tracks])
 
 
-def same_frame_pairs(cols: BoxColumns, above: float) -> Iterator[Pairs]:
-    """Join a set of box columns with itself on frame, yielding the pairs with IoU above ``above``.
+def same_frame_pairs(frames: np.ndarray, boxes: np.ndarray, above: float) -> Iterator[Pairs]:
+    """Join box rows with themselves on frame, yielding the pairs with IoU above ``above``.
 
-    Yields ``(frame, owner_a, owner_b, iou)`` arrays, one entry for every
-    same-frame pair of boxes of distinct owners whose IoU strictly exceeds
-    ``above``, with the lower owner first. Pairs that do not intersect have
-    IoU 0 and are always left out; at ``above=0`` every intersecting pair
-    comes out. Pairs come in (frame, owner_a, owner_b) order, one block at
-    a time: a run of whole frames of the (frame, owner) order, of at most
-    ``BLOCK_ROWS`` rows unless one frame alone holds more. Blocks with no
-    frame of two or more boxes are skipped.
+    Yields ``(row_a, row_b, iou)`` arrays of rows of ``frames`` and
+    ``boxes`` (as in ``BoxColumns``), one entry for every pair of rows
+    ``row_a < row_b`` of one frame whose IoU strictly exceeds ``above``.
+    Pairs that do not intersect have IoU 0 and are always left out; at
+    ``above=0`` every intersecting pair comes out. Pairs come in (frame,
+    row_a, row_b) order, one block at a time: a run of whole frames of the
+    stable frame order, of at most ``BLOCK_ROWS`` rows unless one frame
+    alone holds more. Blocks with no frame of two or more boxes are skipped.
     """
-    order = np.lexsort((cols[1], cols[0]))
+    order = np.argsort(frames, kind="stable")
     if len(order) < 2**31:  # kept while the join runs, so in 32 bits where they fit
         order = order.astype(np.int32)
-    ordered = cols[0][order]
+    ordered = frames[order]
     bounds = np.append(np.flatnonzero(np.concatenate(([len(order) > 0], ordered[1:] != ordered[:-1]))), len(order))
     del ordered  # only the row order and the frame bounds outlive the blocks
     sizes = np.diff(bounds)  # rows in each frame
@@ -67,17 +66,17 @@ def same_frame_pairs(cols: BoxColumns, above: float) -> Iterator[Pairs]:
     while lo < len(sizes):
         hi = max(int(np.searchsorted(bounds, bounds[lo] + BLOCK_ROWS, side="right")) - 1, lo + 1)
         if sizes[lo:hi].max() > 1:
-            yield _block_pairs(cols, order[bounds[lo] : bounds[hi]], sizes[lo:hi], above)
+            yield _block_pairs(boxes, order[bounds[lo] : bounds[hi]], sizes[lo:hi], above)
         lo = hi
 
 
-def _block_pairs(cols: BoxColumns, rows: np.ndarray, sizes: np.ndarray, above: float) -> Pairs:
-    """The pairs of one block with IoU above ``above``, in (frame, owner_a, owner_b) order.
+def _block_pairs(boxes: np.ndarray, rows: np.ndarray, sizes: np.ndarray, above: float) -> Pairs:
+    """The pairs of one block with IoU above ``above``, in (frame, row_a, row_b) order.
 
-    ``rows`` are the block's rows of ``cols``, a run of whole frames of the
-    (frame, owner) order, and ``sizes`` their number in each frame. Every
+    ``rows`` are the block's rows of ``boxes``, a run of whole frames of
+    the stable frame order, and ``sizes`` their number in each frame. Every
     IoU is bit-identical to the scalar ``box_iou`` in ``tests/oracles.py``,
-    with the lower owner's box, always the earlier row, as its first operand.
+    with the earlier row's box as its first operand.
     """
     n, largest = len(rows), int(sizes.max())
     # Row p pairs with row q = p + d when low[:, q] < high[:, p] in every
@@ -87,7 +86,7 @@ def _block_pairs(cols: BoxColumns, rows: np.ndarray, sizes: np.ndarray, above: f
     high = np.empty_like(low)  # right, bottom, frame end
     size = np.empty((2, n))  # w, h
     for row, col in ((low[0], 0), (low[1], 1), (size[0], 2), (size[1], 3)):
-        row[:] = cols[2][:, col][rows]
+        row[:] = boxes[:, col][rows]
     x, y, right, bottom, (w, h) = low[0], low[1], high[0], high[1], size
     np.add(low[:2], size, out=high[:2])  # right and bottom, rounded once
     low[2] = np.arange(n)
@@ -103,8 +102,8 @@ def _block_pairs(cols: BoxColumns, rows: np.ndarray, sizes: np.ndarray, above: f
         found.append(np.logical_and.reduce(check, out=paired[: n - d]).nonzero()[0])
     del checks, paired
 
-    # One integer sort puts the pairs in (frame, owner_a, owner_b) order:
-    # p, then the offset, which rises with owner_b.
+    # One integer sort puts the pairs in (frame, row_a, row_b) order:
+    # p, then the offset, which rises with row_b.
     key = np.concatenate(found) * largest
     key += np.repeat(np.arange(1, largest), [len(f) for f in found])
     del found
@@ -126,5 +125,4 @@ def _block_pairs(cols: BoxColumns, rows: np.ndarray, sizes: np.ndarray, above: f
     iou = np.minimum(inter / union, 1.0)
     iou[(x[p] == x[q]) & (y[p] == y[q]) & (w[p] == w[q]) & (h[p] == h[q])] = 1.0  # equal boxes
     keep = iou > above
-    p, q = rows[p[keep]], rows[q[keep]]
-    return cols[0][p], cols[1][p], cols[1][q], iou[keep]
+    return rows[p[keep]], rows[q[keep]], iou[keep]

@@ -387,7 +387,7 @@ def _serialized(ts: TrackSet) -> Iterator[str]:
     frames, owners, xywh = box_columns(tracks)
     ids = np.array([t.id for t in tracks], dtype=np.int64)[owners]
     conf = np.concatenate([t.conf for t in tracks])
-    order = np.lexsort((ids, frames))
+    order = np.argsort(frames, kind="stable")  # the tracks come by id
     for start in range(0, len(order), ROW_BLOCK):
         rows = order[start : start + ROW_BLOCK]
         yield _block_text(frames[rows], ids[rows], np.column_stack([xywh[rows], conf[rows]]))

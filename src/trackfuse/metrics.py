@@ -71,26 +71,27 @@ _Hits = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 def _hits(gt: TrackSet, pred: TrackSet, iou_match: float) -> Tuple[_Side, _Side, _Hits]:
     """The frames and owners of both sides' boxes, and their hits, from one same-frame join.
 
-    Both sides are joined as one set of boxes: the ground-truth tracks,
+    Both sides are joined as one set of box rows: the ground-truth tracks,
     owners 0..G-1 and their rows first, then the predicted tracks, each
-    side in its track set's order, by id. The join keeps the pairs above
-    the float just below ``iou_match``, exactly those at or above it; of
-    these, the pairs of a ground-truth owner and a predicted one are the
-    hits, with the ground-truth box as the IoU's first operand. CLEAR and
-    IDF1 read only hits, so ``evaluate`` scores both from one call. A bad
-    ``iou_match`` raises before the join runs.
+    side in its track set's order, by id, so the rows come by owner. The
+    join keeps the pairs above the float just below ``iou_match``, exactly
+    those at or above it; of these, the pairs of a ground-truth row and a
+    predicted one are the hits, with the ground-truth box as the IoU's
+    first operand. CLEAR and IDF1 read only hits, so ``evaluate`` scores
+    both from one call. A bad ``iou_match`` raises before the join runs.
     """
     if not 0.0 < iou_match <= 1.0:
         raise ValueError(f"iou_match must be in (0, 1], got {iou_match}")
-    num_gt = len(gt.trajectories)
-    cols = frames, owners, _ = box_columns(gt.trajectories + pred.trajectories)
-    hits = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
-    for frame, owner_a, owner_b, iou in same_frame_pairs(cols, np.nextafter(iou_match, 0.0)):
-        cross = (owner_a < num_gt) & (owner_b >= num_gt)
-        hits.append((frame[cross], owner_a[cross], owner_b[cross] - num_gt, iou[cross]))
-    split = gt.num_detections
-    gt_side, pred_side = (frames[:split], owners[:split]), (frames[split:], owners[split:] - num_gt)
-    return gt_side, pred_side, tuple(np.concatenate(column) for column in zip(*hits))
+    num_gt, split = len(gt.trajectories), gt.num_detections
+    frames, owners, boxes = box_columns(gt.trajectories + pred.trajectories)
+    owners[split:] -= num_gt
+    hits = [(np.empty(0, np.int64),) * 2 + (np.empty(0),)]
+    for a, b, iou in same_frame_pairs(frames, boxes, np.nextafter(iou_match, 0.0)):
+        cross = (a < split) & (b >= split)
+        hits.append((a[cross], b[cross], iou[cross]))
+    a, b, iou = (np.concatenate(column) for column in zip(*hits))
+    gt_side, pred_side = (frames[:split], owners[:split]), (frames[split:], owners[split:])
+    return gt_side, pred_side, (frames[a], owners[a], owners[b], iou)
 
 
 # A frame's owners present, ground truth then predicted, each ascending, and

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -216,16 +216,16 @@ class Trajectory:
 class TrackSet:
     """Every trajectory one tracker (or the fused result) produced for one sequence.
 
-    ``trajectories`` is a list of its own, ascending by id whatever the
-    order given, so two track sets of the same tracks are equal.
+    ``trajectories`` is a tuple, ascending by id whatever the order given,
+    so two track sets of the same tracks are equal.
     """
 
     sequence: str = ""
-    trajectories: List[Trajectory] = field(default_factory=list)
+    trajectories: Tuple[Trajectory, ...] = ()
 
     def __post_init__(self) -> None:
-        # a list of its own: the caller's list may change, and an iterator is read once
-        tracks = sorted(self.trajectories, key=lambda t: t.id)
+        # a tuple: the caller's list may change, and an iterator is read once
+        tracks = tuple(sorted(self.trajectories, key=lambda t: t.id))
         object.__setattr__(self, "trajectories", tracks)
         if any(a.id == b.id for a, b in zip(tracks, tracks[1:])):
             raise ValueError("duplicate trajectory ids within a track set")

@@ -339,7 +339,7 @@ def test_outputs_do_not_depend_on_the_order_tracks_are_given(seed, cfg):
     rng = random.Random(seed)
 
     def shuffled(ts: TrackSet) -> TrackSet:
-        tracks = ts.trajectories.copy()
+        tracks = list(ts.trajectories)
         rng.shuffle(tracks)
         return TrackSet(ts.sequence, tracks)
 

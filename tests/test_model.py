@@ -84,20 +84,28 @@ def test_trackset_rejects_duplicate_ids():
         TrackSet("s", [t1, t2])
 
 
-def test_trackset_keeps_a_list_of_its_own():
+def test_trackset_keeps_a_tuple_of_its_own():
     t1 = Trajectory(1, [1], [BOX], [1.0])
     tracks = [t1]
     ts = TrackSet("s", tracks)
     tracks.append(t1)  # would repeat id 1 in a shared list
     assert [t.id for t in ts.trajectories] == [1]
-    assert type(ts.trajectories) is list and ts.trajectories is not tracks
+    assert type(ts.trajectories) is tuple
+
+
+def test_trackset_tracks_cannot_be_appended_to():
+    t2, t5 = Trajectory(2, [1], [BOX], [1.0]), Trajectory(5, [1], [BOX], [1.0])
+    ts = TrackSet("s", [t5])
+    with pytest.raises(AttributeError):
+        ts.trajectories.append(t2)  # would break the id order
+    assert [t.id for t in ts.trajectories] == [5]
 
 
 def test_trackset_reads_an_iterator_once():
     t1 = Trajectory(1, [1], [BOX], [1.0])
     t2 = Trajectory(2, [5], [BOX], [1.0])
     ts = TrackSet("s", (t for t in [t1, t2]))
-    assert ts.trajectories == [t1, t2]
+    assert ts.trajectories == (t1, t2)
     assert len(ts) == 2 and ts.num_detections == 2
     with pytest.raises(ValueError):
         TrackSet("s", (t for t in [t1, t1]))

@@ -80,15 +80,14 @@ def box_pairs(draw):
 def join_iou(pairs):
     """The join's IoU of each pair, the two boxes put alone in a frame of their own.
 
-    The first box of a pair is owner 0 and the second owner 1, so the join
-    takes the first as ``box_iou``'s first operand.
+    The first box of a pair is the earlier row, so the join takes it as
+    ``box_iou``'s first operand.
     """
     frames = np.repeat(np.arange(1, len(pairs) + 1), 2)
-    owners = np.tile(np.arange(2), len(pairs))
     boxes = np.array([(x.x, x.y, x.w, x.h) for pair in pairs for x in pair])
     got = [0.0] * len(pairs)  # pairs the join leaves out do not intersect
-    for frame, _, _, iou in same_frame_pairs((frames, owners, boxes), 0.0):
-        for f, v in zip(frame.tolist(), iou.tolist()):
+    for a, _, iou in same_frame_pairs(frames, boxes, 0.0):
+        for f, v in zip(frames[a].tolist(), iou.tolist()):
             got[f - 1] = v
     return got
 
@@ -132,12 +131,24 @@ def _brute_pairs(a, b=None):
     return sorted(out)
 
 
+def _pairs(cols, above):
+    """The join's blocks of the rows of ``cols`` put in owner order (stably), as (frame, owner_a, owner_b, iou).
+
+    The owners at one frame are distinct, so the join's (frame, row_a,
+    row_b) order over those rows is (frame, owner_a, owner_b) order.
+    """
+    by_owner = np.argsort(cols[1], kind="stable")
+    frames, owners, boxes = (col[by_owner] for col in cols)
+    for a, b, iou in same_frame_pairs(frames, boxes, above):
+        yield frames[a], owners[a], owners[b], iou
+
+
 def _rows(blocks):
     return [row for block in blocks for row in zip(*(col.tolist() for col in block))]
 
 
 def _joined(cols):
-    return _rows(same_frame_pairs(cols, 0.0))
+    return _rows(_pairs(cols, 0.0))
 
 
 def _both(a, b):
@@ -149,7 +160,7 @@ def _both(a, b):
 def _cross_blocks(a, b):
     """The blocks of the self-join of ``_both(a, b)``, kept to its a -> b pairs, b's owners shifted back."""
     both, shift = _both(a, b)
-    for frame, owner_a, owner_b, iou in same_frame_pairs(both, 0.0):
+    for frame, owner_a, owner_b, iou in _pairs(both, 0.0):
         cross = (owner_a < shift) & (owner_b >= shift)
         yield frame[cross], owner_a[cross], owner_b[cross] - shift, iou[cross]
 
@@ -178,17 +189,17 @@ def test_join_yields_exactly_the_pairs_above_its_threshold(monkeypatch, above, b
         b = box_columns(random_trackset(rng, max_tracks=6, max_start=5, max_span=12, arena=40.0).trajectories)
         # b's boxes and exact copies of them as one set: pairs at IoU 1 too
         for cols in (a, _both(a, b)[0], _both(b, b)[0]):
-            assert _rows(same_frame_pairs(cols, above)) == [row for row in _brute_pairs(cols) if row[3] > above]
+            assert _rows(_pairs(cols, above)) == [row for row in _brute_pairs(cols) if row[3] > above]
 
 
 def test_iou_exactly_at_a_threshold_is_a_hit_but_no_match():
     # IoU 50 / (100 + 50 - 50) = 0.5 exactly, in each of 10 frames
     big, half = const_track(1, 1, 10), const_track(2, 1, 10, box=(0.0, 0.0, 10.0, 5.0))
     cols = box_columns([big, half])
-    assert _rows(same_frame_pairs(cols, 0.0))[0] == (1, 0, 1, 0.5)
-    assert _rows(same_frame_pairs(cols, 0.5)) == []
+    assert _rows(_pairs(cols, 0.0))[0] == (1, 0, 1, 0.5)
+    assert _rows(_pairs(cols, 0.5)) == []
     below = float(np.nextafter(0.5, 0.0))
-    assert len(_rows(same_frame_pairs(cols, below))) == 10
+    assert len(_rows(_pairs(cols, below))) == 10
     # a hit at iou_match 0.5: scoring takes IoU >= iou_match
     report = evaluate(TrackSet("s", [big]), TrackSet("s", [half]), 0.5)
     assert report == EvalReport(ClearScores(10, 0, 0, 0, 1.0), IdentityScores(10, 0, 0, 1.0))
@@ -240,15 +251,15 @@ def _check_blocks(cols, bound):
     blocks = []
     block_pairs = geometry._block_pairs
 
-    def recorded(cols, rows, sizes, above):
+    def recorded(boxes, rows, sizes, above):
         blocks.append(cols[0][rows].tolist())
-        return block_pairs(cols, rows, sizes, above)
+        return block_pairs(boxes, rows, sizes, above)
 
     pairs_per_frame = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "_block_pairs", recorded)
-        for frame, _, _, _ in same_frame_pairs(cols, 0.0):
-            for f in frame.tolist():
+        for a, _, _ in same_frame_pairs(cols[0], cols[2], 0.0):
+            for f in cols[0][a].tolist():
                 pairs_per_frame[f] = pairs_per_frame.get(f, 0) + 1
     rows = collections.Counter(cols[0].tolist())
     blocked = [f for frames in blocks for f in frames]
@@ -367,7 +378,7 @@ def test_join_output_is_pinned_at_benchmark_scale():
     # ground truth and predictions were joined as one set
     gt, trackers = generate_scenario(ScenarioSpec(20, 600, 800, 600, 7, (DEFAULT_DEGRADATION,) * 3))
     pool = box_columns(mix(trackers))
-    assert _digest(same_frame_pairs(pool, 0.0)) == "bc9a3d739f65d1ed27c8121de434eb5c18890707bb1d3eb9a8cbedb66a08d990"
+    assert _digest(_pairs(pool, 0.0)) == "bc9a3d739f65d1ed27c8121de434eb5c18890707bb1d3eb9a8cbedb66a08d990"
     cross = _cross_blocks(box_columns(gt.trajectories), box_columns(trackers[0].trajectories))
     assert _digest(cross) == "97f51d09aec8cf4c026ca7cd7dffb3729adb1ab6b9a3d7a56cdc822043c7954b"
 
@@ -385,7 +396,7 @@ def _join_peak(cols):
     gc.collect()
     tracemalloc.start()
     try:
-        collections.deque(same_frame_pairs(cols, 0.0), maxlen=0)  # keeps no block
+        collections.deque(same_frame_pairs(cols[0], cols[2], 0.0), maxlen=0)  # keeps no block
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -430,6 +441,29 @@ def test_join_pairs_the_smallest_boxes_at_the_bound():
     assert joined == _brute_pairs(a)
     assert [row for row in joined if row[1:3] == (0, 1)] == [(f, 0, 1, 1.0) for f in boxes]
     assert len(joined) == 3 * len(boxes) and all(iou > 0 for *_, iou in joined)
+
+
+def _brute_row_pairs(frames, boxes):
+    """Every intersecting pair of rows of one frame, ``row_a < row_b``, with its box_iou, in join order."""
+    out = []
+    for i, j in itertools.combinations(range(len(frames)), 2):
+        if frames[i] == frames[j]:
+            iou = box_iou(BoundingBox(*boxes[i]), BoundingBox(*boxes[j]))
+            if iou > 0:
+                out.append((int(frames[i]), i, j, iou))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("bound", [1, 3, None])
+def test_join_names_pairs_by_row_in_the_callers_order(monkeypatch, bound):
+    if bound is not None:
+        monkeypatch.setattr(geometry, "BLOCK_ROWS", bound)
+    rng = random.Random(17)
+    frames, owners, boxes = _random_columns(rng, {f: rng.randint(1, 8) for f in range(1, 25)}, 20.0)
+    assert (np.diff(owners) < 0).any()  # shuffled rows: owners are not in row order, and the join reads none
+    joined = [(int(frames[a]), a, b, iou) for a, b, iou in _rows(same_frame_pairs(frames, boxes, 0.0))]
+    assert joined and joined == _brute_row_pairs(frames, boxes)
+    assert all(a < b for _, a, b, _ in joined)
 
 
 def test_join_of_empty_columns():
@@ -883,7 +917,7 @@ def test_frames_present_on_one_side_only():
     for thr in MATCH_THRESHOLDS:
         assert idf1(gt, pred, thr) == idf1_scalar(gt, pred, thr)
         assert clear_mot(gt, pred, thr) == clear_mot_scalar(gt, pred, thr)
-    pool = gt.trajectories + [const_track(3, 40, 50)]
+    pool = [*gt.trajectories, const_track(3, 40, 50)]
     for thr in THRESHOLDS:
         assert _ids(merge_groups(pool, thr, thr)) == _ids(merge_groups_scalar(pool, thr, thr))
         assert length_nms(pool, thr) == length_nms_scalar(pool, thr)
