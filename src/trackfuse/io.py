@@ -14,7 +14,6 @@ visibility; class and visibility are ignored here (single-class data).
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from io import StringIO
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
@@ -35,8 +34,9 @@ ROW_BLOCK = 1 << 10
 # reader. It reads "\r\n" as a line end and refuses a lone "\r", which
 # splitlines also breaks at.
 _PLAIN = b"0123456789.,-+eE \r"
-# A token of the first non-empty line that makes its column int64, if it
-# is a frame, an id or a column past the seventh: an integer literal.
+# A token of the first non-empty line that makes its column of the
+# ``_record`` int64, if it is a frame, an id or a column past the
+# seventh: an integer literal.
 _INTEGER = re.compile(r"-?[0-9]+")
 # What follows the confidence on every line.
 _TAIL = b",-1,-1,-1\n"
@@ -66,28 +66,21 @@ def _blocks(text: str) -> Iterator[str]:
         start = end
 
 
-def _first_line(text: str) -> str:
-    """The first non-empty line of ``text``, without its ``"\\n"``."""
-    return text.lstrip("\r\n").partition("\n")[0]
+def _record(text: str, integer: bool = True) -> np.dtype:
+    """The numpy record that ``text``'s plain blocks are read with, from the first non-empty line of its first block.
 
-
-def _integer_columns(text: str) -> Tuple[int, ...]:
-    """The frame, id and past-the-seventh columns of ``text``'s first non-empty line that hold integer literals.
-
-    Only those columns are read as int64: a frame or id of 0, which may be
-    written ``-0``, is refused and its message made from its line's text,
-    and the columns past the seventh are thrown away, so no value read
-    differs from ``float``'s. The line is looked for in the first
-    ``TEXT_BLOCK`` characters only.
+    It has a field per column of that line, and at least 6. A frame, id or
+    past-the-seventh column whose token there is an integer literal is
+    int64 if ``integer``; every other field is float64. Only those columns
+    are read as int64: a frame or id of 0, which may be written ``-0``, is
+    refused and its message made from its line's text, and the columns
+    past the seventh are thrown away, so no value read differs from
+    ``float``'s. A block ends at a line break, so the line is never cut.
     """
-    tokens = _first_line(text[:TEXT_BLOCK]).split(",")
-    return tuple(j for j, token in enumerate(tokens) if (j < 2 or j >= 7) and _INTEGER.fullmatch(token.strip()))
-
-
-@lru_cache(maxsize=64)
-def _record(width: int, integer: Tuple[int, ...]) -> np.dtype:
-    """One line of ``width`` columns: int64 in the ``integer`` columns, float64 in the rest."""
-    return np.dtype([(f"f{j}", np.int64 if j in integer else np.float64) for j in range(width)])
+    tokens = next(_blocks(text), "").lstrip("\r\n").partition("\n")[0].split(",")
+    tokens += [""] * (6 - len(tokens))
+    int64 = [integer and (j < 2 or j >= 7) and _INTEGER.fullmatch(token.strip()) for j, token in enumerate(tokens)]
+    return np.dtype([(f"f{j}", np.int64 if is_int64 else np.float64) for j, is_int64 in enumerate(int64)])
 
 
 def _is_plain(block: str) -> bool:
@@ -102,22 +95,19 @@ def _is_plain(block: str) -> bool:
     return not block.encode("ascii").translate(None, _PLAIN).strip(b"\n")
 
 
-def _plain_table(block: str, integer: Tuple[int, ...] = ()) -> Optional[np.ndarray]:
-    """The values of the plain ``block``, one record per non-blank line, or None.
+def _plain_table(block: str, record: np.dtype) -> Optional[np.ndarray]:
+    """The values of the plain ``block`` read with ``record``, one per non-blank line, or None.
 
-    The record has as many fields as the first non-empty line has columns,
-    and at least 6, int64 in the ``integer`` columns and float64 in the
-    rest. numpy's reader skips empty lines; a line of spaces, a lone
-    ``"\\r"``, a ragged block, a line of fewer than 6 columns, a malformed
-    number or a token that its int64 field refuses, a float token among
-    them, returns None. The reader converts float tokens with the routine
-    behind ``float``, so every value it returns is bit-identical to
-    ``float``'s, and an accepted integer token converts to that value too,
-    unless it is written ``-0``.
+    ``record`` is the text's ``_record``. numpy's reader skips empty lines;
+    a line of spaces, a lone ``"\\r"``, a line whose column count is not
+    ``record``'s, a malformed number or a token that its int64 field
+    refuses, a float token among them, returns None. The reader converts
+    float tokens with the routine behind ``float``, so every value it
+    returns is bit-identical to ``float``'s, and an accepted integer token
+    converts to that value too, unless it is written ``-0``.
     """
-    width = _first_line(block).count(",") + 1
     try:
-        return np.loadtxt(StringIO(block), delimiter=",", comments=None, dtype=_record(max(width, 6), integer), ndmin=1)
+        return np.loadtxt(StringIO(block), delimiter=",", comments=None, dtype=record, ndmin=1)
     except ValueError:
         return None
 
@@ -170,11 +160,12 @@ def _columns(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
     whose message is returned with the rows before it: that line is the
     non-blank line after them.
 
-    Plain blocks are read with int64 in the ``_integer_columns``. A block
-    that this fails is read again with float64 in them, as is the rest of
-    the text.
+    Plain blocks are read with the text's ``_record``. A block that this
+    fails is read again with its float64 twin, as is the rest of the text;
+    a block that the twin fails too, such as one whose column count is not
+    the record's, goes to ``_tokenize``.
     """
-    integer = _integer_columns(text)
+    record, twin = _record(text), _record(text, integer=False)
     # a row per line, so that the rows of a text without blank lines fill
     # them and they stay contiguous, which numpy's take needs to copy
     # nothing but the rows taken; splitlines also breaks at a lone "\r" and
@@ -186,10 +177,10 @@ def _columns(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
     for block in _blocks(text):
         table = None
         if _is_plain(block):
-            table = _plain_table(block, integer)
-            if table is None and integer:
-                integer = ()
-                table = _plain_table(block)
+            table = _plain_table(block, record)
+            if table is None and record != twin:
+                record = twin
+                table = _plain_table(block, record)
         if table is not None:
             fields = [table[name] for name in table.dtype.names[:7]]
         else:

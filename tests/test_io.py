@@ -524,15 +524,19 @@ def test_mot17_ground_truth_reads_integer_columns_once_per_block(is_ground_truth
         text = lead + _mot17_ground_truth()
         blocks = list(trackfuse.io._blocks(text))
         assert len(blocks) > 3
-        assert trackfuse.io._integer_columns(text) == (0, 1, 7)
+        record = trackfuse.io._record(text)
+        assert _int64_columns(record) == [0, 1, 7]  # frame, id and class
         with mock.patch.object(trackfuse.io.np, "loadtxt", wraps=np.loadtxt) as reader:
             parse_trackset(text, is_ground_truth)
         # integer boxes and flags go to float64 columns: no block is read again
         assert reader.call_count == len(blocks)
-        for call in reader.call_args_list:
-            fields = call.kwargs["dtype"].fields
-            assert fields["f0"][0] == fields["f1"][0] == np.int64  # frame and id
+        assert all(call.kwargs["dtype"] == record for call in reader.call_args_list)
         _assert_parses_like_oracle(text, is_ground_truth)
+
+
+def _int64_columns(record: np.dtype) -> list:
+    """The columns that ``record`` reads as int64, counted from 0."""
+    return [j for j, name in enumerate(record.names) if record[name] == np.int64]
 
 
 def _seed_tracker_text() -> str:
@@ -666,6 +670,11 @@ def _in_block(lines: list, k: int) -> int:
     return next(i for i, end in enumerate(itertools.accumulate(len(line) + 1 for line in lines)) if end > middle)
 
 
+def _six_between_ten() -> str:
+    """Full-size plain blocks of 10-column lines, then of 6-column lines, then of 10-column lines again."""
+    return "\n".join(_lines(range(1, 801)) + _lines(range(801, 3001), 6) + _lines(range(3001, 3801))) + "\n"
+
+
 def _past_the_first_block() -> list:
     """Texts of several full-size plain blocks, each with its first offence in a later block."""
     lines = _lines(range(1, 2501))
@@ -673,11 +682,10 @@ def _past_the_first_block() -> list:
     duplicate[_in_block(lines, 4)] = lines[2]  # the first copy is line 3
     thin[_in_block(lines, 3)] = thin[_in_block(lines, 3)].replace(",30,40,", ",0.001,40,")
     flag_zero[_in_block(lines, 2)] = f"{_in_block(lines, 2) + 1},1,inf,20,30,40,0,-1,-1,-1"
-    six_between_ten = _lines(range(1, 801)) + _lines(range(801, 3001), 6) + _lines(range(3001, 3801))
-    texts = [duplicate, thin, flag_zero, six_between_ten]
+    texts = ["\n".join(text) + "\n" for text in (duplicate, thin, flag_zero)] + [_six_between_ten()]
     names = ["duplicate-of-block-1-in-block-4", "width-below-minimum-in-block-3", "flag-0-row-with-inf-x-in-block-2",
              "6-column-blocks-between-10-column-blocks"]
-    return [pytest.param("\n".join(text) + "\n", id=name) for text, name in zip(texts, names)]
+    return [pytest.param(text, id=name) for text, name in zip(texts, names)]
 
 
 READER_CASES = [
@@ -730,6 +738,33 @@ def test_parser_matches_oracle_at_reader_boundaries(monkeypatch, text, block, is
     _assert_parses_like_oracle(text, is_ground_truth)
 
 
+def _mot17_visible_first() -> str:
+    """``_mot17_ground_truth`` with visibility ``1`` on its first line, so that column 9 opens as an integer."""
+    first, rest = _mot17_ground_truth().split("\n", 1)
+    return first.rpartition(",")[0] + ",1\n" + rest
+
+
+@pytest.mark.parametrize("is_ground_truth", [False, True])
+@pytest.mark.parametrize("block", [64, trackfuse.io.TEXT_BLOCK])
+@pytest.mark.parametrize("make_text,int64", [(_six_between_ten, [0, 1, 7, 8, 9]), (_mot17_visible_first, [0, 1, 7, 8])])
+def test_one_record_per_parse_then_its_float64_twin(monkeypatch, make_text, int64, block, is_ground_truth):
+    monkeypatch.setattr(trackfuse.io, "TEXT_BLOCK", block)
+    text = make_text()
+    with mock.patch.object(trackfuse.io.np, "loadtxt", wraps=np.loadtxt) as reader:
+        parse_trackset(text, is_ground_truth)
+    _assert_parses_like_oracle(text, is_ground_truth)
+    calls = reader.call_args_list
+    records = [call.kwargs["dtype"] for call in calls]
+    record = records[0]
+    twin = np.dtype([(name, np.float64) for name in record.names])
+    k = records.index(twin)  # a block is refused in both texts
+    assert 0 < k and records == [record] * k + [twin] * (len(records) - k)
+    # the block that the record refused is read again with the twin
+    assert calls[k].args[0].getvalue() == calls[k - 1].args[0].getvalue()
+    assert record == trackfuse.io._record(text) and twin == trackfuse.io._record(text, integer=False)
+    assert _int64_columns(record) == int64
+
+
 @pytest.mark.parametrize("is_ground_truth", [False, True])
 @pytest.mark.parametrize("block", [64, trackfuse.io.TEXT_BLOCK])
 def test_short_line_opening_a_later_plain_block_is_named(monkeypatch, block, is_ground_truth):
@@ -768,18 +803,24 @@ def test_short_line_opening_a_later_plain_block_is_named(monkeypatch, block, is_
     ],
 )
 def test_only_plain_blocks_go_to_numpys_reader(block, shape):
-    table = trackfuse.io._plain_table(block) if trackfuse.io._is_plain(block) else None
+    table = trackfuse.io._plain_table(block, trackfuse.io._record(block)) if trackfuse.io._is_plain(block) else None
     assert (None if table is None else (len(table), len(table.dtype))) == shape
 
 
 def test_integer_columns_come_from_the_first_line():
+    def columns(text, integer=True):
+        record = trackfuse.io._record(text, integer)
+        return len(record), _int64_columns(record)
+
     text = " 1 ,2,10.5,-3,007,-0,+1,12,-0,1e3\r\n2.5,x\n"
-    assert trackfuse.io._integer_columns(text) == (0, 1, 7, 8)
-    assert trackfuse.io._integer_columns("") == ()
-    assert trackfuse.io._integer_columns("\r\n\n1,2.5\n") == (0,)  # the first non-empty line
-    # the first line is looked for in the first block only
+    assert columns(text) == (10, [0, 1, 7, 8])
+    assert columns(text, integer=False) == (10, [])
+    assert columns("") == (6, [])
+    assert columns("\r\n\n1,2.5\n") == (6, [0])  # the first non-empty line, and at least 6 fields
+    # the first line is looked for in the first block only, which never cuts it
     with mock.patch.object(trackfuse.io, "TEXT_BLOCK", 5):
-        assert trackfuse.io._integer_columns("1,2,3,4,5,6,7,8,9\n") == (0, 1)
+        assert columns("1,2,3,4,5,6,7,8,9\n") == (9, [0, 1, 7, 8])
+        assert columns("\n" * 8 + "1,2,3,4,5,6,7,8,9\n") == (6, [])
 
 
 @pytest.mark.parametrize("is_ground_truth", [False, True])
@@ -799,7 +840,8 @@ def _assert_float64_reads_like_oracle(monkeypatch, text, block, is_ground_truth)
     That read serves any text whose first non-empty line holds no integer
     literal, and every block after one that an int64 column refuses.
     """
-    monkeypatch.setattr(trackfuse.io, "_integer_columns", lambda text: ())
+    record = trackfuse.io._record
+    monkeypatch.setattr(trackfuse.io, "_record", lambda text, integer=True: record(text, integer=False))
     monkeypatch.setattr(trackfuse.io, "TEXT_BLOCK", block)
     with mock.patch.object(trackfuse.io.np, "loadtxt", wraps=np.loadtxt) as reader:
         _assert_parses_like_oracle(text, is_ground_truth)
@@ -835,5 +877,6 @@ def test_float64_read_of_integer_and_benchmark_files_matches_oracle(monkeypatch,
 )
 def test_int64_fields_refuse_what_they_cannot_hold(block, values):
     # int64 in columns 1, 2 and 5, float64 in the rest
-    table = trackfuse.io._plain_table(block, (0, 1, 4))
+    record = np.dtype([(f"f{j}", np.int64 if j in (0, 1, 4) else np.float64) for j in range(6)])
+    table = trackfuse.io._plain_table(block, record)
     assert (None if table is None else table.tolist()) == values
