@@ -70,7 +70,8 @@ def cmd_merge(args: argparse.Namespace) -> None:
         cfg = EnsembleConfig(thr_s=args.thr_s, thr_t=args.thr_t, thr_nms=args.thr_nms,
                              thr_len=args.thr_len, merge_mode=args.mode, max_gap=args.interpolate)
 
-    fused = ensemble_pipeline([_load(path) for path in args.input], cfg)
+    # a generator, so that the pipeline can release the inputs once it has pooled them
+    fused = ensemble_pipeline((_load(path) for path in args.input), cfg)
     with _failing(OSError, EXIT_INPUT, f"cannot write {args.output}: "):
         save_trackset(args.output, fused)
 
@@ -102,9 +103,9 @@ def cmd_eval(args: argparse.Namespace) -> None:
     if not 0.0 < args.iou <= 1.0:
         raise _Failure(EXIT_USAGE, f"--iou must be in (0, 1], got {args.iou}")
     gt = _load(args.gt, is_ground_truth=True)
-    pred = _load(args.pred)
     if gt.num_detections == 0:
         raise _Failure(EXIT_INPUT, f"ground truth {args.gt} contains no boxes")
+    pred = _load(args.pred)
 
     report = evaluate(gt, pred, args.iou)
     rows = _report_rows(report)

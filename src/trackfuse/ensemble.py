@@ -5,19 +5,24 @@ trajectories that agree spatio-temporally (longer tracks act as anchors),
 then prunes redundant per-frame boxes with length-ranked NMS, discards
 trajectories that end up too short and, when a ``max_gap`` is set, fills
 short gaps inside the kept trajectories by linear interpolation.
+
+``ensemble_pipeline`` runs every stage on one column set (``Columns``) and
+builds no ``Trajectory``. Each public stage function is a wrapper that
+copies its trajectories into a column set, runs the stage's kernel on it
+and returns the result as trajectories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import box_columns, same_frame_pairs
-from .interpolate import linear_interpolate
-from .model import MIN_BOX_SIZE, TrackSet, Trajectory
+from .geometry import same_frame_pairs
+from .interpolate import _interpolated
+from .model import MIN_BOX_SIZE, Columns, TrackSet, Trajectory
 
 
 class MergeMode(Enum):
@@ -56,57 +61,152 @@ class EnsembleConfig:
         object.__setattr__(self, "merge_mode", MergeMode(self.merge_mode))
 
 
+def _ranked(columns: Columns) -> np.ndarray:
+    """The tracks by descending length (inclusive frame span), ties by id."""
+    return np.lexsort((columns.ids, -columns.spans()))
+
+
+def _kept(columns: Columns, keep: np.ndarray) -> Columns:
+    """The rows where ``keep`` is set; tracks left without rows are dropped."""
+    if keep.all():
+        return columns
+    before = np.concatenate(([0], np.cumsum(keep)))  # kept rows before each row
+    starts, stops = before[columns.starts], before[columns.stops()]
+    alive = stops > starts
+    rows = np.flatnonzero(keep)
+    return Columns(columns.ids[alive], starts[alive], *(column.take(rows, axis=0) for column in columns[2:]))
+
+
+def _mixed(tracksets: Sequence[TrackSet]) -> Columns:
+    """Every track of ``tracksets`` in one column set, in order, under ids 1..N."""
+    if not tracksets:
+        return Columns.of([])
+    parts = [ts.columns for ts in tracksets]
+    offsets = np.cumsum([0] + [len(c.frame) for c in parts[:-1]])
+    starts = np.concatenate([c.starts + offset for c, offset in zip(parts, offsets)])
+    frame, xywh, conf = (np.concatenate(column) for column in zip(*(c[2:] for c in parts)))
+    return Columns(np.arange(1, len(starts) + 1), starts, frame, xywh, conf)
+
+
 def mix(tracksets: Sequence[TrackSet]) -> List[Trajectory]:
     """Pool trajectories from all trackers into one list.
 
     Ids are reassigned 1..N in (tracker index, original id) order, the
     order of each track set's trajectories, so the pooled id tells which
-    tracker a trajectory came from. The boxes are shared, not copied.
+    tracker a trajectory came from.
     """
-    pooled: List[Trajectory] = []
-    for ts in tracksets:
-        for traj in ts.trajectories:
-            pooled.append(traj.with_id(len(pooled) + 1))
-    return pooled
+    return _mixed(tracksets).trajectories()
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Which rows start a run of rows equal in every one of ``keys``."""
+    first = np.zeros(len(keys[0]), bool)
+    first[:1] = True
+    for key in keys:
+        first[1:] |= key[1:] != key[:-1]
+    return first
+
+
+def _group_frame_order(pool: Columns, members: np.ndarray, group_starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``pool``'s rows by (group, frame, place in the group), and which of them start a new (group, frame).
+
+    ``members`` lists all of ``pool``'s tracks group by group, and
+    ``group_starts`` where each group starts in it. Each row's int64 key is
+    its group's key range plus its frame, times the largest group size,
+    plus its track's place in the group, so one sort orders the rows.
+    """
+    sizes = np.diff(group_starts, append=len(members))
+    track_group, track_place = np.empty((2, len(members)), np.int64)  # each pool track's group and place in it
+    track_group[members] = np.repeat(np.arange(len(sizes)), sizes)
+    track_place[members] = np.arange(len(members)) - np.repeat(group_starts, sizes)
+    low = np.minimum.reduceat(pool.frame[pool.starts[members]], group_starts)
+    spans = np.maximum.reduceat(pool.frame[pool.stops()[members] - 1], group_starts) - low + 1
+    width, counts = int(sizes.max()), pool.counts()
+    if spans.sum(dtype=np.float64) * width >= 2**62:  # the keys would not fit in int64
+        group = np.repeat(track_group, counts)
+        order = np.lexsort((np.repeat(track_place, counts), pool.frame, group))
+        return order, _run_starts(pool.frame.take(order), group.take(order))
+    key = pool.frame * width
+    key += np.repeat(((np.cumsum(spans) - spans - low) * width)[track_group] + track_place, counts)
+    order = np.argsort(key, kind="stable")  # the keys are unique, and each track's a rising run
+    key = key.take(order)
+    key //= width
+    return order, _run_starts(key)
+
+
+def _merged(pool: Columns, members: np.ndarray, group_starts: np.ndarray, mode: MergeMode) -> Columns:
+    """Each merge group of ``pool``'s tracks collapsed into one track, in group order.
+
+    ``members`` lists all of ``pool``'s tracks group by group, each group
+    longest first, and ``group_starts`` where each group starts in it. The
+    first row of each (group, frame) run is the output row's, and AVERAGE
+    adds up a run's rows in group order with ``np.bincount``.
+    """
+    if not len(members):
+        return pool
+    order, first = _group_frame_order(pool, members, group_starts)
+    out = order[first]
+    xywh, conf = pool.xywh.take(out, axis=0), pool.conf.take(out)
+    at = np.cumsum(first)  # each sorted row's output row, plus 1
+    at -= 1
+    if mode is MergeMode.AVERAGE:
+        present = np.bincount(at)
+        shared = np.flatnonzero(present > 1)
+        for column, values in [*((pool.xywh[:, j], xywh[:, j]) for j in range(4)), (pool.conf, conf)]:
+            values[shared] = np.bincount(at, weights=column.take(order))[shared] / present[shared]
+        # the exact mean of sizes of at least MIN_BOX_SIZE / 2 is too; keep its rounding there
+        np.maximum(xywh[:, 2:], MIN_BOX_SIZE / 2, out=xywh[:, 2:])
+    group_rows = np.add.reduceat(pool.counts()[members], group_starts)
+    starts = at[np.cumsum(group_rows) - group_rows]  # each group's rows start a run
+    return Columns(pool.ids[members[group_starts]], starts, pool.frame.take(out), xywh, conf)
 
 
 def merge_group(group: Sequence[Trajectory], mode: MergeMode) -> Trajectory:
     """Collapse a group of trajectories into one.
 
     The group must be ordered longest first; the head supplies the output
-    id. The output covers the union of all member frames. Where several
-    members cover one frame, DROP keeps the box of the longest member
-    present (ties resolved by group order) and AVERAGE takes the
-    coordinate-wise mean of all boxes present: their sum, started from 0
-    and taken in group order, divided by their number, with a width or
-    height that rounding took below ``MIN_BOX_SIZE / 2`` raised to it.
+    id, and a group of one is returned as it is. The output covers the
+    union of all member frames. Where several members cover one frame,
+    DROP keeps the box of the longest member present (ties resolved by
+    group order) and AVERAGE takes the coordinate-wise mean of all boxes
+    present: their sum, started from 0 and taken in group order, divided
+    by their number, with a width or height that rounding took below
+    ``MIN_BOX_SIZE / 2`` raised to it.
     """
-    anchor = group[0]
     if len(group) == 1:
-        return anchor
-    frames, _, xywh = box_columns(group)
-    rows = np.column_stack([xywh, np.concatenate([t.conf for t in group])])  # x, y, w, h, confidence
-    order = np.argsort(frames, kind="stable")  # by frame, then group order
-    frames = frames[order]
-    first = np.empty(len(frames), bool)  # the first of each run of equal frames
-    first[0] = True
-    np.not_equal(frames[1:], frames[:-1], out=first[1:])
-    values = rows[order[first]]  # the first member present's
-    if mode is MergeMode.AVERAGE:
-        at = np.empty(len(order), np.int64)  # each row's output row, through the sort's inverse
-        at[order] = np.cumsum(first) - 1
-        total = np.zeros_like(values)
-        lo = 0
-        for t in group:  # a member covers each of its frames once
-            hi = lo + len(t.frame)
-            total[at[lo:hi]] += rows[lo:hi]
-            lo = hi
-        present = np.bincount(at)
-        shared = present > 1
-        values[shared] = total[shared] / present[shared, None]
-        # the exact mean of sizes of at least MIN_BOX_SIZE / 2 is too; keep its rounding there
-        np.maximum(values[:, 2:4], MIN_BOX_SIZE / 2, out=values[:, 2:4])
-    return Trajectory._of(anchor.id, frames[first], values[:, :4].copy(), values[:, 4].copy())
+        return group[0]
+    (merged,) = _merged(Columns.of(group), np.arange(len(group)), np.zeros(1, np.int64), mode).trajectories()
+    return merged
+
+
+def _grouped(pool: Columns, thr_s: float, thr_t: float) -> Tuple[np.ndarray, np.ndarray]:
+    """``pool``'s tracks in merge groups: the tracks group by group, and where each group starts.
+
+    The groups come by their anchor's rank, the tracks of a group by rank.
+    The join runs on ``pool``'s rows as they are; IoU is symmetric, so
+    their order changes no pair it finds.
+    """
+    ranked = _ranked(pool)
+    n = len(ranked)
+    rank = np.empty(n, np.int64)
+    rank[ranked] = np.arange(n)
+    row_rank = np.repeat(rank, pool.counts())
+    keys = [np.empty(0, np.int64)]  # higher rank * n + lower rank, once per matching frame
+    for a, b, _ in same_frame_pairs(pool.frame, pool.xywh, thr_s):
+        a, b = row_rank[a], row_rank[b]
+        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+    pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
+    first, second = pairs // n, pairs % n
+    lengths = pool.spans()[ranked]
+    matched = counts / np.minimum(lengths[first], lengths[second]) > thr_t
+    # pairs come by anchor rank, then partner rank: whether an anchor is absorbed is settled first
+    anchor = list(range(n))  # the rank whose group each rank joins
+    for i, j in zip(first[matched].tolist(), second[matched].tolist()):
+        if anchor[i] == i and anchor[j] == j:
+            anchor[j] = i
+    by_group = np.argsort(anchor, kind="stable")  # by anchor rank, then rank
+    heads = np.asarray(anchor, np.int64)[by_group]
+    return ranked[by_group], np.flatnonzero(np.diff(heads, prepend=-1))
 
 
 def merge_groups(pool: Sequence[Trajectory], thr_s: float, thr_t: float) -> List[List[Trajectory]]:
@@ -123,25 +223,28 @@ def merge_groups(pool: Sequence[Trajectory], thr_s: float, thr_t: float) -> List
     frames where the pair's boxes have IoU above ``thr_s``, counted and
     divided by the shorter length (inclusive frame span).
     """
-    ordered = sorted(pool, key=lambda t: (-t.length, t.id))
-    n = len(ordered)
-    frames, ranks, boxes = box_columns(ordered)
-    keys = [np.empty(0, np.int64)]  # higher rank * n + lower rank, once per matching frame
-    for a, b, _ in same_frame_pairs(frames, boxes, thr_s):
-        keys.append(ranks[a] * n + ranks[b])  # rows come by rank
-    pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
-    first, second = pairs // n, pairs % n
-    lengths = np.array([t.length for t in ordered], dtype=np.int64)
-    matched = counts / np.minimum(lengths[first], lengths[second]) > thr_t
-    # pairs come by anchor rank, then partner rank: whether an anchor is absorbed is settled first
-    anchor = list(range(n))  # the rank whose group each rank joins
-    for i, j in zip(first[matched].tolist(), second[matched].tolist()):
-        if anchor[i] == i and anchor[j] == j:
-            anchor[j] = i
-    groups: Dict[int, List[Trajectory]] = {}
-    for rank, head in enumerate(anchor):
-        groups.setdefault(head, []).append(ordered[rank])
-    return list(groups.values())
+    members, group_starts = _grouped(Columns.of(pool), thr_s, thr_t)
+    bounds = [*group_starts.tolist(), len(members)]
+    members = members.tolist()
+    return [[pool[k] for k in members[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _pruned(columns: Columns, thr_nms: float) -> Columns:
+    """``length_nms`` of a column set."""
+    ranked = _ranked(columns)
+    counts = columns.counts()[ranked]
+    # the rows of the tracks by rank, each track's in frame order
+    rows = np.repeat(columns.starts[ranked] - np.cumsum(counts) + counts, counts) + np.arange(len(columns.frame))
+    gone = bytearray(len(rows))  # suppressed rows, by rank
+    for a, b, _ in same_frame_pairs(columns.frame.take(rows), columns.xywh.take(rows, axis=0), thr_nms):
+        # pairs come in (frame, row_a, row_b) order and rows by rank, so every
+        # pair that could suppress a box is visited before the box's own
+        for p, q in zip(a.tolist(), b.tolist()):
+            if not gone[p]:
+                gone[q] = 1
+    keep = np.empty(len(rows), bool)
+    keep[rows] = ~np.frombuffer(gone, bool)
+    return _kept(columns, keep)
 
 
 def length_nms(tracks: Sequence[Trajectory], thr_nms: float) -> List[Trajectory]:
@@ -154,49 +257,39 @@ def length_nms(tracks: Sequence[Trajectory], thr_nms: float) -> List[Trajectory]
     computed once on the input and are not re-ranked as boxes disappear.
     Trajectories left without any boxes are dropped.
     """
-    ranked = sorted(range(len(tracks)), key=lambda k: (-tracks[k].length, tracks[k].id))
-    frames, _, boxes = box_columns([tracks[k] for k in ranked])
-    gone = bytearray(len(frames))  # suppressed rows
-    for a, b, _ in same_frame_pairs(frames, boxes, thr_nms):
-        # pairs come in (frame, row_a, row_b) order and rows by rank, so every
-        # pair that could suppress a box is visited before the box's own
-        for p, q in zip(a.tolist(), b.tolist()):
-            if not gone[p]:
-                gone[q] = 1
-    keep = ~np.frombuffer(gone, bool)
-    stop = dict(zip(ranked, np.cumsum([len(tracks[k].frame) for k in ranked]).tolist()))  # past each track's rows
-    out: List[Trajectory] = []
-    for k, t in enumerate(tracks):
-        mask = keep[stop[k] - len(t.frame) : stop[k]]
-        if mask.all():
-            out.append(t)
-        elif mask.any():
-            out.append(Trajectory._of(t.id, t.frame[mask], t.xywh[mask], t.conf[mask]))
-    return out
+    return _pruned(Columns.of(tracks), thr_nms).trajectories()
+
+
+def _length_filtered(columns: Columns, thr_len: int) -> Columns:
+    """``length_filter`` of a column set."""
+    return _kept(columns, np.repeat(columns.spans() >= thr_len, columns.counts()))
 
 
 def length_filter(tracks: Sequence[Trajectory], thr_len: int) -> List[Trajectory]:
     """Keep trajectories whose inclusive frame span is at least ``thr_len``."""
-    return [t for t in tracks if t.length >= thr_len]
+    return _length_filtered(Columns.of(tracks), thr_len).trajectories()
 
 
-def ensemble_pipeline(tracksets: Sequence[TrackSet], cfg: EnsembleConfig | None = None) -> TrackSet:
+def ensemble_pipeline(tracksets: Iterable[TrackSet], cfg: EnsembleConfig | None = None) -> TrackSet:
     """Run the full fusion pipeline on one sequence.
 
     mix -> merge -> length NMS -> length filter, then relabel ids 1..M, and
-    fill gaps of up to ``cfg.max_gap`` frames when it is set.
+    fill gaps of up to ``cfg.max_gap`` frames when it is set. ``tracksets``
+    is read once; the output takes the first one's sequence name.
     Deterministic: identical inputs and config produce identical output.
     """
+    tracksets = list(tracksets)
     if not tracksets:
         raise ValueError("need at least one input track set")
     if cfg is None:
         cfg = EnsembleConfig()
-    pool = mix(tracksets)
-    groups = merge_groups(pool, cfg.thr_s, cfg.thr_t)
-    merged = [merge_group(group, cfg.merge_mode) for group in groups]
-    pruned = length_nms(merged, cfg.thr_nms)
-    kept = length_filter(pruned, cfg.thr_len)
-    fused = [t.with_id(i) for i, t in enumerate(kept, start=1)]
+    sequence = tracksets[0].sequence
+    # each stage's columns replace the last's, so only the stage running holds two sets
+    columns = _mixed(tracksets)
+    del tracksets  # the track sets of an iterator are released once pooled
+    columns = _merged(columns, *_grouped(columns, cfg.thr_s, cfg.thr_t), cfg.merge_mode)
+    columns = _length_filtered(_pruned(columns, cfg.thr_nms), cfg.thr_len)
+    columns = columns._replace(ids=np.arange(1, len(columns.ids) + 1))
     if cfg.max_gap is not None:
-        fused = [linear_interpolate(t, cfg.max_gap) for t in fused]
-    return TrackSet(tracksets[0].sequence, fused)
+        columns = _interpolated(columns, cfg.max_gap)
+    return TrackSet._of(sequence, columns)

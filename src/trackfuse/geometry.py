@@ -16,15 +16,10 @@ values are within ``MAX_COORD``, where no edge rounds onto its opposite."""
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
-from .model import Trajectory
-
-# Box columns: frames int64[n], owner index int64[n], boxes float64[n, 4]
-# as (x, y, w, h). An owner is the index of the box's trajectory in a list.
-BoxColumns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 # The join's output: (row_a, row_b, iou) arrays, rows of the caller's columns.
 Pairs = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -33,21 +28,12 @@ Pairs = Tuple[np.ndarray, np.ndarray, np.ndarray]
 BLOCK_ROWS = 1 << 13
 
 
-def box_columns(tracks: Sequence[Trajectory]) -> BoxColumns:
-    """Every box of ``tracks`` as columns, owned by its track's index in ``tracks``."""
-    if not tracks:
-        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 4))
-    lengths = [len(t.frame) for t in tracks]
-    frames = np.concatenate([t.frame for t in tracks])
-    owners = np.repeat(np.arange(len(tracks)), lengths)
-    return frames, owners, np.concatenate([t.xywh for t in tracks])
-
-
 def same_frame_pairs(frames: np.ndarray, boxes: np.ndarray, above: float) -> Iterator[Pairs]:
     """Join box rows with themselves on frame, yielding the pairs with IoU above ``above``.
 
-    Yields ``(row_a, row_b, iou)`` arrays of rows of ``frames`` and
-    ``boxes`` (as in ``BoxColumns``), one entry for every pair of rows
+    Yields ``(row_a, row_b, iou)`` arrays of rows of ``frames``, an
+    ``int64[n]``, and ``boxes``, a ``float64[n, 4]`` of ``(x, y, w, h)``,
+    one entry for every pair of rows
     ``row_a < row_b`` of one frame whose IoU strictly exceeds ``above``.
     Pairs that do not intersect have IoU 0 and are always left out; at
     ``above=0`` every intersecting pair comes out. Pairs come in (frame,

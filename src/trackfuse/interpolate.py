@@ -4,7 +4,44 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Trajectory
+from .model import Columns, Trajectory
+
+
+def _interpolated(columns: Columns, max_gap: int) -> Columns:
+    """``linear_interpolate`` of every track of a column set.
+
+    The filled rows of each gap are placed after the row before it; every
+    other row keeps its order, shifted past the rows filled before it.
+    """
+    frame = columns.frame
+    gaps = np.diff(frame) - 1
+    gaps[columns.starts[1:] - 1] = 0  # from one track's last row to the next track's first
+    filled = np.flatnonzero((gaps >= 1) & (gaps <= max_gap))  # row before each gap that is filled
+    if len(filled) == 0:
+        return columns
+    sizes = gaps[filled]
+    before = np.repeat(filled, sizes)
+    step = np.arange(1, len(before) + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # 1..g within each gap
+    f0, f1 = frame[before], frame[before + 1]
+    a = step / (f1 - f0)
+    new_xywh = columns.xywh.take(before, axis=0)
+    new_xywh += a[:, None] * (columns.xywh.take(before + 1, axis=0) - new_xywh)
+    new_conf = columns.conf.take(before)
+    new_conf += a * (columns.conf.take(before + 1) - new_conf)
+
+    shift = np.zeros(len(frame), np.int64)
+    shift[filled + 1] = sizes
+    at = np.arange(len(frame)) + np.cumsum(shift)  # each row's place in the output
+    source = np.empty(len(frame) + len(before), np.int64)  # each output row's row, the filled ones after the rest
+    source[at] = np.arange(len(frame))
+    source[at[before] + step] = np.arange(len(frame), len(source))
+    return Columns(
+        columns.ids,
+        at[columns.starts],
+        np.concatenate([frame, f0 + step]).take(source),
+        np.concatenate([columns.xywh, new_xywh]).take(source, axis=0),
+        np.concatenate([columns.conf, new_conf]).take(source),
+    )
 
 
 def linear_interpolate(track: Trajectory, max_gap: int) -> Trajectory:
@@ -20,21 +57,5 @@ def linear_interpolate(track: Trajectory, max_gap: int) -> Trajectory:
     """
     if max_gap < 1:
         raise ValueError(f"max_gap must be >= 1, got {max_gap}")
-    gaps = np.diff(track.frame) - 1
-    filled = np.flatnonzero((gaps >= 1) & (gaps <= max_gap))  # row before each gap that is filled
-    if len(filled) == 0:
-        return track
-    sizes = gaps[filled]
-    before = np.repeat(filled, sizes)
-    f0, f1 = track.frame[before], track.frame[before + 1]
-    new_frames = f0 + np.arange(1, len(before) + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    a = ((new_frames - f0) / (f1 - f0))[:, None]
-    values = np.column_stack([track.xywh, track.conf])
-    v0, v1 = values[before], values[before + 1]
-    new_values = v0 + a * (v1 - v0)
-
-    frames = np.concatenate([track.frame, new_frames])
-    order = np.argsort(frames, kind="stable")
-    xywh = np.concatenate([track.xywh, new_values[:, :4]])[order]
-    conf = np.concatenate([track.conf, new_values[:, 4]])[order]
-    return Trajectory._of(track.id, frames[order], xywh, conf)
+    (filled,) = _interpolated(Columns.of([track]), max_gap).trajectories()
+    return filled

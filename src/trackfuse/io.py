@@ -20,8 +20,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .geometry import box_columns
-from .model import DECIMALS, MAX_COORD, MAX_INDEX, MIN_BOX_SIZE, TrackSet, Trajectory
+from .model import DECIMALS, MAX_COORD, MAX_INDEX, MIN_BOX_SIZE, Columns, TrackSet
 
 # Characters of text the parser splits into lines and converts at once. A
 # block ends at a line break. It bounds the parser's temporary memory and
@@ -239,8 +238,8 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
         sequence: label stored on the returned TrackSet.
 
     Returns:
-        One Trajectory per distinct id, in ascending id order, frames
-        ascending.
+        A track per distinct id, in ascending id order, frames ascending,
+        read into the TrackSet's columns without a ``Trajectory`` per id.
 
     Raises:
         ParseError: malformed number, frame or id that is not an integer in
@@ -286,12 +285,7 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
     first = np.ones(len(ids), bool)  # the first row of each id
     np.not_equal(ids[1:], ids[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    bounds = [*starts.tolist(), len(ids)]
-    trajectories = [
-        Trajectory._of(track_id, frames[lo:hi], xywh[lo:hi], conf[lo:hi])
-        for track_id, lo, hi in zip(ids[starts].tolist(), bounds, bounds[1:])
-    ]
-    return TrackSet(sequence, trajectories)
+    return TrackSet._of(sequence, Columns(ids[starts], starts, frames, xywh, conf))
 
 
 def _units(values: np.ndarray) -> np.ndarray:
@@ -345,8 +339,8 @@ def _write_digits(fields: np.ndarray, counts: np.ndarray, places: int) -> None:
         counts, quotient = quotient, counts
 
 
-def _block_text(frames: np.ndarray, ids: np.ndarray, values: np.ndarray) -> str:
-    """The lines of one block: frames and ids, and ``float64[n, 5]`` x, y, w, h, confidence.
+def _block_text(frames: np.ndarray, ids: np.ndarray, values: np.ndarray) -> bytes:
+    """The ASCII lines of one block: frames and ids, and ``float64[n, 5]`` x, y, w, h, confidence.
 
     Each line is laid out in fixed columns wide enough for the block's
     longest field, padded with 0 bytes that are then dropped, so the text
@@ -367,31 +361,31 @@ def _block_text(frames: np.ndarray, ids: np.ndarray, values: np.ndarray) -> str:
     _write_digits(index_fields[:, :, :-1], indices, 0)
     _write_digits(value_fields[:, :, 1:-1], units, DECIMALS)
     np.multiply(np.signbit(values), ord("-"), out=value_fields[:, :, 0], casting="unsafe")
-    return lines.tobytes().translate(None, b"\0").decode("ascii")
+    return lines.tobytes().translate(None, b"\0")
 
 
-def _serialized(ts: TrackSet) -> Iterator[str]:
-    """The result lines of ``ts``, ``ROW_BLOCK`` rows at a time."""
-    tracks = ts.trajectories
-    if not tracks:
-        return
-    frames, owners, xywh = box_columns(tracks)
-    ids = np.array([t.id for t in tracks], dtype=np.int64)[owners]
-    conf = np.concatenate([t.conf for t in tracks])
-    order = np.argsort(frames, kind="stable")  # the tracks come by id
+def _serialized(ts: TrackSet) -> Iterator[bytes]:
+    """The result lines of ``ts`` in ASCII, ``ROW_BLOCK`` rows at a time."""
+    c = ts.columns
+    ids = np.repeat(c.ids, c.counts())
+    order = np.argsort(c.frame, kind="stable")  # the rows come by id
     for start in range(0, len(order), ROW_BLOCK):
         rows = order[start : start + ROW_BLOCK]
-        yield _block_text(frames[rows], ids[rows], np.column_stack([xywh[rows], conf[rows]]))
+        values = np.empty((len(rows), 5))
+        c.xywh.take(rows, axis=0, out=values[:, :4])
+        c.conf.take(rows, out=values[:, 4])
+        yield _block_text(c.frame.take(rows), ids.take(rows), values)
 
 
 def serialize_trackset(ts: TrackSet) -> str:
     """Render a TrackSet in MOTChallenge result format.
 
-    Lines are sorted by (frame, id); coordinates and confidence are written
-    with ``DECIMALS`` decimal places, so a parse/serialize round trip
-    preserves values to within half a unit of the last place.
+    Lines are sorted by (frame, id) and end in ``"\\n"``; coordinates and
+    confidence are written with ``DECIMALS`` decimal places, so a
+    parse/serialize round trip preserves values to within half a unit of
+    the last place.
     """
-    return "".join(_serialized(ts))
+    return b"".join(_serialized(ts)).decode("ascii")
 
 
 def load_trackset(path: str | Path, is_ground_truth: bool = False) -> TrackSet:
@@ -405,6 +399,9 @@ def load_trackset(path: str | Path, is_ground_truth: bool = False) -> TrackSet:
 
 
 def save_trackset(path: str | Path, ts: TrackSet) -> None:
-    """Write ``serialize_trackset(ts)`` to ``path``, one block of rows at a time."""
-    with open(path, "w", encoding="utf-8") as out:
+    """Write ``serialize_trackset(ts)`` to ``path``, one block of rows at a time.
+
+    The file is written in binary, so its lines end in ``"\\n"`` on every platform.
+    """
+    with open(path, "wb") as out:
         out.writelines(_serialized(ts))

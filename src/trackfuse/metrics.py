@@ -16,7 +16,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import box_columns, same_frame_pairs
+from .geometry import same_frame_pairs
 from .model import TrackSet
 
 
@@ -82,9 +82,12 @@ def _hits(gt: TrackSet, pred: TrackSet, iou_match: float) -> Tuple[_Side, _Side,
     """
     if not 0.0 < iou_match <= 1.0:
         raise ValueError(f"iou_match must be in (0, 1], got {iou_match}")
-    num_gt, split = len(gt.trajectories), gt.num_detections
-    frames, owners, boxes = box_columns(gt.trajectories + pred.trajectories)
-    owners[split:] -= num_gt
+    g, p = gt.columns, pred.columns
+    split = len(g.frame)
+    frames = np.concatenate([g.frame, p.frame])
+    owners = np.repeat(np.arange(len(g.ids) + len(p.ids)), np.concatenate([g.counts(), p.counts()]))
+    owners[split:] -= len(g.ids)
+    boxes = np.concatenate([g.xywh, p.xywh])
     hits = [(np.empty(0, np.int64),) * 2 + (np.empty(0),)]
     for a, b, iou in same_frame_pairs(frames, boxes, np.nextafter(iou_match, 0.0)):
         cross = (a < split) & (b >= split)
@@ -267,7 +270,7 @@ def idf1(gt: TrackSet, pred: TrackSet, iou_match: float = 0.5) -> IdentityScores
 def _identity(gt: TrackSet, pred: TrackSet, hits: _Hits) -> IdentityScores:
     """``idf1`` of the two track sets, given their hits."""
     _, hit_gt, hit_pred, _ = hits
-    num_gt_tracks, num_pred_tracks = len(gt.trajectories), len(pred.trajectories)
+    num_gt_tracks, num_pred_tracks = len(gt), len(pred)
     # co-located frame counts of every gt x predicted track pair
     overlap = np.bincount(hit_gt * num_pred_tracks + hit_pred, minlength=num_gt_tracks * num_pred_tracks)
     overlap = overlap.reshape(num_gt_tracks, num_pred_tracks)

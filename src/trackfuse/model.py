@@ -1,7 +1,9 @@
 """Core data model: boxes, detections, trajectories and track sets.
 
 A trajectory stores its boxes as columns: ascending frames, an ``(n, 4)``
-array of ``(x, y, w, h)`` boxes and the confidences, all read-only.
+array of ``(x, y, w, h)`` boxes and the confidences, all read-only. A track
+set stores all its tracks' boxes as one such column set, ``Columns``, with
+each track's id and first row; its ``Trajectory`` objects are views of it.
 ``BoundingBox`` and ``Detection`` are a per-box view of the columns, reached
 only through ``Trajectory.detections``; no stage of the package builds them.
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,7 +81,8 @@ def _checked_id(track_id: int) -> int:
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
+    if array.flags.writeable:  # a view of a read-only array is read-only already
+        array.setflags(write=False)
     return array
 
 
@@ -212,27 +215,106 @@ class Trajectory:
         return Trajectory._of(_checked_id(new_id), self.frame, self.xywh, self.conf)
 
 
-@dataclass(frozen=True, slots=True)
+class Columns(NamedTuple):
+    """Tracks as one column set: the rows of every track, one track after another.
+
+    Track ``k`` has id ``ids[k]`` and the rows from ``starts[k]`` up to the
+    next track's first row, or the end, in ascending frame order: ``frame``,
+    ``xywh`` and ``conf`` of those rows are the columns of its
+    ``Trajectory``. The stages of the pipeline read and build column sets;
+    only a ``TrackSet``'s keeps its tracks in id order.
+    """
+
+    ids: np.ndarray  # int64[k]
+    starts: np.ndarray  # int64[k], ascending from 0
+    frame: np.ndarray  # int64[n]
+    xywh: np.ndarray  # float64[n, 4]
+    conf: np.ndarray  # float64[n]
+
+    @classmethod
+    def of(cls, tracks: Sequence[Trajectory]) -> "Columns":
+        """The rows of ``tracks``, in their order, copied into one column set."""
+        ids = np.array([t.id for t in tracks], dtype=np.int64)
+        starts = np.cumsum([0, *(len(t.frame) for t in tracks)])[:-1]
+        frame = np.concatenate([np.empty(0, np.int64), *(t.frame for t in tracks)])
+        xywh = np.concatenate([np.empty((0, 4)), *(t.xywh for t in tracks)])
+        conf = np.concatenate([np.empty(0), *(t.conf for t in tracks)])
+        return cls(ids, starts, frame, xywh, conf)
+
+    def stops(self) -> np.ndarray:
+        """Past each track's last row."""
+        return np.append(self.starts, len(self.frame))[1:]
+
+    def counts(self) -> np.ndarray:
+        """Each track's number of rows."""
+        return self.stops() - self.starts
+
+    def spans(self) -> np.ndarray:
+        """Each track's inclusive frame span, its ``Trajectory.length``."""
+        return self.frame[self.stops() - 1] - self.frame[self.starts] + 1
+
+    def trajectories(self) -> List[Trajectory]:
+        """Each track as a ``Trajectory`` whose columns are views of these."""
+        bounds = [*self.starts.tolist(), len(self.frame)]
+        return [
+            Trajectory._of(track_id, self.frame[lo:hi], self.xywh[lo:hi], self.conf[lo:hi])
+            for track_id, lo, hi in zip(self.ids.tolist(), bounds, bounds[1:])
+        ]
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class TrackSet:
     """Every trajectory one tracker (or the fused result) produced for one sequence.
 
-    ``trajectories`` is a tuple, ascending by id whatever the order given,
-    so two track sets of the same tracks are equal.
+    ``columns`` holds the boxes of all tracks, ascending by id whatever the
+    order they were given in, so two track sets of the same tracks are
+    equal. The constructor copies the given trajectories into it once.
+    ``trajectories`` is a tuple of read-only views of it, built on first
+    read and then kept; ``len`` and ``num_detections`` read the columns.
     """
 
-    sequence: str = ""
-    trajectories: Tuple[Trajectory, ...] = ()
+    sequence: str
+    columns: Columns
+    _trajectories: Optional[Tuple[Trajectory, ...]] = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        # a tuple: the caller's list may change, and an iterator is read once
-        tracks = tuple(sorted(self.trajectories, key=lambda t: t.id))
-        object.__setattr__(self, "trajectories", tracks)
+    __hash__ = None  # compared by value, like the arrays it holds
+
+    def __init__(self, sequence: str = "", trajectories: Iterable[Trajectory] = ()) -> None:
+        # sorted into a list of its own: the caller's list may change, and an iterator is read once
+        tracks = sorted(trajectories, key=lambda t: t.id)
         if any(a.id == b.id for a, b in zip(tracks, tracks[1:])):
             raise ValueError("duplicate trajectory ids within a track set")
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "columns", Columns(*map(_read_only, Columns.of(tracks))))
+        object.__setattr__(self, "_trajectories", None)
+
+    @classmethod
+    def _of(cls, sequence: str, columns: Columns) -> "TrackSet":
+        """Wrap a column set in id order that is valid by construction, without copying or checking it."""
+        ts = object.__new__(cls)
+        object.__setattr__(ts, "sequence", sequence)
+        object.__setattr__(ts, "columns", Columns(*map(_read_only, columns)))
+        object.__setattr__(ts, "_trajectories", None)
+        return ts
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrackSet):
+            return NotImplemented
+        return self.sequence == other.sequence and all(map(np.array_equal, self.columns, other.columns))
+
+    def __reduce__(self):
+        return TrackSet, (self.sequence, self.trajectories)
+
+    @property
+    def trajectories(self) -> Tuple[Trajectory, ...]:
+        """The tracks as ``Trajectory`` views of the columns, in id order."""
+        if self._trajectories is None:
+            object.__setattr__(self, "_trajectories", tuple(self.columns.trajectories()))
+        return self._trajectories
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return len(self.columns.ids)
 
     @property
     def num_detections(self) -> int:
-        return sum(len(t.frame) for t in self.trajectories)
+        return len(self.columns.frame)

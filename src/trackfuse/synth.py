@@ -21,8 +21,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .interpolate import linear_interpolate
-from .model import TrackSet, Trajectory
+from .interpolate import _interpolated
+from .model import Columns, TrackSet, Trajectory
 from .rng import _TO_UNIT, SplitMix64, stream
 
 WAYPOINT_SPACING = 50  # frames between direction changes
@@ -95,7 +95,10 @@ def _generate_gt(spec: ScenarioSpec) -> TrackSet:
     """
     rng = stream(spec.seed, 0)
     band_h = spec.arena_h / spec.num_objects
-    trajectories = []
+    waypoint_frames = list(range(1, spec.num_frames + 1, WAYPOINT_SPACING))
+    if waypoint_frames[-1] != spec.num_frames:
+        waypoint_frames.append(spec.num_frames)
+    points = []  # every object's waypoint boxes, object after object
     for i in range(spec.num_objects):
         w = rng.uniform(BOX_MIN, BOX_MAX)
         h = min(rng.uniform(BOX_MIN, BOX_MAX), 0.75 * band_h)
@@ -103,21 +106,20 @@ def _generate_gt(spec: ScenarioSpec) -> TrackSet:
         x_hi = spec.arena_w - w
         y_lo, y_hi = band_lo, band_lo + band_h - h
 
-        waypoint_frames = list(range(1, spec.num_frames + 1, WAYPOINT_SPACING))
-        if waypoint_frames[-1] != spec.num_frames:
-            waypoint_frames.append(spec.num_frames)
         x = rng.uniform(0.0, x_hi)
         y = rng.uniform(y_lo, y_hi)
-        points = [(x, y, w, h)]
+        points.append((x, y, w, h))
         for prev_f, next_f in zip(waypoint_frames, waypoint_frames[1:]):
             step = MAX_SPEED * (next_f - prev_f)
             x = _clamp(x + rng.uniform(-step, step), 0.0, x_hi)
             y = _clamp(y + rng.uniform(-step, step), y_lo, y_hi)
             points.append((x, y, w, h))
 
-        waypoints = Trajectory._of(i + 1, np.array(waypoint_frames), np.array(points), np.ones(len(points)))
-        trajectories.append(linear_interpolate(waypoints, WAYPOINT_SPACING))
-    return TrackSet("synthetic", trajectories)
+    k, n = spec.num_objects, len(waypoint_frames)
+    waypoints = Columns(
+        np.arange(1, k + 1), np.arange(k) * n, np.tile(waypoint_frames, k), np.array(points), np.ones(k * n)
+    )
+    return TrackSet._of("synthetic", _interpolated(waypoints, WAYPOINT_SPACING))
 
 
 def _outside(frame: np.ndarray, start: int, length: int) -> np.ndarray:
@@ -152,15 +154,17 @@ def _degrade(gt: TrackSet, deg: TrackerDegradation, rng: SplitMix64, sequence: s
     draw them. The switch decision is ignored on an object's first
     surviving frame. Output ids are 1..K in (object, id segment) order.
     """
-    trajectories: List[Trajectory] = []
-    next_id = 1
-    for traj in gt.trajectories:
-        rows = np.arange(len(traj.frame))
+    columns = gt.columns
+    bounds = [*columns.starts.tolist(), len(columns.frame)]
+    kept_objects = []  # each kept object's frame, xywh, conf and the rows where its id segments start
+    for lo, hi in zip(bounds, bounds[1:]):
+        frame = columns.frame[lo:hi]
+        rows = np.arange(hi - lo)
         if deg.segment_drop > 0:
             length = rng.randint(1, max(1, 2 * deg.segment_drop - 1))
-            lo, hi = traj.start + 1, traj.stop - length
-            if lo <= hi:
-                rows = rows[_outside(traj.frame, rng.randint(lo, hi), length)]
+            first, last = int(frame[0]) + 1, int(frame[-1]) - length
+            if first <= last:
+                rows = rows[_outside(frame, rng.randint(first, last), length)]
 
         kept = np.empty(len(rows), dtype=bool)
         switched = np.empty(len(rows), dtype=bool)
@@ -177,14 +181,18 @@ def _degrade(gt: TrackSet, deg: TrackerDegradation, rng: SplitMix64, sequence: s
         if not len(rows):
             continue
 
-        frame, xywh, conf = traj.frame[rows], traj.xywh[rows], traj.conf[rows]
+        xywh = columns.xywh[lo:hi][rows]
         xywh[:, :2] += shifts
         # a switch starts a new id segment, except on the first surviving frame
-        cuts = np.flatnonzero(switched[1:]) + 1
-        for f, b, c in zip(np.split(frame, cuts), np.split(xywh, cuts), np.split(conf, cuts)):
-            trajectories.append(Trajectory._of(next_id, f, b, c))
-            next_id += 1
-    return TrackSet(sequence, trajectories)
+        segments = np.flatnonzero(np.append(True, switched[1:]))
+        kept_objects.append((frame[rows], xywh, columns.conf[lo:hi][rows], segments))
+    if not kept_objects:
+        return TrackSet(sequence)
+    frame, xywh, conf, segments = zip(*kept_objects)
+    offsets = np.cumsum([0] + [len(f) for f in frame[:-1]])
+    starts = np.concatenate([s + offset for s, offset in zip(segments, offsets)])
+    columns = Columns(np.arange(1, len(starts) + 1), starts, *map(np.concatenate, (frame, xywh, conf)))
+    return TrackSet._of(sequence, columns)
 
 
 def generate_scenario(spec: ScenarioSpec) -> Tuple[TrackSet, List[TrackSet]]:

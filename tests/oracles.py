@@ -148,6 +148,14 @@ def const_track(
     return make_track(track_id, {f: box for f in range(start, stop + 1) if f not in skipped})
 
 
+def box_columns(tracks: Sequence[Trajectory]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every box of ``tracks`` as frames ``int64[n]``, its track's index in ``tracks`` and ``float64[n, 4]`` boxes."""
+    if not tracks:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 4))
+    owners = np.repeat(np.arange(len(tracks)), [len(t.frame) for t in tracks])
+    return np.concatenate([t.frame for t in tracks]), owners, np.concatenate([t.xywh for t in tracks])
+
+
 def random_trajectory(
     rng: random.Random,
     track_id: int,

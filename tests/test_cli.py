@@ -16,7 +16,7 @@ from trackfuse import (
     save_trackset,
     serialize_trackset,
 )
-from trackfuse import cli, metrics
+from trackfuse import Trajectory, cli, metrics
 from trackfuse.cli import main
 from trackfuse.synth import parse_scenario_config
 
@@ -541,7 +541,8 @@ FAILING_CONFIGS = {
 # trackers and `--complementary` ignores them, so their lines are then read
 # but their values not checked. A result file's bytes that are not UTF-8
 # fail as their line's parse error; a config's cannot be read, like a
-# missing one. Box values beyond 2**44 in magnitude are rejected.
+# missing one. Box values beyond 2**44 in magnitude are rejected. An empty
+# ground truth is reported before the prediction is read.
 FAILURES = [
     ('merge -i TMP/gt.txt -o TMP/o.txt --thr-s 1.5', 1, 'trackfuse merge: error: thr_s must be in [0, 1], got 1.5'),
     ('merge -i TMP/gt.txt -o TMP/o.txt --thr-t -0.2', 1, 'trackfuse merge: error: thr_t must be in [0, 1], got -0.2'),
@@ -567,6 +568,8 @@ FAILURES = [
     ('eval --gt TMP/not_utf8.txt --pred TMP/gt.txt', 2, 'trackfuse eval: error: TMP/not_utf8.txt: line 2: expected at least 6 columns, got 2'),
     ('eval --gt TMP/gt.txt --pred TMP/not_utf8.txt', 2, 'trackfuse eval: error: TMP/not_utf8.txt: line 2: expected at least 6 columns, got 2'),
     ('eval --gt TMP/empty.txt --pred TMP/gt.txt', 2, 'trackfuse eval: error: ground truth TMP/empty.txt contains no boxes'),
+    ('eval --gt TMP/empty.txt --pred TMP/bad.txt', 2, 'trackfuse eval: error: ground truth TMP/empty.txt contains no boxes'),
+    ('eval --gt TMP/empty.txt --pred TMP/missing.txt', 2, 'trackfuse eval: error: ground truth TMP/empty.txt contains no boxes'),
     ('synth -o TMP/s --objects 0', 1, 'trackfuse synth: error: num_objects must be >= 1, got 0'),
     ('synth -o TMP/s --frames 0', 1, 'trackfuse synth: error: num_frames must be >= 1, got 0'),
     ('synth -o TMP/s --trackers -1', 1, 'trackfuse synth: error: --trackers must be >= 0, got -1'),
@@ -707,3 +710,21 @@ def test_module_entry_point_exits_with_the_code(tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "merge" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [[], ["--mode", "average", "--interpolate", "20"]])
+def test_merge_and_eval_build_no_trajectory(tmp_path, monkeypatch, capsys, flags):
+    # a small bands workload: 20 objects, each in its own band, and 3 trackers
+    assert main(["synth", "--seed", "7", "--objects", "20", "--frames", "120", "--trackers", "3",
+                 "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+    def no_trajectory(*args, **kwargs):
+        raise AssertionError("a Trajectory was built")
+
+    monkeypatch.setattr(Trajectory, "__post_init__", no_trajectory)
+    monkeypatch.setattr(Trajectory, "_of", no_trajectory)
+    inputs = [arg for k in (1, 2, 3) for arg in ("-i", str(tmp_path / f"tracker_{k}.txt"))]
+    assert main(["merge", *inputs, "-o", str(tmp_path / "fused.txt"), *flags]) == 0
+    assert main(["eval", "--gt", str(tmp_path / "gt.txt"), "--pred", str(tmp_path / "fused.txt")]) == 0
+    assert "#metric mota=" in capsys.readouterr().out

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackfuse import (
     EnsembleConfig,
@@ -13,6 +16,7 @@ from trackfuse import (
     serialize_trackset,
 )
 from trackfuse.ensemble import length_filter, length_nms, merge_group, merge_groups, mix
+from trackfuse.interpolate import linear_interpolate
 from trackfuse.model import MIN_BOX_SIZE
 from trackfuse.synth import DEFAULT_DEGRADATION, ScenarioSpec, generate_scenario
 
@@ -400,3 +404,55 @@ def test_config_merge_mode_accepts_values_and_rejects_unknown():
     by_member = ensemble_pipeline(tracksets, EnsembleConfig(thr_len=0, merge_mode=MergeMode.DROP))
     averaged = ensemble_pipeline(tracksets, EnsembleConfig(thr_len=0, merge_mode=MergeMode.AVERAGE))
     assert by_value == by_member != averaged
+
+
+def _stage_by_stage(tracksets, cfg):
+    """The public stage functions composed in the pipeline's order."""
+    pool = mix(tracksets)
+    merged = [merge_group(group, cfg.merge_mode) for group in merge_groups(pool, cfg.thr_s, cfg.thr_t)]
+    kept = length_filter(length_nms(merged, cfg.thr_nms), cfg.thr_len)
+    fused = [t.with_id(i) for i, t in enumerate(kept, start=1)]
+    if cfg.max_gap is not None:
+        fused = [linear_interpolate(t, cfg.max_gap) for t in fused]
+    return TrackSet(tracksets[0].sequence, fused)
+
+
+@pytest.mark.parametrize("max_gap", [None, 1, 5])
+@pytest.mark.parametrize("mode", [MergeMode.DROP, MergeMode.AVERAGE])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trackers=st.integers(1, 3), thr=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
+       thr_len=st.integers(0, 30))
+def test_stage_functions_compose_to_the_pipeline(mode, max_gap, seed, trackers, thr, thr_len):
+    rng = random.Random(seed)
+    tracksets = [random_trackset(rng, max_tracks=8, max_start=20, max_span=40, arena=60.0) for _ in range(trackers)]
+    cfg = EnsembleConfig(thr_s=thr, thr_t=thr, thr_nms=thr, thr_len=thr_len, merge_mode=mode, max_gap=max_gap)
+    fused = ensemble_pipeline(tracksets, cfg)
+    assert serialize_trackset(_stage_by_stage(tracksets, cfg)) == serialize_trackset(fused)
+
+
+def test_pipeline_reads_an_iterator_of_track_sets_once():
+    tracksets = [random_trackset(random.Random(k), sequence=f"s{k}") for k in range(3)]
+    fused = ensemble_pipeline(iter(tracksets))
+    assert fused == ensemble_pipeline(tracksets)
+    assert fused.sequence == "s0"
+
+
+@pytest.mark.parametrize("mode", [MergeMode.DROP, MergeMode.AVERAGE])
+def test_groups_too_long_for_one_sort_key_merge_alike(mode):
+    # 300 groups of two tracks whose frames reach 2**53 - 1: the groups' frame
+    # spans times the group size add up past 2**62, beyond one int64 sort key
+    # per row, so the rows are sorted on three keys; with the last frame at 4
+    # one key suffices, and the fused tracks must differ only in that frame
+    def tracksets(last):
+        boxes = [((50.0 * k, 0.0, 10.0, 10.0), (50.0 * k + 0.5, 1.0, 10.0, 10.0)) for k in range(300)]
+        return [
+            TrackSet("s", [make_track(k + 1, {1: a, 3: a, last: a}, 0.5) for k, (a, _) in enumerate(boxes)]),
+            TrackSet("s", [make_track(k + 1, {2: b, 3: b, last: b}, 0.75) for k, (_, b) in enumerate(boxes)]),
+        ]
+
+    cfg = EnsembleConfig(thr_t=0.0, thr_len=0, merge_mode=mode)
+    far, near = (ensemble_pipeline(tracksets(last), cfg) for last in (2**53 - 1, 4))
+    assert len(far) == 300 and far.num_detections == 4 * 300
+    assert far.columns.frame.tolist() == [2**53 - 1 if f == 4 else f for f in near.columns.frame.tolist()]
+    for name in ("ids", "starts", "xywh", "conf"):
+        assert np.array_equal(getattr(far.columns, name), getattr(near.columns, name))

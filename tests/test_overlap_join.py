@@ -20,12 +20,13 @@ from hypothesis import strategies as st
 from trackfuse import BoundingBox, EnsembleConfig, MergeMode, TrackSet, Trajectory, ensemble_pipeline
 from trackfuse import geometry, metrics
 from trackfuse.ensemble import length_nms, merge_group, merge_groups, mix
-from trackfuse.geometry import box_columns, same_frame_pairs
+from trackfuse.geometry import same_frame_pairs
 from trackfuse.metrics import ClearScores, EvalReport, IdentityScores, clear_mot, evaluate, idf1
 from trackfuse.model import MAX_COORD
 from trackfuse.synth import DEFAULT_DEGRADATION, ScenarioSpec, TrackerDegradation, generate_scenario
 
 from oracles import (
+    box_columns,
     box_iou,
     clear_mot_scalar,
     const_track,
