@@ -13,7 +13,10 @@ visibility; class and visibility are ignored here (single-class data).
 
 from __future__ import annotations
 
+import os
 import re
+import stat
+from contextlib import suppress
 from io import StringIO
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
@@ -402,6 +405,15 @@ def save_trackset(path: str | Path, ts: TrackSet) -> None:
     """Write ``serialize_trackset(ts)`` to ``path``, one block of rows at a time.
 
     The file is written in binary, so its lines end in ``"\\n"`` on every platform.
+    A failed write removes the truncated file, but never a link, a device or another file at ``path``.
     """
     with open(path, "wb") as out:
-        out.writelines(_serialized(ts))
+        try:
+            out.writelines(_serialized(ts))
+            out.flush()
+        except BaseException:
+            with suppress(OSError):  # the failure to report is the write's
+                now = os.stat(path, follow_symlinks=False)
+                if stat.S_ISREG(now.st_mode) and os.path.samestat(now, os.fstat(out.fileno())):
+                    os.remove(path)
+            raise

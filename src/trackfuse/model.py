@@ -75,7 +75,8 @@ class Detection:
 
 
 def _checked_id(track_id: int) -> int:
-    if not isinstance(track_id, (int, np.integer)) or not 1 <= track_id < MAX_INDEX:
+    # bool is an int subclass, but True would be stored as id 1
+    if isinstance(track_id, bool) or not isinstance(track_id, (int, np.integer)) or not 1 <= track_id < MAX_INDEX:
         raise ValueError(f"trajectory id must be an integer in [1, 2**53), got {track_id!r}")
     return track_id
 

@@ -6,11 +6,13 @@ per horizontal band of the arena (bands keep distinct objects from
 colliding, which keeps fused results easy to reason about). Tracker outputs
 are the ground truth pushed through a per-tracker degradation: Gaussian
 position jitter, independent per-frame drops, one contiguous dropped
-segment, and identity relabeling at random switch events.
+segment, and identity relabeling at random switch events. ``_cut`` makes
+every tracker's tracks, ``complementary_pair``'s too, of ground-truth rows.
 
 Everything is a pure function of the spec. Randomness comes from the
 SplitMix64 streams in :mod:`trackfuse.rng`; the draw order is fixed (see
-``_degrade``) so a seed pins the scenario byte for byte.
+``_degrade``, which draws each object's per-frame numbers in one block) so
+a seed pins the scenario byte for byte.
 """
 
 from __future__ import annotations
@@ -22,16 +24,13 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .interpolate import _interpolated
-from .model import Columns, TrackSet, Trajectory
+from .model import Columns, TrackSet
 from .rng import _TO_UNIT, SplitMix64, stream
 
 WAYPOINT_SPACING = 50  # frames between direction changes
 MAX_SPEED = 2.5  # pixels per frame, per axis
 BOX_MIN = 24.0  # box side range, pixels
 BOX_MAX = 48.0
-# Frames whose random numbers _degrade draws at once. It bounds _degrade's
-# temporary memory and does not change results.
-FRAME_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -140,6 +139,11 @@ def _normals(sigma: float, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return (sigma * np.sqrt(-2.0 * log_u1) * cos_u2).reshape(shape)
 
 
+def _cut(gt: Columns, rows: np.ndarray, starts: np.ndarray) -> Columns:
+    """Copies of the gt ``rows`` as tracks with ids 1..K, track k from position ``starts[k]`` of ``rows``."""
+    return Columns(np.arange(1, len(starts) + 1), starts, gt.frame[rows], gt.xywh[rows], gt.conf[rows])
+
+
 def _degrade(gt: TrackSet, deg: TrackerDegradation, rng: SplitMix64, sequence: str) -> TrackSet:
     """Apply one tracker's error model to the ground truth.
 
@@ -148,51 +152,37 @@ def _degrade(gt: TrackSet, deg: TrackerDegradation, rng: SplitMix64, sequence: s
     start frame, when segment_drop > 0 and the window fits the interior of
     the track; then, for each detected frame outside that window, exactly
     six ``next_u64`` outputs in order: drop decision, x jitter (u1, u2 of
-    Box-Muller), y jitter (u1, u2), switch decision. They come per object
-    in blocks of at most ``FRAME_BLOCK`` frames, in the order that
-    ``bernoulli``, ``normal``, ``normal``, ``bernoulli`` per frame would
-    draw them. The switch decision is ignored on an object's first
-    surviving frame. Output ids are 1..K in (object, id segment) order.
+    Box-Muller), y jitter (u1, u2), switch decision. They come in one block
+    per object, in the order that ``bernoulli``, ``normal``, ``normal``,
+    ``bernoulli`` per frame would draw them. The switch decision is ignored
+    on an object's first surviving frame. Output ids are 1..K in (object,
+    id segment) order.
     """
     columns = gt.columns
-    bounds = [*columns.starts.tolist(), len(columns.frame)]
-    kept_objects = []  # each kept object's frame, xywh, conf and the rows where its id segments start
-    for lo, hi in zip(bounds, bounds[1:]):
-        frame = columns.frame[lo:hi]
-        rows = np.arange(hi - lo)
+    rows, firsts, shifts = [], [], []  # per kept object: its gt rows, which start an id segment, their jitter
+    for lo, hi in zip(columns.starts.tolist(), columns.stops().tolist()):
+        kept = np.arange(lo, hi)
         if deg.segment_drop > 0:
+            frame = columns.frame[lo:hi]
             length = rng.randint(1, max(1, 2 * deg.segment_drop - 1))
             first, last = int(frame[0]) + 1, int(frame[-1]) - length
             if first <= last:
-                rows = rows[_outside(frame, rng.randint(first, last), length)]
+                kept = kept[_outside(frame, rng.randint(first, last), length)]
 
-        kept = np.empty(len(rows), dtype=bool)
-        switched = np.empty(len(rows), dtype=bool)
-        shifts = np.empty((len(rows), 2))
-        for at in range(0, len(rows), FRAME_BLOCK):
-            part = slice(at, at + FRAME_BLOCK)
-            u = ((rng.block(6 * len(rows[part])) >> np.uint64(11)) * _TO_UNIT).reshape(-1, 6)
-            keep = u[:, 0] >= deg.drop_rate
-            kept[part] = keep
-            switched[part] = u[:, 5] < deg.idswitch_rate
-            u = u[keep]
-            shifts[part][keep] = _normals(deg.jitter, u[:, [1, 3]], u[:, [2, 4]])
-        rows, shifts, switched = rows[kept], shifts[kept], switched[kept]
-        if not len(rows):
+        u = ((rng.block(6 * len(kept)) >> np.uint64(11)) * _TO_UNIT).reshape(-1, 6)
+        detected = u[:, 0] >= deg.drop_rate
+        kept, u = kept[detected], u[detected]
+        if not len(kept):
             continue
-
-        xywh = columns.xywh[lo:hi][rows]
-        xywh[:, :2] += shifts
+        rows.append(kept)
         # a switch starts a new id segment, except on the first surviving frame
-        segments = np.flatnonzero(np.append(True, switched[1:]))
-        kept_objects.append((frame[rows], xywh, columns.conf[lo:hi][rows], segments))
-    if not kept_objects:
+        firsts.append(np.append(True, u[1:, 5] < deg.idswitch_rate))
+        shifts.append(_normals(deg.jitter, u[:, [1, 3]], u[:, [2, 4]]))
+    if not rows:
         return TrackSet(sequence)
-    frame, xywh, conf, segments = zip(*kept_objects)
-    offsets = np.cumsum([0] + [len(f) for f in frame[:-1]])
-    starts = np.concatenate([s + offset for s, offset in zip(segments, offsets)])
-    columns = Columns(np.arange(1, len(starts) + 1), starts, *map(np.concatenate, (frame, xywh, conf)))
-    return TrackSet._of(sequence, columns)
+    cut = _cut(columns, np.concatenate(rows), np.flatnonzero(np.concatenate(firsts)))
+    cut.xywh[:, :2] += np.concatenate(shifts)
+    return TrackSet._of(sequence, cut)
 
 
 def generate_scenario(spec: ScenarioSpec) -> Tuple[TrackSet, List[TrackSet]]:
@@ -209,34 +199,31 @@ def generate_scenario(spec: ScenarioSpec) -> Tuple[TrackSet, List[TrackSet]]:
     return gt, trackers
 
 
-def _half_degraded(
-    gt: TrackSet, degrade_parity: int, rng: SplitMix64, sequence: str
-) -> TrackSet:
+def _half_degraded(gt: TrackSet, degrade_parity: int, rng: SplitMix64, sequence: str) -> TrackSet:
     """Copy the gt, degrading only objects whose 0-based index has the parity.
 
     A degraded object gets one identity switch at its midpoint frame plus
     one dropped window (length drawn from [8, 16]) in each half; the other
     objects are copied verbatim. Ids are 1..K in (object, fragment) order.
     """
-    trajectories: List[Trajectory] = []
-    next_id = 1
-    for idx, traj in enumerate(gt.trajectories):
+    columns = gt.columns
+    tracks = []  # the gt rows of each output track
+    for idx, (lo, hi) in enumerate(zip(columns.starts.tolist(), columns.stops().tolist())):
         if idx % 2 != degrade_parity:
-            trajectories.append(traj.with_id(next_id))
-            next_id += 1
+            tracks.append(np.arange(lo, hi))
             continue
-        mid = (traj.start + traj.stop + 1) // 2
-        for lo, hi in ((traj.start, mid - 1), (mid, traj.stop)):
-            keep = (traj.frame >= lo) & (traj.frame <= hi)
+        frame = columns.frame[lo:hi]
+        start, stop = int(frame[0]), int(frame[-1])
+        mid = (start + stop + 1) // 2
+        for first, last in ((start, mid - 1), (mid, stop)):
+            keep = (frame >= first) & (frame <= last)
             length = rng.randint(8, 16)
-            if lo + 1 <= hi - length:
-                keep &= _outside(traj.frame, rng.randint(lo + 1, hi - length), length)
+            if first + 1 <= last - length:
+                keep &= _outside(frame, rng.randint(first + 1, last - length), length)
             if keep.any():
-                trajectories.append(
-                    Trajectory._of(next_id, traj.frame[keep], traj.xywh[keep], traj.conf[keep])
-                )
-                next_id += 1
-    return TrackSet(sequence, trajectories)
+                tracks.append(lo + np.flatnonzero(keep))
+    starts = np.cumsum([0, *map(len, tracks[:-1])])
+    return TrackSet._of(sequence, _cut(columns, np.concatenate(tracks), starts))
 
 
 def complementary_pair(spec: ScenarioSpec) -> Tuple[TrackSet, TrackSet, TrackSet]:

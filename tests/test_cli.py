@@ -707,6 +707,35 @@ def test_module_entry_point_exits_with_the_code(tmp_path):
     assert result.stderr == f"trackfuse eval: error: cannot read {missing}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("command", ["merge", "synth"])
+def test_a_write_cut_short_leaves_no_file(tmp_path, command):
+    resource = pytest.importorskip("resource")
+    scene = tmp_path / "scene"
+    assert main(["synth", "--seed", "3", "--objects", "6", "--frames", "300", "--trackers", "3",
+                 "-o", str(scene)]) == 0
+    if command == "merge":  # the fused file takes about 80 kB
+        out = tmp_path / "fused.txt"
+        args = ["-i", str(scene / "tracker_1.txt"), "-i", str(scene / "tracker_2.txt"), "-o", str(out)]
+        message = f"cannot write {out}: File too large"
+    else:  # the first file, gt.txt, takes about 80 kB
+        out = tmp_path / "again" / "gt.txt"
+        args = ["--seed", "3", "--objects", "6", "--frames", "300", "-o", str(out.parent)]
+        message = f"cannot write to {out.parent}: File too large"
+
+    def at_most_20000_bytes():  # a limit of the child alone, which Python reports as OSError
+        resource.setrlimit(resource.RLIMIT_FSIZE, (20000, 20000))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "trackfuse.cli", command, *args],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=at_most_20000_bytes,
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"trackfuse {command}: error: {message}\n"
+    assert not out.exists()  # eval would score a truncated file
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "merge" in capsys.readouterr().out
@@ -714,16 +743,18 @@ def test_help_exits_zero(capsys):
 
 @pytest.mark.parametrize("flags", [[], ["--mode", "average", "--interpolate", "20"]])
 def test_merge_and_eval_build_no_trajectory(tmp_path, monkeypatch, capsys, flags):
-    # a small bands workload: 20 objects, each in its own band, and 3 trackers
-    assert main(["synth", "--seed", "7", "--objects", "20", "--frames", "120", "--trackers", "3",
-                 "-o", str(tmp_path)]) == 0
-    capsys.readouterr()
-
     def no_trajectory(*args, **kwargs):
         raise AssertionError("a Trajectory was built")
 
     monkeypatch.setattr(Trajectory, "__post_init__", no_trajectory)
     monkeypatch.setattr(Trajectory, "_of", no_trajectory)
+    # synth builds none either: a small bands workload of 20 objects, each in
+    # its own band, and 3 trackers, and a complementary pair
+    assert main(["synth", "--seed", "7", "--objects", "20", "--frames", "120", "--trackers", "3",
+                 "-o", str(tmp_path)]) == 0
+    assert main(["synth", "--seed", "7", "--objects", "5", "--frames", "120", "--complementary",
+                 "-o", str(tmp_path / "pair")]) == 0
+    capsys.readouterr()
     inputs = [arg for k in (1, 2, 3) for arg in ("-i", str(tmp_path / f"tracker_{k}.txt"))]
     assert main(["merge", *inputs, "-o", str(tmp_path / "fused.txt"), *flags]) == 0
     assert main(["eval", "--gt", str(tmp_path / "gt.txt"), "--pred", str(tmp_path / "fused.txt")]) == 0

@@ -338,6 +338,26 @@ def test_load_and_save(tmp_path):
     assert out.read_text() == "1,1,10.00,20.00,30.00,40.00,0.90,-1,-1,-1\n"
 
 
+def test_a_failed_save_removes_the_file_it_opened_and_nothing_else(tmp_path, monkeypatch):
+    ts = parse_trackset("1,1,10,20,30,40,0.9,-1,-1,-1\n")
+
+    def first_block_then_failure(ts):
+        yield b"1,1,10.00,20.00,30.00,40.00,0.90,-1,-1,-1\n"
+        raise OSError(27, "File too large")
+
+    monkeypatch.setattr(trackfuse.io, "_serialized", first_block_then_failure)
+    out = tmp_path / "out.txt"
+    with pytest.raises(OSError, match="File too large"):
+        save_trackset(out, ts)
+    assert not out.exists()
+    # a link is left as it was, and so is the file it names
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    link.symlink_to(target)
+    with pytest.raises(OSError, match="File too large"):
+        save_trackset(link, ts)
+    assert link.is_symlink() and target.exists()
+
+
 @pytest.mark.parametrize("is_ground_truth", [False, True])
 def test_byte_order_mark_is_skipped(tmp_path, is_ground_truth):
     text = "1,1,10,20,30,40,1,-1,-1,-1\n2,1,11,20,30,40,0,-1,-1,-1\n1,2,50,20,30,40,1,-1,-1,-1\n"

@@ -222,8 +222,9 @@ def test_trajectory_frame_error_shows_the_frames_as_given():
 
 def test_trajectory_ids_stay_below_2_to_the_53():
     traj = _track()
-    # the writer would write 1.5 as id 1, next to a real id 1 that the reader then rejects
-    for bad_id in (2**53, 0, 1.5, 2.5, 2.0, np.float64(3.0), "4"):
+    # the writer would write 1.5 as id 1, next to a real id 1 that the reader then rejects;
+    # True is an int to isinstance, but a track set would store it as id 1
+    for bad_id in (2**53, 0, 1.5, 2.5, 2.0, np.float64(3.0), "4", True, np.True_):
         with pytest.raises(ValueError):
             traj.with_id(bad_id)
         with pytest.raises(ValueError):

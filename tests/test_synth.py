@@ -20,7 +20,6 @@ from trackfuse.cli import main
 from trackfuse.rng import SplitMix64, stream
 from trackfuse.synth import (
     DEFAULT_DEGRADATION,
-    FRAME_BLOCK,
     MAX_SPEED,
     _degrade,
     _generate_gt,
@@ -315,6 +314,31 @@ def test_short_scenarios_are_pinned(n, digests):
     ) == digests
 
 
+# SHA-256 of serialize_trackset for the gt and both trackers of
+# complementary_pair at larger specs: an odd object count, and verbatim
+# objects between degraded ones. `trackfuse synth --complementary` writes the
+# same bytes, which CI checks against these lines.
+PINNED_COMPLEMENTARY_PAIRS = {
+    ScenarioSpec(5, 300, seed=9): (
+        "39f8d41a2c7d0bda2be937072c869d56092002adf8d997c7b8990f7a2c30b488",
+        "62fcc82a3116542af7912f9979d6528f5750a549a4658dc36b12f875f9c3bc57",
+        "96ef37b3bed66c464c01dc5d4fd78a049d516bb980fc95dc0e764281f98043f2",
+    ),
+    ScenarioSpec(6, 1000, seed=4): (
+        "bacbfa437bf54656e1d9e287e355aa43bc3242ce201df169a2d4c2231bbbf04a",
+        "65e73143200b29d4d4c14357567c085e661ba3cdc3c69c6fa432d8bb6e1d36d1",
+        "eb588414a620e668a1f98f926ce4e0ef73430c28ec410b7fd4623a63ba8c1b28",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, digests", PINNED_COMPLEMENTARY_PAIRS.items(), ids=["5x300", "6x1000"])
+def test_complementary_pairs_are_pinned(spec, digests):
+    assert tuple(
+        hashlib.sha256(serialize_trackset(ts).encode()).hexdigest() for ts in complementary_pair(spec)
+    ) == digests
+
+
 @pytest.mark.parametrize("n", PINNED_SHORT_SCENARIOS)
 def test_gt_paths_are_whole_in_arena_and_bounded_velocity(n):
     scenario, pair = _short_scenarios(n)
@@ -350,9 +374,7 @@ def assert_same_bits(got, want):
 
 
 @pytest.mark.parametrize("deg", SWEEP_DEGRADATIONS)
-@pytest.mark.parametrize(
-    "frames", [1, 2, 7, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 2 * FRAME_BLOCK + 30]
-)
+@pytest.mark.parametrize("frames", [1, 2, 7, 1023, 1024, 1025, 2078])
 def test_degrade_matches_per_frame_draws(deg, frames):
     for seed in (0, 5, 2**63 + 11):
         gt = _generate_gt(ScenarioSpec(num_objects=2, num_frames=frames, seed=seed))
