@@ -92,8 +92,6 @@ def _report_rows(report: EvalReport) -> List[tuple[str, object]]:
 
 
 def _fmt(value: object) -> str:
-    if value is None:
-        return "undefined"
     if isinstance(value, float):
         return f"{value:.4f}"
     return str(value)

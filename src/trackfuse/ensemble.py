@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import same_frame_pairs
 from .interpolate import _interpolated
-from .model import MIN_BOX_SIZE, Columns, TrackSet, Trajectory
+from .model import MIN_BOX_SIZE, Columns, TrackSet, Trajectory, _check_count
 
 
 class MergeMode(Enum):
@@ -53,10 +53,9 @@ class EnsembleConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.thr_len < 0:
-            raise ValueError(f"thr_len must be >= 0, got {self.thr_len}")
-        if self.max_gap is not None and self.max_gap < 1:
-            raise ValueError(f"max_gap must be >= 1, got {self.max_gap}")
+        _check_count("thr_len", self.thr_len, 0)
+        if self.max_gap is not None:
+            _check_count("max_gap", self.max_gap, 1)
         # accept the mode's value ("drop"), and reject unknown ones
         object.__setattr__(self, "merge_mode", MergeMode(self.merge_mode))
 
@@ -98,22 +97,13 @@ def mix(tracksets: Sequence[TrackSet]) -> List[Trajectory]:
     return _mixed(tracksets).trajectories()
 
 
-def _run_starts(*keys: np.ndarray) -> np.ndarray:
-    """Which rows start a run of rows equal in every one of ``keys``."""
-    first = np.zeros(len(keys[0]), bool)
-    first[:1] = True
-    for key in keys:
-        first[1:] |= key[1:] != key[:-1]
-    return first
-
-
 def _group_frame_order(pool: Columns, members: np.ndarray, group_starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``pool``'s rows by (group, frame, place in the group), and which of them start a new (group, frame).
 
     ``members`` lists all of ``pool``'s tracks group by group, and
-    ``group_starts`` where each group starts in it. Each row's int64 key is
-    its group's key range plus its frame, times the largest group size,
-    plus its track's place in the group, so one sort orders the rows.
+    ``group_starts`` where each group starts in it. Each row's key is its
+    group's key range plus its frame, times the largest group size, plus
+    its track's place in the group, so one sort orders the rows.
     """
     sizes = np.diff(group_starts, append=len(members))
     track_group, track_place = np.empty((2, len(members)), np.int64)  # each pool track's group and place in it
@@ -121,17 +111,17 @@ def _group_frame_order(pool: Columns, members: np.ndarray, group_starts: np.ndar
     track_place[members] = np.arange(len(members)) - np.repeat(group_starts, sizes)
     low = np.minimum.reduceat(pool.frame[pool.starts[members]], group_starts)
     spans = np.maximum.reduceat(pool.frame[pool.stops()[members] - 1], group_starts) - low + 1
-    width, counts = int(sizes.max()), pool.counts()
-    if spans.sum(dtype=np.float64) * width >= 2**62:  # the keys would not fit in int64
-        group = np.repeat(track_group, counts)
-        order = np.lexsort((np.repeat(track_place, counts), pool.frame, group))
-        return order, _run_starts(pool.frame.take(order), group.take(order))
-    key = pool.frame * width
+    width, counts, frame = int(sizes.max()), pool.counts(), pool.frame
+    # the keys stay below the spans' sum times width, summed in Python ints, which
+    # neither wrap nor round; where that passes 2**62, the keys are Python ints too
+    if sum(spans.tolist()) * width >= 2**62:
+        spans, frame = spans.astype(object), frame.astype(object)
+    key = frame * width
     key += np.repeat(((np.cumsum(spans) - spans - low) * width)[track_group] + track_place, counts)
     order = np.argsort(key, kind="stable")  # the keys are unique, and each track's a rising run
     key = key.take(order)
     key //= width
-    return order, _run_starts(key)
+    return order, np.concatenate(([True], key[1:] != key[:-1]))  # a key's first row starts its run
 
 
 def _merged(pool: Columns, members: np.ndarray, group_starts: np.ndarray, mode: MergeMode) -> Columns:

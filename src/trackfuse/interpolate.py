@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Columns, Trajectory
+from .model import Columns, Trajectory, _check_count
 
 
 def _interpolated(columns: Columns, max_gap: int) -> Columns:
@@ -55,7 +55,6 @@ def linear_interpolate(track: Trajectory, max_gap: int) -> Trajectory:
     extrapolated beyond the first or last detection. Original detections
     are never changed, so applying this twice equals applying it once.
     """
-    if max_gap < 1:
-        raise ValueError(f"max_gap must be >= 1, got {max_gap}")
+    _check_count("max_gap", max_gap, 1)
     (filled,) = _interpolated(Columns.of([track]), max_gap).trajectories()
     return filled

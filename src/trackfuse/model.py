@@ -81,6 +81,15 @@ def _checked_id(track_id: int) -> int:
     return track_id
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    """Refuse a count setting that is not an integer of at least ``least``."""
+    # bool is an int subclass, and nan, 3.5 or inf would pass the bound and act as some other count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     if array.flags.writeable:  # a view of a read-only array is read-only already
         array.setflags(write=False)

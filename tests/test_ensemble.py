@@ -54,6 +54,13 @@ def test_config_defaults_and_validation():
         with pytest.raises(ValueError, match=rf"^max_gap must be >= 1, got {gap}$"):
             EnsembleConfig(max_gap=gap)
     assert EnsembleConfig(max_gap=1).max_gap == 1
+    # settings that are no integer, or a bool, which would act as some other count
+    for name, value in [("thr_len", float("nan")), ("thr_len", 50.5), ("thr_len", True), ("max_gap", float("nan")),
+                        ("max_gap", True), ("max_gap", 3.5), ("max_gap", float("inf"))]:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            EnsembleConfig(**{name: value})
+    cfg = EnsembleConfig(thr_len=np.int64(5), max_gap=np.int32(2))
+    assert (cfg.thr_len, cfg.max_gap) == (5, 2)
 
 
 def test_mix_pools_and_relabels():
@@ -71,6 +78,7 @@ def test_mix_pools_and_relabels():
     # so the pooled id order tells which tracker each track came from
     xs = [t.detections[1].box.x for t in pooled]
     assert xs == [50, 100, 0, 150, 200, 250, 300]
+    assert mix([]) == []  # no tracker, no track
 
 
 def test_mix_single_trackset_relabels_only():
@@ -441,7 +449,7 @@ def test_pipeline_reads_an_iterator_of_track_sets_once():
 def test_groups_too_long_for_one_sort_key_merge_alike(mode):
     # 300 groups of two tracks whose frames reach 2**53 - 1: the groups' frame
     # spans times the group size add up past 2**62, beyond one int64 sort key
-    # per row, so the rows are sorted on three keys; with the last frame at 4
+    # per row, so the keys are Python ints; with the last frame at 4
     # one key suffices, and the fused tracks must differ only in that frame
     def tracksets(last):
         boxes = [((50.0 * k, 0.0, 10.0, 10.0), (50.0 * k + 0.5, 1.0, 10.0, 10.0)) for k in range(300)]
@@ -454,5 +462,27 @@ def test_groups_too_long_for_one_sort_key_merge_alike(mode):
     far, near = (ensemble_pipeline(tracksets(last), cfg) for last in (2**53 - 1, 4))
     assert len(far) == 300 and far.num_detections == 4 * 300
     assert far.columns.frame.tolist() == [2**53 - 1 if f == 4 else f for f in near.columns.frame.tolist()]
+    for name in ("ids", "starts", "xywh", "conf"):
+        assert np.array_equal(getattr(far.columns, name), getattr(near.columns, name))
+
+
+@pytest.mark.parametrize("mode", [MergeMode.DROP, MergeMode.AVERAGE])
+@pytest.mark.parametrize("groups, last", [(300, (2**62 - 1) // 600), (300, (2**62 - 1) // 600 + 1), (600, 2**53 - 1)])
+def test_merge_keys_on_both_sides_of_int64_merge_alike(mode, groups, last):
+    # each group of two tracks spans frames 1..last, so the rows' sort keys
+    # reach groups * last * 2 - 1: just below 2**62, just past it, and past
+    # 2**63, where a bound on the keys computed in int64 wraps; each must fuse
+    # as the same groups do with the last frame at 4, but for that frame
+    def tracksets(last):
+        boxes = [((50.0 * k, 0.0, 10.0, 10.0), (50.0 * k + 0.5, 1.0, 10.0, 10.0)) for k in range(groups)]
+        return [
+            TrackSet("s", [make_track(k + 1, {1: a, 3: a, last: a}, 0.5) for k, (a, _) in enumerate(boxes)]),
+            TrackSet("s", [make_track(k + 1, {2: b, 3: b, last: b}, 0.75) for k, (_, b) in enumerate(boxes)]),
+        ]
+
+    cfg = EnsembleConfig(thr_t=0.0, thr_len=0, merge_mode=mode)
+    far, near = (ensemble_pipeline(tracksets(frame), cfg) for frame in (last, 4))
+    assert len(far) == groups and far.num_detections == 4 * groups
+    assert far.columns.frame.tolist() == [last if f == 4 else f for f in near.columns.frame.tolist()]
     for name in ("ids", "starts", "xywh", "conf"):
         assert np.array_equal(getattr(far.columns, name), getattr(near.columns, name))

@@ -82,6 +82,9 @@ def test_rejects_non_positive_max_gap():
     t = const_track(1, 1, 5)
     with pytest.raises(ValueError):
         linear_interpolate(t, 0)
+    for gap in (float("nan"), True, 3.5, float("inf")):  # no integer, or a bool
+        with pytest.raises(ValueError, match=rf"^max_gap must be an integer, got {gap!r}$"):
+            linear_interpolate(t, gap)
 
 
 @pytest.mark.parametrize("max_gap", [1, 3, 10, 50])

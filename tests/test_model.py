@@ -179,6 +179,7 @@ def test_trajectory_equality_compares_id_and_columns_exactly():
     nudged[2, 1] = np.nextafter(nudged[2, 1], np.inf)  # one ulp
     assert traj != Trajectory(1, traj.frame, nudged, traj.conf)
     assert traj != "not a trajectory"
+    assert TrackSet("s") != "s"  # a track set against another type as well
 
 
 @pytest.mark.parametrize(
