@@ -97,31 +97,30 @@ def mix(tracksets: Sequence[TrackSet]) -> List[Trajectory]:
     return _mixed(tracksets).trajectories()
 
 
+def _rows(columns: Columns, tracks: np.ndarray) -> np.ndarray:
+    """The rows of all of ``columns``' tracks in the order ``tracks`` lists them, each track's in frame order."""
+    counts = columns.counts()[tracks]
+    return np.repeat(columns.starts[tracks] - np.cumsum(counts) + counts, counts) + np.arange(len(columns.frame))
+
+
 def _group_frame_order(pool: Columns, members: np.ndarray, group_starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``pool``'s rows by (group, frame, place in the group), and which of them start a new (group, frame).
 
-    ``members`` lists all of ``pool``'s tracks group by group, and
-    ``group_starts`` where each group starts in it. Each row's key is its
-    group's key range plus its frame, times the largest group size, plus
-    its track's place in the group, so one sort orders the rows.
+    ``members`` lists all of ``pool``'s tracks group by group, and ``group_starts``
+    where each group starts in it. The rows, taken member by member, are sorted
+    stably by frame, then by group, so the rows of one (group, frame) keep member order.
     """
-    sizes = np.diff(group_starts, append=len(members))
-    track_group, track_place = np.empty((2, len(members)), np.int64)  # each pool track's group and place in it
-    track_group[members] = np.repeat(np.arange(len(sizes)), sizes)
-    track_place[members] = np.arange(len(members)) - np.repeat(group_starts, sizes)
-    low = np.minimum.reduceat(pool.frame[pool.starts[members]], group_starts)
-    spans = np.maximum.reduceat(pool.frame[pool.stops()[members] - 1], group_starts) - low + 1
-    width, counts, frame = int(sizes.max()), pool.counts(), pool.frame
-    # the keys stay below the spans' sum times width, summed in Python ints, which
-    # neither wrap nor round; where that passes 2**62, the keys are Python ints too
-    if sum(spans.tolist()) * width >= 2**62:
-        spans, frame = spans.astype(object), frame.astype(object)
-    key = frame * width
-    key += np.repeat(((np.cumsum(spans) - spans - low) * width)[track_group] + track_place, counts)
-    order = np.argsort(key, kind="stable")  # the keys are unique, and each track's a rising run
-    key = key.take(order)
-    key //= width
-    return order, np.concatenate(([True], key[1:] != key[:-1]))  # a key's first row starts its run
+    rows = _rows(pool, members)
+    order = np.argsort(pool.frame.take(rows), kind="stable")
+    rows = rows.take(order)
+    group_rows = np.add.reduceat(pool.counts()[members], group_starts)
+    # each row's group in the smallest type that holds it: numpy's stable sort is a radix sort on 8 and 16 bits
+    group = np.arange(len(group_rows), dtype=np.min_scalar_type(len(group_rows) - 1))
+    group = np.repeat(group, group_rows).take(order)
+    order = np.argsort(group, kind="stable")
+    rows, group = rows.take(order), group.take(order)
+    frame = pool.frame.take(rows)
+    return rows, np.concatenate(([True], (group[1:] != group[:-1]) | (frame[1:] != frame[:-1])))  # a run's first row
 
 
 def _merged(pool: Columns, members: np.ndarray, group_starts: np.ndarray, mode: MergeMode) -> Columns:
@@ -221,10 +220,7 @@ def merge_groups(pool: Sequence[Trajectory], thr_s: float, thr_t: float) -> List
 
 def _pruned(columns: Columns, thr_nms: float) -> Columns:
     """``length_nms`` of a column set."""
-    ranked = _ranked(columns)
-    counts = columns.counts()[ranked]
-    # the rows of the tracks by rank, each track's in frame order
-    rows = np.repeat(columns.starts[ranked] - np.cumsum(counts) + counts, counts) + np.arange(len(columns.frame))
+    rows = _rows(columns, _ranked(columns))  # by rank
     gone = bytearray(len(rows))  # suppressed rows, by rank
     for a, b, _ in same_frame_pairs(columns.frame.take(rows), columns.xywh.take(rows, axis=0), thr_nms):
         # pairs come in (frame, row_a, row_b) order and rows by rank, so every

@@ -114,12 +114,6 @@ def _plain_table(block: str, record: np.dtype) -> Optional[np.ndarray]:
         return None
 
 
-def _whole(values: np.ndarray) -> np.ndarray:
-    """Frames or ids read as floats, as int64; 0, which no check passes, where one is not whole and in [1, 2**53)."""
-    whole = (np.floor(values) == values) & (values >= 1) & (values < MAX_INDEX)
-    return np.where(whole, values, 0).astype(np.int64)
-
-
 def _tokenize(lines: List[str]) -> Tuple[List[List[float]], Optional[str]]:
     """Line by line: the first 7 values of the non-blank lines.
 
@@ -147,20 +141,19 @@ def _tokenize(lines: List[str]) -> Tuple[List[List[float]], Optional[str]]:
     return rows, None
 
 
-def _columns(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
+def _columns(text: str) -> Tuple[np.ndarray, Optional[str]]:
     """The first 7 columns of the non-blank lines, and the message of the line that stopped reading.
 
-    The columns are frames and ids as ``int64[2, rows]`` and x, y, w, h and
-    column 7 as ``float64[5, rows]``, filled one block at a time, so each
-    check runs on whole columns. Row ``r`` holds the ``r``-th non-blank
-    line of ``text``: numpy's reader skips empty lines as ``_tokenize``
-    skips blank ones, and as blocks end after a ``"\\n"``, a block's lines
-    are lines of ``text``. A frame or id that is not a whole number in
-    [1, 2**53) holds 0. A row without column 7 holds 1.0 there, which
-    reads as an unset confidence and an active ground-truth flag. Reading
-    stops at the first line with too few columns or a malformed number,
-    whose message is returned with the rows before it: that line is the
-    non-blank line after them.
+    The columns are one ``float64[7, rows]`` table, filled one block at a
+    time, so each check runs on whole columns. An int64 frame or id below
+    2**53 is exact there, and a larger one stays at least 2**53. Row ``r``
+    holds the ``r``-th non-blank line of ``text``: numpy's reader skips
+    empty lines as ``_tokenize`` skips blank ones, and as blocks end after
+    a ``"\\n"``, a block's lines are lines of ``text``. A row without
+    column 7 holds 1.0 there, which reads as an unset confidence and an
+    active ground-truth flag. Reading stops at the first line with too few
+    columns or a malformed number, whose message is returned with the rows
+    before it: that line is the non-blank line after them.
 
     Plain blocks are read with the text's ``_record``. A block that this
     fails is read again with its float64 twin, as is the rest of the text;
@@ -173,7 +166,7 @@ def _columns(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
     # nothing but the rows taken; splitlines also breaks at a lone "\r" and
     # a few other characters, and text that uses them grows the arrays
     rows = text.count("\n") + (not text.endswith("\n"))
-    indices, values = np.empty((2, rows), np.int64), np.empty((5, rows))
+    values = np.empty((7, rows))
     n = 0
     error = None
     for block in _blocks(text):
@@ -189,18 +182,15 @@ def _columns(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
             listed, error = _tokenize(block.splitlines())
             fields = list(np.array(listed).reshape(-1, 7).T)
         m = len(fields[0])
-        if n + m > indices.shape[1]:
-            indices = np.hstack((indices[:, :n], np.empty((2, n + m), np.int64)))
-            values = np.hstack((values[:, :n], np.empty((5, n + m))))
-        for j, field in enumerate(fields[:2]):
-            indices[j, n : n + m] = field if field.dtype == np.int64 else _whole(field)
-        for j, field in enumerate(fields[2:]):
+        if n + m > values.shape[1]:
+            values = np.hstack((values[:, :n], np.empty((7, n + m))))
+        for j, field in enumerate(fields):
             values[j, n : n + m] = field
-        values[len(fields) - 2 :, n : n + m] = 1.0  # no column 7: unset
+        values[len(fields) :, n : n + m] = 1.0  # no column 7: unset
         n += m
         if error is not None:
             break
-    return indices[:, :n], values[:, :n], error
+    return values[:, :n], error
 
 
 def _line(text: str, r: int) -> Tuple[int, str]:
@@ -252,10 +242,10 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
             It names the first offending line, found by splitting the
             text into lines again.
     """
-    indices, values, read_error = _columns(text)
-    xywh, seventh = values[:4], values[4]
-    # a row that fails a check before the flag is read is neither kept nor a duplicate
-    early = ~((indices >= 1) & (indices < MAX_INDEX)).all(axis=0)
+    values, read_error = _columns(text)
+    indices, xywh, seventh = values[:2], values[2:6], values[6]
+    # a row that fails a check before the flag is read is neither kept nor a duplicate; inf and nan fail < MAX_INDEX
+    early = ~((np.floor(indices) == indices) & (indices >= 1) & (indices < MAX_INDEX)).all(axis=0)
     early |= (xywh[2:] < MIN_BOX_SIZE).any(axis=0)
     bad = ~((xywh >= -MAX_COORD) & (xywh <= MAX_COORD)).all(axis=0)  # non-finite or beyond the bound
     if is_ground_truth:
@@ -266,7 +256,7 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
         bad |= np.isnan(seventh)
         kept = np.flatnonzero(~early)
     bad |= early
-    frames, ids = indices.take(kept, axis=1)
+    frames, ids = indices.take(kept, axis=1).astype(np.int64)
     order = np.lexsort((frames, ids))  # by id, then frame; stable, so then by line
     kept, frames, ids = kept[order], frames[order], ids[order]
     duplicates = kept[1:][(frames[1:] == frames[:-1]) & (ids[1:] == ids[:-1])]
@@ -276,7 +266,7 @@ def parse_trackset(text: str, is_ground_truth: bool = False, sequence: str = "")
         line_no, line = _line(text, r)
         raise ParseError(line_no, _offence(_tokenize([line])[0][0], bool((duplicates == r).any())))
     if read_error is not None:
-        raise ParseError(_line(text, indices.shape[1])[0], read_error)
+        raise ParseError(_line(text, values.shape[1])[0], read_error)
 
     if is_ground_truth:
         conf = np.ones(len(kept))

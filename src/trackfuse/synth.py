@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .interpolate import _interpolated
-from .model import Columns, TrackSet
+from .model import Columns, TrackSet, _check_count
 from .rng import _TO_UNIT, SplitMix64, stream
 
 WAYPOINT_SPACING = 50  # frames between direction changes
@@ -49,8 +49,7 @@ class TrackerDegradation:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if not 0.0 <= self.jitter < math.inf:
             raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
-        if self.segment_drop < 0:
-            raise ValueError(f"segment_drop must be >= 0, got {self.segment_drop}")
+        _check_count("segment_drop", self.segment_drop, 0)
 
 
 DEFAULT_DEGRADATION = TrackerDegradation(
@@ -70,10 +69,10 @@ class ScenarioSpec:
     trackers: Tuple[TrackerDegradation, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.num_objects < 1:
-            raise ValueError(f"num_objects must be >= 1, got {self.num_objects}")
-        if self.num_frames < 1:
-            raise ValueError(f"num_frames must be >= 1, got {self.num_frames}")
+        _check_count("num_objects", self.num_objects, 1)
+        _check_count("num_frames", self.num_frames, 1)
+        for name in ("arena_w", "arena_h"):
+            _check_count(name, getattr(self, name), -math.inf)  # any integer: the checks below bound them
         if self.arena_w < 96:
             raise ValueError(f"arena width must be >= 96, got {self.arena_w}")
         if self.arena_h < 16 * self.num_objects:

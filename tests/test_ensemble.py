@@ -446,11 +446,36 @@ def test_pipeline_reads_an_iterator_of_track_sets_once():
 
 
 @pytest.mark.parametrize("mode", [MergeMode.DROP, MergeMode.AVERAGE])
+def test_more_merge_groups_than_16_bits_hold_merge_alike(mode):
+    # 2**16 + 100 tracks of one or two boxes that never touch, a few to a
+    # frame, so each is a group of its own and the group numbers need 32
+    # bits; the fused tracks are the pool's by rank (longer first, ties by
+    # id), relabelled 1..N
+    n = 2**16 + 100
+    lines = []
+    for k in range(n):
+        x, y = 20.0 * (k % 1000), 20.0 * (k // 1000)
+        for frame in sorted({k // 4 + 1, k // 4 + 1 + k % 3}):
+            lines.append(f"{frame},{k + 1},{x},{y},10,10,{(k % 10) / 10}\n")
+    tracks = parse_trackset("".join(lines))
+    pool = tracks.columns
+    starts, counts, spans = pool.starts.tolist(), pool.counts().tolist(), pool.spans().tolist()
+    ranked = sorted(range(n), key=lambda k: (-spans[k], k))
+    rows = [r for k in ranked for r in range(starts[k], starts[k] + counts[k])]
+    fused = ensemble_pipeline([tracks], EnsembleConfig(thr_len=0, merge_mode=mode)).columns
+    assert fused.ids.tolist() == list(range(1, n + 1))
+    assert fused.starts.tolist() == np.cumsum([0] + [counts[k] for k in ranked[:-1]]).tolist()
+    assert np.array_equal(fused.frame, pool.frame[rows])
+    assert np.array_equal(fused.xywh, pool.xywh[rows]) and np.array_equal(fused.conf, pool.conf[rows])
+
+
+@pytest.mark.parametrize("mode", [MergeMode.DROP, MergeMode.AVERAGE])
 def test_groups_too_long_for_one_sort_key_merge_alike(mode):
     # 300 groups of two tracks whose frames reach 2**53 - 1: the groups' frame
-    # spans times the group size add up past 2**62, beyond one int64 sort key
-    # per row, so the keys are Python ints; with the last frame at 4
-    # one key suffices, and the fused tracks must differ only in that frame
+    # spans times the group size add up past 2**62, where one packed (group,
+    # frame, place) sort key per row would pass int64; the rows are sorted by
+    # frame and by group instead, and with the last frame at 4 the fused
+    # tracks must differ only in that frame
     def tracksets(last):
         boxes = [((50.0 * k, 0.0, 10.0, 10.0), (50.0 * k + 0.5, 1.0, 10.0, 10.0)) for k in range(300)]
         return [
@@ -469,10 +494,10 @@ def test_groups_too_long_for_one_sort_key_merge_alike(mode):
 @pytest.mark.parametrize("mode", [MergeMode.DROP, MergeMode.AVERAGE])
 @pytest.mark.parametrize("groups, last", [(300, (2**62 - 1) // 600), (300, (2**62 - 1) // 600 + 1), (600, 2**53 - 1)])
 def test_merge_keys_on_both_sides_of_int64_merge_alike(mode, groups, last):
-    # each group of two tracks spans frames 1..last, so the rows' sort keys
-    # reach groups * last * 2 - 1: just below 2**62, just past it, and past
-    # 2**63, where a bound on the keys computed in int64 wraps; each must fuse
-    # as the same groups do with the last frame at 4, but for that frame
+    # each group of two tracks spans frames 1..last, so one packed (group,
+    # frame, place) sort key per row would reach groups * last * 2 - 1: just
+    # below 2**62, just past it, and past 2**63; each must fuse as the same
+    # groups do with the last frame at 4, but for that frame
     def tracksets(last):
         boxes = [((50.0 * k, 0.0, 10.0, 10.0), (50.0 * k + 0.5, 1.0, 10.0, 10.0)) for k in range(groups)]
         return [

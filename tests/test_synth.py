@@ -110,6 +110,16 @@ def test_spec_validation():
         ScenarioSpec(arena_w=10)
     with pytest.raises(ValueError):
         ScenarioSpec(num_objects=50, arena_h=600)
+    # a count that is not an integer is refused as one, before its range check
+    for name in ("num_objects", "num_frames", "arena_w", "arena_h"):
+        for value in (math.nan, math.inf, 2.5, 700.0, True):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+                ScenarioSpec(**{name: value})
+    # integer values keep their messages
+    with pytest.raises(ValueError, match=r"^arena width must be >= 96, got -5$"):
+        ScenarioSpec(arena_w=-5)
+    with pytest.raises(ValueError, match=r"^arena height 600 too small for 50 objects$"):
+        ScenarioSpec(num_objects=np.int64(50), arena_h=600)
 
 
 def test_degradation_validation():
@@ -124,6 +134,11 @@ def test_degradation_validation():
     for jitter in (math.nan, math.inf):
         with pytest.raises(ValueError, match="jitter"):
             TrackerDegradation(jitter=jitter)
+    with pytest.raises(ValueError, match=r"^segment_drop must be >= 0, got -2$"):
+        TrackerDegradation(segment_drop=-2)
+    for value in (math.nan, math.inf, 2.5, 3.0, True):
+        with pytest.raises(ValueError, match=rf"^segment_drop must be an integer, got {value!r}$"):
+            TrackerDegradation(segment_drop=value)
 
 
 def test_generation_is_deterministic():
